@@ -53,6 +53,7 @@ from .errors import (
     SaddleFailureError,
     SaddleOverflowError,
     SizeGuardError,
+    UnitMassError,
     UnknownFamilyError,
     UnsupportedShapeError,
     ZeroMassError,
@@ -118,6 +119,7 @@ __all__ = [
     "TheoremConstants",
     "TriangleRow",
     "UNATTRIBUTED_OEIS_IDS",
+    "UnitMassError",
     "UnknownFamilyError",
     "UnsupportedShapeError",
     "X",

@@ -110,20 +110,6 @@ class ExactPolynomial:
             acc = acc * t + c
         return acc
 
-    def shift_up(self, k: int) -> ExactPolynomial:
-        """Multiply by x^k."""
-        if self.is_zero or k == 0:
-            return self
-        return ExactPolynomial((Fraction(0),) * k + self._coeffs)
-
-    def shift_down(self, k: int) -> ExactPolynomial:
-        """Exact division by x^k; the bottom k coefficients must be zero."""
-        if self.is_zero:
-            return self
-        if any(self._coeffs[j] for j in range(min(k, len(self._coeffs)))):
-            raise ValueError("polynomial is not divisible by x^%d" % k)
-        return ExactPolynomial(self._coeffs[k:])
-
     def __eq__(self, other) -> bool:
         if isinstance(other, ExactPolynomial):
             return self._coeffs == other._coeffs

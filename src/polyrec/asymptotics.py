@@ -24,7 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import ParameterError, SaddleFailureError, SaddleOverflowError
+from .errors import (
+    ParameterError,
+    SaddleFailureError,
+    SaddleOverflowError,
+    UnitMassError,
+    ZeroVarianceError,
+)
 from .families import FamilyDescriptor, SaddleFunction, theorem_constants
 
 _LOG_SCALE_THRESHOLD = 300.0
@@ -271,15 +277,18 @@ def compare_exact(descriptor: FamilyDescriptor, n: int) -> ComparisonRecord:
     """Compare row n's exact mean, variance, and log total mass with the
     saddle-point predictions.
 
-    For families whose triangle is shifted (egf_row_offset = r), row n
-    corresponds to series index n - r; the prefactor x^r moves the mean up
-    by r and leaves the variance alone, and the coefficient estimate is
-    matched through log P_n(1) = log(n - r)! + log [z^{n-r}] e^{f(z,1)}.
+    Row n is c x^r times n'! [z^{n'}] e^f with n' = n - egf_row_offset and
+    c x^r the prefactor (the start polynomial): x^r moves the mean up by r
+    and leaves the variance alone, and the coefficient estimate is matched
+    through log P_n(1) = log c + log n'! + log [z^{n'}] e^{f(z,1)}.  A row
+    with zero variance or with P_n(1) = 1 has no relative error to report
+    and raises ZeroVarianceError or UnitMassError.
     """
     from .distribution import pmf
     from .recurrence import generate
 
     offset = descriptor.egf_row_offset
+    prefactor = descriptor.egf_prefactor
     series_n = n - offset
     if series_n < 3:
         raise ParameterError(f"n must be >= {offset + 3}, got {n}")
@@ -288,9 +297,17 @@ def compare_exact(descriptor: FamilyDescriptor, n: int) -> ComparisonRecord:
     table = pmf(poly, n)
     exact_mean = float(table.mean)
     exact_variance = float(table.variance)
+    if exact_variance == 0:
+        raise ZeroVarianceError(f"row {n} has zero variance")
     exact_log_total = log_fraction(Fraction(poly(Fraction(1))))
-    estimate_log_total = report.coeff_estimate_log + math.lgamma(series_n + 1)
-    predicted_mean = report.predicted_mean + offset
+    if exact_log_total == 0:
+        raise UnitMassError(f"row {n} has total mass 1, so its log total is 0")
+    estimate_log_total = (
+        report.coeff_estimate_log
+        + math.lgamma(series_n + 1)
+        + log_fraction(abs(prefactor.leading_coefficient))
+    )
+    predicted_mean = report.predicted_mean + prefactor.degree
     return ComparisonRecord(
         n=n,
         exact_mean=exact_mean,

@@ -13,7 +13,8 @@ bytes.
 
 Exit codes: 0 ok, 1 verification mismatch, 2 usage error (bad flags, bad
 spec text, unsupported shape), 3 numeric failure (saddle solve, zero mass,
-zero variance).  Module errors print a one-line JSON object to stderr.
+zero variance, unit mass).  Module errors print a one-line JSON object to
+stderr.
 """
 
 from __future__ import annotations
@@ -36,17 +37,17 @@ from .errors import (
     SaddleFailureError,
     SaddleOverflowError,
     SizeGuardError,
+    UnitMassError,
     UnknownFamilyError,
     UnsupportedShapeError,
     ZeroMassError,
     ZeroVarianceError,
 )
 from .families import (
+    FAMILIES,
     FamilyDescriptor,
     build_exponent,
     catalog,
-    catalog_names,
-    family_parameters,
     validate_nonnegativity,
     verify_egf_identity,
 )
@@ -67,6 +68,7 @@ _NUMERIC_ERRORS = (
     SaddleOverflowError,
     ZeroVarianceError,
     ZeroMassError,
+    UnitMassError,
     InvalidDistributionError,
     NonzeroConstantTermError,
 )
@@ -372,15 +374,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_families(args) -> int:
-    entries = []
-    for name in catalog_names():
-        entries.append(
-            {
-                "name": name,
-                "parameters": list(family_parameters(name)),
-                "oeis": list(_default_oeis(name)),
-            }
-        )
+    entries = [
+        {
+            "name": name,
+            "parameters": list(family.params),
+            "oeis": list(catalog(name, **family.listed).oeis_refs),
+        }
+        for name, family in FAMILIES.items()
+    ]
     if args.format == "json":
         _emit(args, _json(entries))
         return 0
@@ -389,23 +390,6 @@ def _cmd_families(args) -> int:
     ]
     _emit(args, _csv(["name", "parameters", "oeis"], rows))
     return 0
-
-
-def _default_oeis(name: str) -> tuple[str, ...]:
-    defaults = {
-        "stirling2": {},
-        "whitney": {"m": 2, "c": 1},
-        "translated_whitney": {"m": 2},
-        "dowling": {"m": 2},
-        "r_stirling": {"r": 2},
-        "sheffer": {"d": 2, "a": 1},
-        "stirling_frobenius": {"m": 2},
-        "galton": {"m": 2, "c": -1},
-        "assoc_stirling": {"s": 2},
-        "r_whitney_assoc": {"m": 2, "r": 1, "s": 2},
-        "type_b": {"m": 2, "c": 1},
-    }
-    return catalog(name, **defaults[name]).oeis_refs
 
 
 # wiring ------------------------------------------------------------------

@@ -41,6 +41,11 @@ class ZeroVarianceError(PolyrecError):
     """Normality diagnostics need strictly positive variance."""
 
 
+class UnitMassError(PolyrecError):
+    """A row of total mass 1 has log total 0, so no relative error of the
+    log-total estimate exists for it."""
+
+
 class SaddleFailureError(PolyrecError):
     """The saddle-point equation could not be solved for this input."""
 

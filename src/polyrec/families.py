@@ -1,7 +1,9 @@
 """Catalog of named polynomial families.
 
-Each descriptor bundles the recurrence data, the closed-form exponent of the
-exponential generating function, OEIS cross-references, and the constants
+Each family is one record in FAMILIES: its parameters, recurrence, OEIS
+cross-references and enumeration model.  A descriptor bundles the recurrence
+data, the closed-form exponent of the exponential generating function (built
+from the recurrence by `build_exponent`), the OEIS ids, and the constants
 (d, alpha_d) that decide whether the n/log n normal limit applies.
 
 The exponent is always stored in the split form
@@ -17,12 +19,11 @@ drive all of the asymptotics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .algebra import (
-    ONE,
     X,
     ZERO,
     BivariateSeries,
@@ -110,52 +111,54 @@ def theorem_constants(saddle: SaddleFunction) -> TheoremConstants:
 
 
 def build_exponent(spec: RecurrenceSpec) -> SaddleFunction:
-    """Closed-form EGF exponent for a spec of the two-term shape: optional
-    single lag of depth 2 with binomial weighting, default start.
+    """Closed-form EGF exponent of a spec whose lags are all binomially
+    weighted and whose start polynomial is a monomial c x^r.
 
-    With gamma(x) = sum gamma_j x^j and c(x) the depth-2 lag factor,
+    Writing row start_index + n as c x^r R_n, the exponent f with
+    R_n = n! [z^n] e^f solves
 
-        Q1 = -sum_{j>=1} gamma_j x^j/(j m) - sum_{j>=1} c_j x^j/(j^2 m^2)
-             + (gamma_0 - sum_{j>=1} c_j x^j/(j m)) z + c_0 z^2/2
-        Q2(u) = sum_{j>=1} (gamma_j/(j m) + c_j/(j^2 m^2)) u^j.
+        f_z - m x f_x = gamma(x) + m r + sum_lags kappa(x) z^{s-1}/(s-1)!,
+
+    f(0, x) = 0, where gamma + m r counts as a factor of depth 1.  A term
+    k x^j of a depth-s factor contributes, for j >= 1,
+
+        k/(j m)^s  to Q2[j],   -k x^j (j m)^{i-s}/i!  to Q1[i], i < s,
+
+    and, for j = 0, k/s! to Q1[s].  A shifted start index moves the binomial
+    lag weights, so it is supported only without lags.
     """
-    if spec.start_index != 0 or spec.start_poly != ONE:
+    start = spec.start_poly
+    if any(start.coeffs[:-1]):
         raise UnsupportedShapeError(
-            "closed-form exponent requires the default start P_0 = 1"
+            "closed-form exponent requires a monomial start polynomial c x^r"
         )
-    if len(spec.lags) > 1:
-        raise UnsupportedShapeError("at most one lag term is supported")
-    c = ZERO
-    if spec.lags:
-        lag = spec.lags[0]
-        if lag.s != 2 or not lag.binom_weight:
-            raise UnsupportedShapeError(
-                "only a binomially weighted lag of depth 2 has this closed form"
-            )
-        c = lag.kappa
+    if spec.start_index != 0 and spec.lags:
+        raise UnsupportedShapeError(
+            "closed-form exponent requires start index 0 when lags are present"
+        )
+    if not all(lag.binom_weight for lag in spec.lags):
+        raise UnsupportedShapeError(
+            "only binomially weighted lags have a closed-form exponent"
+        )
     m = spec.m
-    g = spec.gamma
+    factors = [(1, spec.gamma + ExactPolynomial((m * start.degree,)))]
+    factors += [(lag.s, lag.kappa) for lag in spec.lags]
+    width = max(kappa.degree for _, kappa in factors) + 1
+    q1 = [[Fraction(0)] * width for _ in range(spec.max_lag + 1)]
+    q2 = [Fraction(0)] * width
+    for s, kappa in factors:
+        for j, k in enumerate(kappa.coeffs):
+            if j == 0:
+                q1[s][0] += k / math.factorial(s)
+            elif k:
+                rate = j * m
+                q2[j] += k / rate**s
+                for i in range(s):
+                    q1[i][j] -= k * rate ** (i - s) / math.factorial(i)
+    return SaddleFunction(tuple(map(ExactPolynomial, q1)), ExactPolynomial(q2), m)
 
-    q1_0 = ExactPolynomial(
-        [Fraction(0)]
-        + [
-            -g.coefficient(j) / (j * m) - c.coefficient(j) / (j * j * m * m)
-            for j in range(1, max(g.degree, c.degree) + 1)
-        ]
-    )
-    q1_1 = ExactPolynomial(
-        [g.coefficient(0)]
-        + [-c.coefficient(j) / (j * m) for j in range(1, c.degree + 1)]
-    )
-    q1_2 = ExactPolynomial((c.coefficient(0) / 2,))
-    q2 = ExactPolynomial(
-        [Fraction(0)]
-        + [
-            g.coefficient(j) / (j * m) + c.coefficient(j) / (j * j * m * m)
-            for j in range(1, max(g.degree, c.degree) + 1)
-        ]
-    )
-    return SaddleFunction((q1_0, q1_1, q1_2), q2, m)
+
+OracleModel = tuple[int, int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -163,9 +166,10 @@ class FamilyDescriptor:
     """A named family: recurrence, EGF exponent, and metadata.
 
     Row `egf_row_offset + n` of the spec equals
-    `egf_prefactor * n! * [z^n] exp(f)`; the offset and prefactor are
-    nontrivial only for families whose triangle starts below a shifted
-    initial row (r-restricted Stirling numbers).
+    `egf_prefactor * n! * [z^n] exp(f)`: the offset is the start index and
+    the prefactor the start polynomial.  `oracle_model` is the partition
+    model (r, m, s, row_offset, col_offset) the enumeration oracle checks
+    the triangle against, or None when the family has none.
     """
 
     name: str
@@ -173,8 +177,15 @@ class FamilyDescriptor:
     spec: RecurrenceSpec
     saddle: SaddleFunction
     oeis_refs: tuple[str, ...] = ()
-    egf_row_offset: int = 0
-    egf_prefactor: ExactPolynomial = ONE
+    oracle_model: Optional[OracleModel] = None
+
+    @property
+    def egf_row_offset(self) -> int:
+        return self.spec.start_index
+
+    @property
+    def egf_prefactor(self) -> ExactPolynomial:
+        return self.spec.start_poly
 
     def constants(self) -> TheoremConstants:
         return theorem_constants(self.saddle)
@@ -259,21 +270,13 @@ def _require_int(params: dict, key: str, minimum: Optional[int] = None) -> int:
     return value
 
 
-def _wang_shape(m: int, c: int, label: str) -> RecurrenceSpec:
-    return RecurrenceSpec(gamma=X + ExactPolynomial((c,)), m=Fraction(m), label=label)
+def _ids(table: dict, key) -> tuple[str, ...]:
+    return (table[key],) if key in table else ()
 
 
-def _whitney_like(
-    name: str, m: int, c: int, oeis: tuple[str, ...]
-) -> FamilyDescriptor:
-    spec = _wang_shape(m, c, f"{name}(m={m},c={c})")
-    return FamilyDescriptor(
-        name=name,
-        parameters={"m": m, "c": c},
-        spec=spec,
-        saddle=build_exponent(spec),
-        oeis_refs=oeis,
-    )
+def _wang(m: int, c: int) -> RecurrenceSpec:
+    """gamma = x + c: the Whitney/Dowling/Galton shape."""
+    return RecurrenceSpec(gamma=ExactPolynomial((c, 1)), m=m)
 
 
 _DOWLING_ROWSUM_IDS = {
@@ -294,12 +297,15 @@ _TRANSLATED_WHITNEY_IDS = {m: f"A{75497 + m - 2:06d}" for m in range(2, 11)}
 
 _R_STIRLING_IDS = {2: "A143494", 3: "A143495", 4: "A143496"}
 
+# also the stirling_frobenius(m) ids, keyed (m, m - 1)
 _SHEFFER_IDS = {
     (1, 0): "A048993",
     (2, 1): "A039755",
     (3, 2): "A225468",
     (4, 3): "A225469",
 }
+
+_GALTON_IDS = {(2, -1): "A186695", (3, -2): "A111577"}
 
 # Sheffer-family ids cited without explicit parameter values; kept as
 # metadata only.
@@ -312,226 +318,149 @@ UNATTRIBUTED_OEIS_IDS = (
 )
 
 
-def _build_stirling2(params: dict) -> FamilyDescriptor:
-    spec = RecurrenceSpec(gamma=X, m=Fraction(1), label="stirling2")
-    return FamilyDescriptor(
-        name="stirling2",
-        parameters={},
-        spec=spec,
-        saddle=build_exponent(spec),
-        oeis_refs=("A048993",),
-    )
+class Family(NamedTuple):
+    """Everything the package knows about one catalog family.
+
+    `params` maps each parameter, in label order, to its minimum (None for
+    any integer).  `spec`, `oeis` and `model` take the parameters as keywords
+    and give the recurrence, the OEIS ids and the enumeration oracle's
+    partition model (None when the family has none).  `listed` is the
+    instance whose ids `polyrec families` shows.
+    """
+
+    params: dict[str, Optional[int]]
+    spec: Callable[..., RecurrenceSpec]
+    listed: dict[str, int]
+    oeis: Callable[..., tuple[str, ...]] = lambda **_: ()
+    model: Callable[..., Optional[OracleModel]] = lambda **_: None
 
 
-def _build_whitney(params: dict) -> FamilyDescriptor:
-    m = _require_int(params, "m", 1)
-    c = _require_int(params, "c")
-    oeis = ("A039755", "A039756") if (m, c) == (2, 1) else ()
-    d = _whitney_like("whitney", m, c, oeis)
-    return d
-
-
-def _build_translated_whitney(params: dict) -> FamilyDescriptor:
-    m = _require_int(params, "m", 1)
-    oeis = (_TRANSLATED_WHITNEY_IDS[m],) if m in _TRANSLATED_WHITNEY_IDS else ()
-    spec = _wang_shape(m, 0, f"translated_whitney(m={m})")
-    return FamilyDescriptor(
-        name="translated_whitney",
-        parameters={"m": m},
-        spec=spec,
-        saddle=build_exponent(spec),
-        oeis_refs=oeis,
-    )
-
-
-def _build_dowling(params: dict) -> FamilyDescriptor:
-    m = _require_int(params, "m", 1)
-    oeis = []
-    if m in _DOWLING_ROWSUM_IDS:
-        oeis.append(_DOWLING_ROWSUM_IDS[m])
-    if m == 2:
-        oeis.append("A039755")
-    spec = _wang_shape(m, 1, f"dowling(m={m})")
-    return FamilyDescriptor(
-        name="dowling",
-        parameters={"m": m},
-        spec=spec,
-        saddle=build_exponent(spec),
-        oeis_refs=tuple(oeis),
-    )
-
-
-def _build_type_b(params: dict) -> FamilyDescriptor:
-    m = _require_int(params, "m", 1)
-    c = _require_int(params, "c", 1)
-    spec = _wang_shape(m, c, f"type_b(m={m},c={c})")
-    return FamilyDescriptor(
-        name="type_b",
-        parameters={"m": m, "c": c},
-        spec=spec,
-        saddle=build_exponent(spec),
-        oeis_refs=(),
-    )
-
-
-def _build_r_stirling(params: dict) -> FamilyDescriptor:
-    r = _require_int(params, "r", 0)
-    spec = RecurrenceSpec(
-        gamma=X,
-        m=Fraction(1),
-        start_index=r,
-        start_poly=monomial(r) if r else ONE,
-        label=f"r_stirling(r={r})",
-    )
-    # The EGF belongs to the index-shifted sequence: row r+n is x^r times
-    # n! [z^n] exp(r z + x (e^z - 1)).
-    shifted = _wang_shape(1, r, "")
-    oeis = (_R_STIRLING_IDS[r],) if r in _R_STIRLING_IDS else ()
-    return FamilyDescriptor(
-        name="r_stirling",
-        parameters={"r": r},
-        spec=spec,
-        saddle=build_exponent(shifted),
-        oeis_refs=oeis,
-        egf_row_offset=r,
-        egf_prefactor=monomial(r) if r else ONE,
-    )
-
-
-def _build_sheffer(params: dict) -> FamilyDescriptor:
-    d = _require_int(params, "d", 1)
-    a = _require_int(params, "a", 0)
-    spec = RecurrenceSpec(
-        gamma=ExactPolynomial((a, d)), m=Fraction(d), label=f"sheffer(d={d},a={a})"
-    )
-    oeis = (_SHEFFER_IDS[(d, a)],) if (d, a) in _SHEFFER_IDS else ()
-    return FamilyDescriptor(
-        name="sheffer",
-        parameters={"d": d, "a": a},
-        spec=spec,
-        saddle=build_exponent(spec),
-        oeis_refs=oeis,
-    )
-
-
-def _build_stirling_frobenius(params: dict) -> FamilyDescriptor:
-    m = _require_int(params, "m", 1)
-    ids = {1: "A048993", 2: "A039755", 3: "A225468", 4: "A225469"}
-    spec = _wang_shape(m, m - 1, f"stirling_frobenius(m={m})")
-    return FamilyDescriptor(
-        name="stirling_frobenius",
-        parameters={"m": m},
-        spec=spec,
-        saddle=build_exponent(spec),
-        oeis_refs=(ids[m],) if m in ids else (),
-    )
-
-
-def _build_galton(params: dict) -> FamilyDescriptor:
-    m = _require_int(params, "m", 1)
-    c = _require_int(params, "c")
-    ids = {(2, -1): "A186695", (3, -2): "A111577"}
-    spec = _wang_shape(m, c, f"galton(m={m},c={c})")
-    return FamilyDescriptor(
-        name="galton",
-        parameters={"m": m, "c": c},
-        spec=spec,
-        saddle=build_exponent(spec),
-        oeis_refs=(ids[(m, c)],) if (m, c) in ids else (),
-    )
-
-
-def _build_assoc_stirling(params: dict) -> FamilyDescriptor:
-    s = _require_int(params, "s", 1)
-    spec = RecurrenceSpec(
-        gamma=ZERO,
-        m=Fraction(1),
-        lags=(LagTerm(s=s, kappa=X, binom_weight=True),),
-        label=f"assoc_stirling(s={s})",
-    )
-    # exponent x (e^z - sum_{j<s} z^j / j!) split as
-    #   Q1 = -x sum_{j<s} z^j/j!,  Q2(u) = u
-    q1 = tuple(
-        monomial(1, Fraction(-1, math.factorial(j))) for j in range(s)
-    )
-    saddle = SaddleFunction(q1=q1, q2=X, m=Fraction(1))
-    return FamilyDescriptor(
-        name="assoc_stirling",
-        parameters={"s": s},
-        spec=spec,
-        saddle=saddle,
-        oeis_refs=(),
-    )
-
-
-def _build_r_whitney_assoc(params: dict) -> FamilyDescriptor:
-    m = _require_int(params, "m", 1)
-    r = _require_int(params, "r", 0)
-    s = _require_int(params, "s", 1)
-    spec = RecurrenceSpec(
-        gamma=ExactPolynomial((r,)),
-        m=Fraction(m),
-        lags=(
-            LagTerm(s=s, kappa=monomial(1, Fraction(m) ** (s - 1)), binom_weight=True),
+FAMILIES: dict[str, Family] = {
+    "stirling2": Family(
+        params={},
+        spec=lambda: _wang(1, 0),
+        listed={},
+        oeis=lambda: ("A048993",),
+        model=lambda: (0, 1, 1, 0, 0),
+    ),
+    "whitney": Family(
+        params={"m": 1, "c": None},
+        spec=_wang,
+        listed={"m": 2, "c": 1},
+        oeis=lambda m, c: ("A039755", "A039756") if (m, c) == (2, 1) else (),
+        model=lambda m, c: (c, m, 1, 0, 0) if c >= 0 else None,
+    ),
+    "translated_whitney": Family(
+        params={"m": 1},
+        spec=lambda m: _wang(m, 0),
+        listed={"m": 2},
+        oeis=lambda m: _ids(_TRANSLATED_WHITNEY_IDS, m),
+        model=lambda m: (0, m, 1, 0, 0),
+    ),
+    "dowling": Family(
+        params={"m": 1},
+        spec=lambda m: _wang(m, 1),
+        listed={"m": 2},
+        oeis=lambda m: _ids(_DOWLING_ROWSUM_IDS, m)
+        + (("A039755",) if m == 2 else ()),
+        model=lambda m: (1, m, 1, 0, 0),
+    ),
+    "r_stirling": Family(
+        params={"r": 0},
+        spec=lambda r: RecurrenceSpec(
+            gamma=X, m=1, start_index=r, start_poly=monomial(r)
         ),
-        label=f"r_whitney_assoc(m={m},r={r},s={s})",
-    )
-    # exponent r z + (x/m)(e^{m z} - sum_{j<s} (m z)^j / j!) split as
-    #   Q1 = r z - (x/m) sum_{j<s} (m^j/j!) z^j,  Q2(u) = u/m
-    q1 = [
-        monomial(1, -(Fraction(m) ** (j - 1)) / math.factorial(j)) for j in range(s)
-    ]
-    while len(q1) < 2:
-        q1.append(ZERO)
-    q1[1] = q1[1] + ExactPolynomial((r,))
-    saddle = SaddleFunction(q1=tuple(q1), q2=monomial(1, Fraction(1, m)), m=Fraction(m))
-    return FamilyDescriptor(
-        name="r_whitney_assoc",
-        parameters={"m": m, "r": r, "s": s},
-        spec=spec,
-        saddle=saddle,
-        oeis_refs=(),
-    )
-
-
-_BUILDERS: dict[str, tuple[Callable[[dict], FamilyDescriptor], tuple[str, ...]]] = {
-    "stirling2": (_build_stirling2, ()),
-    "whitney": (_build_whitney, ("m", "c")),
-    "translated_whitney": (_build_translated_whitney, ("m",)),
-    "dowling": (_build_dowling, ("m",)),
-    "r_stirling": (_build_r_stirling, ("r",)),
-    "sheffer": (_build_sheffer, ("d", "a")),
-    "stirling_frobenius": (_build_stirling_frobenius, ("m",)),
-    "galton": (_build_galton, ("m", "c")),
-    "assoc_stirling": (_build_assoc_stirling, ("s",)),
-    "r_whitney_assoc": (_build_r_whitney_assoc, ("m", "r", "s")),
-    "type_b": (_build_type_b, ("m", "c")),
+        listed={"r": 2},
+        oeis=lambda r: _ids(_R_STIRLING_IDS, r),
+        # row r + n counts partitions of n non-distinguished elements; the
+        # x power includes the r forced blocks
+        model=lambda r: (r, 1, 1, r, r),
+    ),
+    "sheffer": Family(
+        params={"d": 1, "a": 0},
+        spec=lambda d, a: RecurrenceSpec(gamma=ExactPolynomial((a, d)), m=d),
+        listed={"d": 2, "a": 1},
+        oeis=lambda d, a: _ids(_SHEFFER_IDS, (d, a)),
+    ),
+    "stirling_frobenius": Family(
+        params={"m": 1},
+        spec=lambda m: _wang(m, m - 1),
+        listed={"m": 2},
+        oeis=lambda m: _ids(_SHEFFER_IDS, (m, m - 1)),
+        model=lambda m: (m - 1, m, 1, 0, 0),
+    ),
+    "galton": Family(
+        params={"m": 1, "c": None},
+        spec=_wang,
+        listed={"m": 2, "c": -1},
+        oeis=lambda m, c: _ids(_GALTON_IDS, (m, c)),
+    ),
+    "assoc_stirling": Family(
+        params={"s": 1},
+        spec=lambda s: RecurrenceSpec(
+            gamma=ZERO, m=1, lags=(LagTerm(s=s, kappa=X, binom_weight=True),)
+        ),
+        listed={"s": 2},
+        model=lambda s: (0, 1, s, 0, 0),
+    ),
+    "r_whitney_assoc": Family(
+        params={"m": 1, "r": 0, "s": 1},
+        spec=lambda m, r, s: RecurrenceSpec(
+            gamma=ExactPolynomial((r,)),
+            m=m,
+            lags=(LagTerm(s=s, kappa=monomial(1, m ** (s - 1)), binom_weight=True),),
+        ),
+        listed={"m": 2, "r": 1, "s": 2},
+        model=lambda m, r, s: (r, m, s, 0, 0),
+    ),
+    "type_b": Family(
+        params={"m": 1, "c": 1},
+        spec=_wang,
+        listed={"m": 2, "c": 1},
+        model=lambda m, c: (c, m, 1, 0, 0),
+    ),
 }
 
 
+def _family(name: str) -> Family:
+    if name not in FAMILIES:
+        raise UnknownFamilyError(f"unknown family {name!r}")
+    return FAMILIES[name]
+
+
 def catalog_names() -> tuple[str, ...]:
-    return tuple(_BUILDERS)
+    return tuple(FAMILIES)
 
 
 def family_parameters(name: str) -> tuple[str, ...]:
-    if name not in _BUILDERS:
-        raise UnknownFamilyError(f"unknown family {name!r}")
-    return _BUILDERS[name][1]
+    return tuple(_family(name).params)
 
 
 def catalog(name: str, **params) -> FamilyDescriptor:
-    """Build the named family descriptor.
+    """Build the named family descriptor from its FAMILIES record.
 
-    Known names: stirling2, whitney(m,c), translated_whitney(m), dowling(m),
-    r_stirling(r), sheffer(d,a), stirling_frobenius(m), galton(m,c),
-    assoc_stirling(s), r_whitney_assoc(m,r,s), type_b(m,c).
+    The label is the name followed by the parameters in record order, e.g.
+    "dowling(m=2)"; the exponent comes from `build_exponent(spec)`.
     """
-    if name not in _BUILDERS:
-        raise UnknownFamilyError(f"unknown family {name!r}")
-    builder, expected = _BUILDERS[name]
-    extra = set(params) - set(expected)
+    family = _family(name)
+    extra = set(params) - set(family.params)
     if extra:
         raise ParameterError(
             f"family {name!r} does not take parameter(s) {sorted(extra)}"
         )
-    return builder(params)
+    values = {
+        key: _require_int(params, key, minimum)
+        for key, minimum in family.params.items()
+    }
+    inner = ",".join(f"{key}={value}" for key, value in values.items())
+    spec = replace(
+        family.spec(**values), label=f"{name}({inner})" if values else name
+    )
+    return FamilyDescriptor(
+        name=name,
+        parameters=values,
+        spec=spec,
+        saddle=build_exponent(spec),
+        oeis_refs=family.oeis(**values),
+        oracle_model=family.model(**values),
+    )

@@ -102,35 +102,6 @@ class OracleReport:
         return f"{self.family}: mismatch at (n={n}, k={k}): triangle {got}, oracle {want}"
 
 
-def _model_for(descriptor: FamilyDescriptor) -> Optional[tuple[int, int, int, int, int]]:
-    """Map a catalog family to (r, m, s, row_offset, col_offset), or None."""
-    name = descriptor.name
-    p = descriptor.parameters
-    if name == "stirling2":
-        return (0, 1, 1, 0, 0)
-    if name == "whitney":
-        if p["c"] < 0:
-            return None
-        return (p["c"], p["m"], 1, 0, 0)
-    if name == "translated_whitney":
-        return (0, p["m"], 1, 0, 0)
-    if name == "dowling":
-        return (1, p["m"], 1, 0, 0)
-    if name == "type_b":
-        return (p["c"], p["m"], 1, 0, 0)
-    if name == "stirling_frobenius":
-        return (p["m"] - 1, p["m"], 1, 0, 0)
-    if name == "r_stirling":
-        # row r + n counts partitions of n non-distinguished elements; the
-        # x power includes the r forced blocks
-        return (p["r"], 1, 1, p["r"], p["r"])
-    if name == "assoc_stirling":
-        return (0, 1, p["s"], 0, 0)
-    if name == "r_whitney_assoc":
-        return (p["r"], p["m"], p["s"], 0, 0)
-    return None
-
-
 def verify_family(descriptor: FamilyDescriptor, n_max: int) -> OracleReport:
     """Check the recurrence triangle against enumeration for rows <= n_max.
 
@@ -141,7 +112,7 @@ def verify_family(descriptor: FamilyDescriptor, n_max: int) -> OracleReport:
     from .recurrence import generate
 
     label = descriptor.spec.label or descriptor.name
-    model = _model_for(descriptor)
+    model = descriptor.oracle_model
     if model is None:
         return OracleReport(
             family=label,

@@ -59,14 +59,6 @@ def test_evaluation_and_derivative():
     assert ZERO.derivative() == ZERO
 
 
-def test_shift_up_down():
-    p = ExactPolynomial([1, 2])
-    assert p.shift_up(2) == ExactPolynomial([0, 0, 1, 2])
-    assert p.shift_up(2).shift_down(2) == p
-    with pytest.raises(ValueError):
-        ExactPolynomial([5]).shift_down(1)
-
-
 def test_format_terms():
     assert format_terms([Fraction(1), Fraction(4), Fraction(1)]) == "x^2 + 4x + 1"
     assert format_terms([Fraction(0)]) == "0"

@@ -88,6 +88,31 @@ def test_verify_family_ok(capsys):
     assert "fail" not in out.lower()
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "gamma: x; m: 1; lag: {s: 3, coeff: x, binom: true}; "
+        "lag: {s: 2, coeff: 1, binom: true};",
+        "gamma: x + 1; m: 2; start: {index: 2, poly: 3x^2};",
+    ],
+)
+def test_custom_spec_with_closed_form(capsys, text):
+    # several binomial lags, or a shifted monomial start c x^r: the series
+    # check runs, and the predictions account for the c x^r prefactor
+    code, out, _ = run_cli(
+        capsys, "verify", "--inline", text, "--max-n", "12", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["checks"][0]["detail"] == "rows 0..12 match"
+    code, out, _ = run_cli(
+        capsys, "asymptotics", "--inline", text, "--ns", "200", "--format", "json"
+    )
+    assert code == 0
+    record = json.loads(out)[0]
+    assert float(record["mean_rel_err"]) < 0.01
+    assert float(record["log_total_rel_err"]) < 1e-4
+
+
 def test_verify_catches_negative_rows(capsys):
     code, out, _ = run_cli(capsys, "verify", "--inline", "gamma: x - 3; m: 1;")
     assert code == 1
@@ -121,6 +146,21 @@ def test_zero_mass_exits_3(capsys):
     assert code == 3
     payload = json.loads(err)
     assert payload["error"]["type"] == "ZeroMassError"
+
+
+@pytest.mark.parametrize(
+    "source,error",
+    [
+        (("--family", "assoc_stirling(s=2)"), "ZeroVarianceError"),
+        (("--inline", "gamma: 1/8x + 3/8; m: 2;"), "UnitMassError"),
+    ],
+)
+def test_asymptotics_degenerate_row_exits_3(capsys, source, error):
+    # row 3 has zero variance, or total mass P_3(1) = 1: no relative error
+    code, out, err = run_cli(capsys, "asymptotics", *source, "--ns", "3")
+    assert code == 3 and out == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert json.loads(err)["error"]["type"] == error
 
 
 def test_moments_flag_validation(capsys):
@@ -173,6 +213,26 @@ def test_families_listing(capsys):
     names = {entry["name"] for entry in payload}
     assert len(names) == 11
     assert {"stirling2", "dowling", "type_b"} <= names
+
+
+def test_families_csv_golden(capsys):
+    code, out, err = run_cli(capsys, "families", "--format", "csv")
+    assert code == 0 and err == ""
+    assert out.split("\n") == [
+        "name,parameters,oeis",
+        "stirling2,,A048993",
+        "whitney,m c,A039755 A039756",
+        "translated_whitney,m,A075497",
+        "dowling,m,A007405 A039755",
+        "r_stirling,r,A143494",
+        "sheffer,d a,A039755",
+        "stirling_frobenius,m,A039755",
+        "galton,m c,A186695",
+        "assoc_stirling,s,",
+        "r_whitney_assoc,m r s,",
+        "type_b,m c,",
+        "",
+    ]
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

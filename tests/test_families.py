@@ -1,12 +1,16 @@
 """Catalog descriptors: EGF identities, exponent construction, constants."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyrec.algebra import ONE, X, ZERO, ExactPolynomial, monomial
 from polyrec.errors import ParameterError, UnknownFamilyError, UnsupportedShapeError
 from polyrec.families import (
+    FamilyDescriptor,
     SaddleFunction,
     UNATTRIBUTED_OEIS_IDS,
     build_exponent,
@@ -59,28 +63,44 @@ def test_build_exponent_stirling():
 
 
 def test_build_exponent_matches_stored_closed_forms():
-    # families stored with hand-split exponents also fit the generic
-    # two-term construction when the lag depth is 2
-    for name, params in [
-        ("assoc_stirling", dict(s=2)),
-        ("r_whitney_assoc", dict(m=2, r=1, s=2)),
-        ("r_whitney_assoc", dict(m=3, r=2, s=2)),
-    ]:
-        descriptor = catalog(name, **params)
-        assert build_exponent(descriptor.spec) == descriptor.saddle
+    # the hand-split exponents these families carried before the general
+    # formula, written out as the reference:
+    #   assoc_stirling(s):     f = x (e^z - sum_{j<s} z^j/j!)
+    #   r_whitney_assoc(m,r,s): f = r z + (x/m)(e^{mz} - sum_{j<s} (mz)^j/j!)
+    for s in range(1, 5):
+        q1 = tuple(monomial(1, Fraction(-1, math.factorial(j))) for j in range(s))
+        expected = SaddleFunction(q1=q1, q2=X, m=Fraction(1))
+        assert build_exponent(catalog("assoc_stirling", s=s).spec) == expected
+        for m, r in [(1, 0), (1, 3), (2, 1), (3, 2), (5, 0)]:
+            q1 = [
+                monomial(1, -(Fraction(m) ** (j - 1)) / math.factorial(j))
+                for j in range(s)
+            ] + [ZERO]
+            q1[1] = q1[1] + ExactPolynomial((r,))
+            expected = SaddleFunction(
+                q1=tuple(q1), q2=monomial(1, Fraction(1, m)), m=Fraction(m)
+            )
+            spec = catalog("r_whitney_assoc", m=m, r=r, s=s).spec
+            assert build_exponent(spec) == expected, (m, r, s)
 
 
 def test_build_exponent_shape_guard():
-    with pytest.raises(UnsupportedShapeError):
-        build_exponent(catalog("assoc_stirling", s=3).spec)
-    with pytest.raises(UnsupportedShapeError):
-        build_exponent(catalog("r_stirling", r=2).spec)
-    with pytest.raises(UnsupportedShapeError):
-        build_exponent(
-            RecurrenceSpec(gamma=X, m=1, lags=(LagTerm(2, X, binom_weight=False),))
-        )
+    # deeper lags and shifted monomial starts have closed forms
+    assoc = catalog("assoc_stirling", s=3)
+    assert build_exponent(assoc.spec).q2 == X
+    assert verify_egf_identity(assoc, 12) is None
+    # r_stirling(r): row r+n is x^r n! [z^n] exp(r z + x (e^z - 1))
+    shifted = build_exponent(catalog("r_stirling", r=2).spec)
+    assert shifted == build_exponent(RecurrenceSpec(gamma=ExactPolynomial([2, 1]), m=1))
 
-
+    lag = LagTerm(2, X, binom_weight=True)
+    for spec in [
+        RecurrenceSpec(gamma=X, m=1, lags=(LagTerm(2, X, binom_weight=False),)),
+        RecurrenceSpec(gamma=X, m=1, start_poly=ExactPolynomial([1, 1])),
+        RecurrenceSpec(gamma=X, m=1, lags=(lag,), start_index=1, start_poly=X),
+    ]:
+        with pytest.raises(UnsupportedShapeError):
+            build_exponent(spec)
 def test_theorem_constants_catalog():
     cases = [
         ("stirling2", {}, 1, Fraction(1)),
@@ -210,3 +230,48 @@ def test_validate_nonnegativity():
     )
     assert not bad.ok
     assert bad.first_negative == (1, 0)
+
+
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def _polys():
+    return st.lists(_RATIONALS, max_size=3).map(ExactPolynomial)
+
+
+@st.composite
+def _specs(draw, unit_weight=False):
+    depths = draw(st.lists(st.integers(1, 4), max_size=3, unique=True))
+    if unit_weight and not depths:
+        depths = [draw(st.integers(1, 4))]
+    lags = tuple(
+        LagTerm(s, draw(_polys()), binom_weight=not (unit_weight and i == 0))
+        for i, s in enumerate(depths)
+    )
+    coeff = draw(_RATIONALS.filter(bool))
+    return RecurrenceSpec(
+        gamma=draw(_polys()),
+        m=draw(st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=4)),
+        lags=lags,
+        start_index=0 if lags else draw(st.integers(0, 3)),
+        start_poly=monomial(draw(st.integers(0, 2)), coeff),
+    )
+
+
+def _custom(spec):
+    return FamilyDescriptor(
+        name="custom", parameters={}, spec=spec, saddle=build_exponent(spec)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_specs())
+def test_build_exponent_reproduces_random_specs(spec):
+    assert verify_egf_identity(_custom(spec), 12) is None
+
+
+@settings(max_examples=20, deadline=None)
+@given(_specs(unit_weight=True))
+def test_build_exponent_rejects_unit_weight_lags(spec):
+    with pytest.raises(UnsupportedShapeError):
+        build_exponent(spec)
