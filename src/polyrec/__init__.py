@@ -18,7 +18,6 @@ from .algebra import (
     ONE,
     X,
     ZERO,
-    BivariateSeries,
     ExactPolynomial,
     monomial,
     series_exp,
@@ -89,7 +88,6 @@ from .speclang import FamilyRequest, SpecSource, format_spec, load, parse
 __version__ = "0.1.0"
 
 __all__ = [
-    "BivariateSeries",
     "ComparisonRecord",
     "ExactPolynomial",
     "FamilyDescriptor",

@@ -1,5 +1,5 @@
-"""Exact arithmetic layer: dense rational polynomials and truncated
-bivariate power series.
+"""Exact arithmetic layer: dense rational polynomials and the exponential
+of a power series in z, both sides given by EGF coefficients.
 
 Coefficients are `fractions.Fraction` throughout and every operation keeps
 them fully reduced, so identity tests are exact.  Values are immutable after
@@ -9,6 +9,7 @@ asymptotics layers.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -159,125 +160,26 @@ ONE = ExactPolynomial((1,))
 X = ExactPolynomial((0, 1))
 
 
-class BivariateSeries:
-    """Truncated formal power series in z whose coefficients are
-    polynomials in x.
+def series_exp(g: Sequence[ExactPolynomial]) -> list[ExactPolynomial]:
+    """EGF coefficients of exp(f), given those of f.
 
-    Entry p of the coefficient tuple is the polynomial multiplying z^p,
-    for 0 <= p <= order; exactly order+1 slots are always present.
-    Arithmetic is truncation-consistent: the product truncated at N
-    depends only on the factors truncated at N.
+    `g[p]` is p! [z^p] f(z, x) for p = 0..N; the result T has
+    T[n] = n! [z^n] exp(f) for n = 0..N, from the binomial convolution
+
+        T_0 = 1,   T_{n+1} = sum_{i=0..n} C(n, i) g_{i+1} T_{n-i}
+
+    (the Bell-number recurrence, read off from (e^f)' = f' e^f).  A nonzero
+    constant term is rejected since exp of it is transcendental.
     """
-
-    __slots__ = ("_order", "_coeffs")
-
-    def __init__(self, order: int, coeffs: Iterable[ExactPolynomial] = ()):
-        if order < 0:
-            raise ValueError("series order must be >= 0")
-        cs = list(coeffs)
-        if len(cs) > order + 1:
-            raise ValueError("more coefficients than order allows")
-        cs.extend([ZERO] * (order + 1 - len(cs)))
-        self._order = order
-        self._coeffs = tuple(cs)
-
-    @property
-    def order(self) -> int:
-        return self._order
-
-    @property
-    def coeffs(self) -> tuple[ExactPolynomial, ...]:
-        return self._coeffs
-
-    def coefficient(self, p: int) -> ExactPolynomial:
-        """Polynomial multiplying z^p (zero beyond the truncation order)."""
-        if 0 <= p <= self._order:
-            return self._coeffs[p]
-        return ZERO
-
-    def __add__(self, other: BivariateSeries) -> BivariateSeries:
-        n = min(self._order, other._order)
-        return BivariateSeries(
-            n, (self._coeffs[p] + other._coeffs[p] for p in range(n + 1))
-        )
-
-    def __neg__(self) -> BivariateSeries:
-        return BivariateSeries(self._order, (-c for c in self._coeffs))
-
-    def __sub__(self, other: BivariateSeries) -> BivariateSeries:
-        return self + (-other)
-
-    def __mul__(self, other) -> BivariateSeries:
-        if isinstance(other, BivariateSeries):
-            n = min(self._order, other._order)
-            out = [ZERO] * (n + 1)
-            for i in range(n + 1):
-                a = self._coeffs[i]
-                if a.is_zero:
-                    continue
-                for j in range(n + 1 - i):
-                    b = other._coeffs[j]
-                    if not b.is_zero:
-                        out[i + j] = out[i + j] + a * b
-            return BivariateSeries(n, out)
-        if isinstance(other, (int, Fraction, ExactPolynomial)):
-            return BivariateSeries(self._order, (c * other for c in self._coeffs))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def derivative_z(self) -> BivariateSeries:
-        """Formal d/dz; the order drops by one."""
-        if self._order == 0:
-            return BivariateSeries(0, (ZERO,))
-        return BivariateSeries(
-            self._order - 1,
-            (p * self._coeffs[p] for p in range(1, self._order + 1)),
-        )
-
-    def truncate(self, order: int) -> BivariateSeries:
-        if order > self._order:
-            raise ValueError("cannot extend a truncated series")
-        return BivariateSeries(order, self._coeffs[: order + 1])
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, BivariateSeries):
-            return self._order == other._order and self._coeffs == other._coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self._order, self._coeffs))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"({c})z^{p}" for p, c in enumerate(self._coeffs))
-        return f"BivariateSeries[{inner}]"
-
-
-def series_one(order: int) -> BivariateSeries:
-    return BivariateSeries(order, (ONE,))
-
-
-def series_exp(g: BivariateSeries) -> BivariateSeries:
-    """exp of a series with zero constant term, computed exactly.
-
-    The result F is the unique series with F(0) = 1 satisfying F' = g'.F
-    coefficient by coefficient:
-
-        (p+1) F_{p+1} = sum_{i=0..p} (i+1) g_{i+1} F_{p-i}
-
-    A nonzero constant term is rejected since exp of it is transcendental.
-    """
-    if not g.coefficient(0).is_zero:
+    if not g[0].is_zero:
         raise NonzeroConstantTermError(
-            "series_exp needs a zero constant term, got %s" % (g.coefficient(0),)
+            "series_exp needs a zero constant term, got %s" % (g[0],)
         )
-    n = g.order
     out = [ONE]
-    for p in range(n):
+    for n in range(len(g) - 1):
         acc = ZERO
-        for i in range(p + 1):
-            gi = g.coefficient(i + 1)
-            if not gi.is_zero:
-                acc = acc + (i + 1) * gi * out[p - i]
-        out.append(acc * Fraction(1, p + 1))
-    return BivariateSeries(n, out)
+        for i in range(n + 1):
+            if not g[i + 1].is_zero:
+                acc = acc + (math.comb(n, i) * g[i + 1]) * out[n - i]
+        out.append(acc)
+    return out

@@ -12,9 +12,10 @@ are ordered by n, columns by k, so identical invocations produce identical
 bytes.
 
 Exit codes: 0 ok, 1 verification mismatch, 2 usage error (bad flags, bad
-spec text, unsupported shape), 3 numeric failure (saddle solve, zero mass,
-zero variance, unit mass).  Module errors print a one-line JSON object to
-stderr.
+spec text, unsupported shape, unreadable file), 3 numeric failure (saddle
+solve, zero mass, zero variance, unit mass), 4 internal error (any other
+exception).  Each error class carries its code as `exit_code`.  Every error
+after argument parsing prints a one-line JSON object to stderr.
 """
 
 from __future__ import annotations
@@ -28,20 +29,11 @@ from typing import Optional, Sequence, Union
 from . import asymptotics as asym
 from . import distribution as dist
 from .errors import (
-    InvalidDistributionError,
-    InvalidIndexError,
-    NonzeroConstantTermError,
     ParameterError,
     ParseError,
     PolyrecError,
-    SaddleFailureError,
-    SaddleOverflowError,
-    SizeGuardError,
-    UnitMassError,
-    UnknownFamilyError,
     UnsupportedShapeError,
     ZeroMassError,
-    ZeroVarianceError,
 )
 from .families import (
     FAMILIES,
@@ -54,24 +46,6 @@ from .families import (
 from .oracle import verify_family
 from .recurrence import RecurrenceSpec, generate, triangle
 from .speclang import SpecSource, load, parse, FamilyRequest
-
-_USAGE_ERRORS = (
-    ParseError,
-    ParameterError,
-    UnknownFamilyError,
-    UnsupportedShapeError,
-    SizeGuardError,
-    InvalidIndexError,
-)
-_NUMERIC_ERRORS = (
-    SaddleFailureError,
-    SaddleOverflowError,
-    ZeroVarianceError,
-    ZeroMassError,
-    UnitMassError,
-    InvalidDistributionError,
-    NonzeroConstantTermError,
-)
 
 
 def _fmt_float(v: float) -> str:
@@ -466,15 +440,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except _USAGE_ERRORS as err:
+    except Exception as err:
         sys.stderr.write(json.dumps(_error_payload(err)) + "\n")
-        return 2
-    except _NUMERIC_ERRORS as err:
-        sys.stderr.write(json.dumps(_error_payload(err)) + "\n")
-        return 3
-    except OSError as err:
-        sys.stderr.write(json.dumps(_error_payload(err)) + "\n")
-        return 2
+        if isinstance(err, PolyrecError):
+            return err.exit_code
+        return 2 if isinstance(err, OSError) else 4
 
 
 if __name__ == "__main__":

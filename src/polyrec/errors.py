@@ -2,7 +2,13 @@
 
 
 class PolyrecError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    `exit_code` is the status the command line exits with: 2 for usage
+    errors (the default), 3 for numeric failures.
+    """
+
+    exit_code = 2
 
 
 class InvalidIndexError(PolyrecError):
@@ -10,7 +16,9 @@ class InvalidIndexError(PolyrecError):
 
 
 class NonzeroConstantTermError(PolyrecError):
-    """series_exp requires a series with zero constant term."""
+    """series_exp requires an exponent whose EGF coefficient g[0] is zero."""
+
+    exit_code = 3
 
 
 class UnsupportedShapeError(PolyrecError):
@@ -32,27 +40,39 @@ class SizeGuardError(PolyrecError):
 class InvalidDistributionError(PolyrecError):
     """A polynomial with a negative coefficient cannot define a PMF."""
 
+    exit_code = 3
+
 
 class ZeroMassError(PolyrecError):
     """A zero polynomial carries no probability mass."""
 
+    exit_code = 3
+
 
 class ZeroVarianceError(PolyrecError):
     """Normality diagnostics need strictly positive variance."""
+
+    exit_code = 3
 
 
 class UnitMassError(PolyrecError):
     """A row of total mass 1 has log total 0, so no relative error of the
     log-total estimate exists for it."""
 
+    exit_code = 3
+
 
 class SaddleFailureError(PolyrecError):
     """The saddle-point equation could not be solved for this input."""
+
+    exit_code = 3
 
 
 class SaddleOverflowError(PolyrecError):
     """Direct evaluation would overflow double precision; use the
     log-domain helpers instead."""
+
+    exit_code = 3
 
 
 class ParseError(PolyrecError):

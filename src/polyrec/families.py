@@ -13,7 +13,10 @@ The exponent is always stored in the split form
 with Q1 a polynomial in z whose coefficients are polynomials in x, and Q2 a
 univariate polynomial with zero constant term.  The split isolates the
 growth-carrying part Q2, whose degree d and leading coefficient alpha_d
-drive all of the asymptotics.
+drive all of the asymptotics.  `egf_rows` expands e^f in the EGF
+(binomial) domain: `SaddleFunction.egf_coefficients` gives p! [z^p] f and
+`algebra.series_exp` turns them into n! [z^n] e^f, so no 1/p! denominators
+appear on the way.
 """
 
 from __future__ import annotations
@@ -26,10 +29,10 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .algebra import (
     X,
     ZERO,
-    BivariateSeries,
     ExactPolynomial,
     monomial,
     as_fraction,
+    series_exp,
 )
 from .errors import ParameterError, UnknownFamilyError, UnsupportedShapeError
 from .recurrence import LagTerm, RecurrenceSpec, TriangleRow, generate
@@ -58,38 +61,15 @@ class SaddleFunction:
         if self.q2.coefficient(0) != 0:
             raise ValueError("Q2 must have zero constant term")
 
-    def exponent_series(self, order: int) -> BivariateSeries:
-        """Expand f(z,x) as an exact series in z up to the given order."""
-        out = [ZERO] * (order + 1)
-        for p, poly in enumerate(self.q1):
-            if p <= order:
-                out[p] = out[p] + poly
-        for j, cj in enumerate(self.q2.coeffs):
-            if cj == 0:
-                continue
-            rate = j * self.m
-            term = Fraction(cj)
-            for p in range(order + 1):
-                out[p] = out[p] + monomial(j, term)
-                term = term * rate / (p + 1)
-        return BivariateSeries(order, out)
-
-    def exponent_series_at(self, order: int, x: Fraction) -> BivariateSeries:
-        """Same expansion with x fixed to an exact value (univariate)."""
-        x = as_fraction(x)
-        out = [Fraction(0)] * (order + 1)
-        for p, poly in enumerate(self.q1):
-            if p <= order:
-                out[p] += poly(x)
-        for j, cj in enumerate(self.q2.coeffs):
-            if cj == 0:
-                continue
-            rate = j * self.m
-            term = cj * x**j
-            for p in range(order + 1):
-                out[p] += term
-                term = term * rate / (p + 1)
-        return BivariateSeries(order, [ExactPolynomial((c,)) for c in out])
+    def egf_coefficients(self, order: int) -> list[ExactPolynomial]:
+        """G_p = p! [z^p] f(z, x) for p = 0..order, that is
+        p! Q1[p] + sum_j Q2[j] (j m)^p x^j."""
+        rates = [j * self.m for j in range(len(self.q2.coeffs))]
+        return [
+            (self.q1[p] if p < len(self.q1) else ZERO) * math.factorial(p)
+            + ExactPolynomial(c * r**p for c, r in zip(self.q2.coeffs, rates))
+            for p in range(order + 1)
+        ]
 
 
 class TheoremConstants(NamedTuple):
@@ -193,17 +173,8 @@ class FamilyDescriptor:
 
 def egf_rows(descriptor: FamilyDescriptor, order: int) -> list[ExactPolynomial]:
     """Rows predicted by the EGF: prefactor * n! * [z^n] exp(f), n = 0..order."""
-    from .algebra import series_exp
-
-    f = descriptor.saddle.exponent_series(order)
-    series = series_exp(f)
-    rows = []
-    fact = 1
-    for n in range(order + 1):
-        if n:
-            fact *= n
-        rows.append(descriptor.egf_prefactor * (fact * series.coefficient(n)))
-    return rows
+    series = series_exp(descriptor.saddle.egf_coefficients(order))
+    return [descriptor.egf_prefactor * t for t in series]
 
 
 def verify_egf_identity(

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from polyrec import cli
 from polyrec.cli import main
 from polyrec.families import catalog
 from polyrec.recurrence import triangle
@@ -161,6 +162,20 @@ def test_asymptotics_degenerate_row_exits_3(capsys, source, error):
     assert code == 3 and out == ""
     assert err.endswith("\n") and err.count("\n") == 1
     assert json.loads(err)["error"]["type"] == error
+
+
+def test_unexpected_exception_exits_4(capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("unexpected\nfailure")
+
+    monkeypatch.setitem(cli._COMMANDS, "families", boom)
+    code, out, err = run_cli(capsys, "families")
+    assert code == 4 and out == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert json.loads(err)["error"] == {
+        "type": "RuntimeError",
+        "message": "unexpected\nfailure",
+    }
 
 
 def test_moments_flag_validation(capsys):

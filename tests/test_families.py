@@ -149,13 +149,16 @@ def test_saddle_function_validation():
         SaddleFunction(q1=(), q2=X, m=Fraction(0))
 
 
-def test_exponent_series_at_matches_bivariate():
-    descriptor = catalog("dowling", m=2)
+def test_egf_coefficients_closed_forms():
     order = 12
-    full = descriptor.saddle.exponent_series(order)
-    at_one = descriptor.saddle.exponent_series_at(order, Fraction(1))
-    for p in range(order + 1):
-        assert full.coefficient(p)(Fraction(1)) == at_one.coefficient(p)(Fraction(1))
+    # stirling2: f = x (e^z - 1), so G_p = x for p >= 1
+    assert catalog("stirling2").saddle.egf_coefficients(order)[1:] == [X] * order
+    # dowling(m=2): f = z + x (e^{2z} - 1)/2, so G_p = [p = 1] + 2^{p-1} x
+    g = catalog("dowling", m=2).saddle.egf_coefficients(order)
+    for p in range(1, order + 1):
+        assert g[p] == ExactPolynomial([int(p == 1), 2 ** (p - 1)]), p
+    for name, params in ALL_DEFAULT_INSTANCES:
+        assert catalog(name, **params).saddle.egf_coefficients(order)[0] == ZERO, name
 
 
 def test_catalog_unknown_and_bad_params():
