@@ -4,7 +4,9 @@ of a power series in z, both sides given by EGF coefficients.
 Coefficients are `fractions.Fraction` throughout and every operation keeps
 them fully reduced, so identity tests are exact.  Values are immutable after
 construction; floating point enters the picture only in the distribution and
-asymptotics layers.
+asymptotics layers.  `ExactPolynomial` is the exchange format between layers;
+the recurrence kernel itself advances rows as `int` lists under one common
+denominator (see `recurrence`) and converts to it once per row.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ Scalar = Union[int, Fraction]
 
 def as_fraction(value: Scalar) -> Fraction:
     """Coerce an int or Fraction to Fraction, rejecting floats outright."""
-    if isinstance(value, Fraction):
-        return value
+    # int first: isinstance(int_value, Fraction) is a slow ABC check
     if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, Fraction):
+        return value
     raise TypeError(f"exact scalar expected, got {type(value).__name__}")
 
 

@@ -24,7 +24,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import asymptotics as asym
 from . import distribution as dist
@@ -44,8 +44,8 @@ from .families import (
     verify_egf_identity,
 )
 from .oracle import verify_family
-from .recurrence import RecurrenceSpec, generate, triangle
-from .speclang import SpecSource, load, parse, FamilyRequest
+from .recurrence import RecurrenceSpec, TriangleRow, generate, triangle
+from .speclang import SpecSource, load, parse
 
 
 def _fmt_float(v: float) -> str:
@@ -138,10 +138,16 @@ def _cmd_triangle(args) -> int:
     return 0
 
 
-def _pmf_table(spec: RecurrenceSpec, n: int) -> dist.PMFTable:
-    if n < spec.start_index:
-        raise ZeroMassError(f"row {n} precedes the first row {spec.start_index}")
-    return dist.pmf(generate(spec, n)[n - spec.start_index], n)
+def _pmf_tables(spec: RecurrenceSpec, ns: Sequence[int]) -> list[dist.PMFTable]:
+    """PMFs of the distinct rows ns in ascending order, from one generation."""
+    ns = sorted(set(ns))
+    if not ns:
+        return []
+    start = spec.start_index
+    if ns[0] < start:
+        raise ZeroMassError(f"row {ns[0]} precedes the first row {start}")
+    polys = generate(spec, ns[-1])
+    return [dist.pmf(polys[n - start], n) for n in ns]
 
 
 def _pmf_payload(table: dist.PMFTable) -> dict:
@@ -157,7 +163,7 @@ def _pmf_payload(table: dist.PMFTable) -> dict:
 
 def _cmd_pmf(args) -> int:
     spec, _, _ = _resolve(args)
-    table = _pmf_table(spec, args.n)
+    (table,) = _pmf_tables(spec, [args.n])
     if args.format == "json":
         _emit(args, _json(_pmf_payload(table)))
         return 0
@@ -176,7 +182,7 @@ def _cmd_moments(args) -> int:
     if args.ns is None and args.n is None:
         raise ParameterError("moments needs --n or --ns")
     ns = args.ns if args.ns is not None else [args.n]
-    tables = [_pmf_table(spec, n) for n in sorted(set(ns))]
+    tables = _pmf_tables(spec, ns)
     if args.format == "json":
         _emit(args, _json([_pmf_payload(t) for t in tables]))
         return 0
@@ -290,10 +296,12 @@ def _cmd_verify(args) -> int:
     spec, descriptor, label = _resolve(args)
     checks = []
     ok_all = True
+    polys = None
 
     try:
         desc = _descriptor_for(spec, descriptor, label)
-        mismatch = verify_egf_identity(desc, args.max_n)
+        polys = generate(spec, args.max_n + desc.egf_row_offset)
+        mismatch = verify_egf_identity(desc, args.max_n, polys)
         if mismatch is None:
             checks.append(("egf_identity", True, f"rows 0..{args.max_n} match"))
         else:
@@ -316,7 +324,15 @@ def _cmd_verify(args) -> int:
     else:
         checks.append(("enumeration", True, "skipped: custom spec has no model"))
 
-    scan = validate_nonnegativity(triangle(spec, args.max_n))
+    # reuse the EGF check's rows (they reach max_n + start index); below the
+    # start index, generate raises the usual InvalidIndexError
+    start = spec.start_index
+    if polys is None or args.max_n < start:
+        polys = generate(spec, args.max_n)
+    rows = polys[: args.max_n - start + 1]
+    scan = validate_nonnegativity(
+        [TriangleRow(n, p.coeffs) for n, p in enumerate(rows, start)]
+    )
     if scan.all_nonnegative:
         detail = "all entries >= 0"
         if scan.zero_sum_rows:

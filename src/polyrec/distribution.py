@@ -66,34 +66,49 @@ class PMFTable:
 def pmf(p: ExactPolynomial, n: int) -> PMFTable:
     """Normalize a row polynomial into an exact PMF with exact low moments.
 
-    Rejects negative coefficients (not a distribution) and zero total mass
-    (rows below the first nonzero row of block-size-restricted families).
+    The moments come from the integer power sums S_j = sum k^j a_k of the
+    coefficients a_k = L c_k over their common denominator L, with one
+    division each at the end.  Rejects negative coefficients (not a
+    distribution) and zero total mass (rows below the first nonzero row of
+    block-size-restricted families).
     """
-    total = Fraction(0)
-    probs: dict[int, Fraction] = {}
     for k, c in enumerate(p.coeffs):
         if c < 0:
             raise InvalidDistributionError(
                 f"coefficient of x^{k} is negative ({c}); not a distribution"
             )
-        if c > 0:
-            probs[k] = c
-        total += c
-    if total == 0:
+    lcm = math.lcm(1, *(c.denominator for c in p.coeffs))
+    weights = {
+        k: c.numerator * (lcm // c.denominator) for k, c in enumerate(p.coeffs) if c
+    }
+    s0 = s1 = s2 = s3 = s4 = 0
+    for k, a in weights.items():
+        s0 += a
+        a *= k
+        s1 += a
+        a *= k
+        s2 += a
+        a *= k
+        s3 += a
+        s4 += a * k
+    if s0 == 0:
         raise ZeroMassError(f"row {n} has zero total mass")
-    probs = {k: c / total for k, c in probs.items()}
+    probs = {k: Fraction(a, s0) for k, a in weights.items()}
 
-    mean = sum(k * q for k, q in probs.items()) or Fraction(0)
-    m2 = sum((k - mean) ** 2 * q for k, q in probs.items()) or Fraction(0)
-    if m2 == 0:
+    # central moments E[(X - mean)^j] times s0^j
+    mean = Fraction(s1, s0)
+    c2 = s0 * s2 - s1 * s1
+    m2 = Fraction(c2, s0 * s0)
+    if c2 == 0:
         skew = 0.0
         kurt = 0.0
     else:
-        m3 = sum((k - mean) ** 3 * q for k, q in probs.items())
-        m4 = sum((k - mean) ** 4 * q for k, q in probs.items())
+        c3 = s0 * s0 * s3 - 3 * s0 * s1 * s2 + 2 * s1**3
+        c4 = s0**3 * s4 - 4 * s0 * s0 * s1 * s3 + 6 * s0 * s1 * s1 * s2 - 3 * s1**4
         sigma = math.sqrt(float(m2))
-        skew = float(m3) / sigma**3
-        kurt = float(m4) / sigma**4 - 3.0
+        # int / int rounds correctly, so this is float(m3), float(m4)
+        skew = (c3 / s0**3) / sigma**3
+        kurt = (c4 / s0**4) / sigma**4 - 3.0
     return PMFTable(
         n=n, probs=probs, mean=mean, variance=m2, skewness=skew, excess_kurtosis=kurt
     )

@@ -178,15 +178,20 @@ def egf_rows(descriptor: FamilyDescriptor, order: int) -> list[ExactPolynomial]:
 
 
 def verify_egf_identity(
-    descriptor: FamilyDescriptor, order: int
+    descriptor: FamilyDescriptor,
+    order: int,
+    polys: Optional[Sequence[ExactPolynomial]] = None,
 ) -> Optional[tuple[int, ExactPolynomial, ExactPolynomial]]:
     """Cross-check the recurrence against the EGF exponent.
 
-    Returns None when every row up to `order` matches exactly, else the
-    first (row, from_recurrence, from_egf) mismatch.
+    `polys`, when given, are the spec's rows from its start index through
+    at least `order + egf_row_offset` (as from `generate`); otherwise they
+    are generated here.  Returns None when every row up to `order` matches
+    exactly, else the first (row, from_recurrence, from_egf) mismatch.
     """
     offset = descriptor.egf_row_offset
-    polys = generate(descriptor.spec, order + offset)
+    if polys is None:
+        polys = generate(descriptor.spec, order + offset)
     predicted = egf_rows(descriptor, order)
     start = descriptor.spec.start_index
     for n in range(order + 1):

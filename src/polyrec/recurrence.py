@@ -7,22 +7,35 @@ Advances polynomial sequences of the form
 
 where the lag weight w(n, s) is C(n-1, s-1) for binomial-weighted terms and
 1 otherwise.  Polynomials at indices below the start index are treated as
-zero, so lag terms reaching below the start contribute nothing.  The module
-also builds coefficient triangles, both from the polynomial recurrence and
-directly from the linear entrywise recurrence
+zero, so lag terms reaching below the start contribute nothing.
+
+The rows are advanced on integers.  With D the common denominator of gamma,
+m and every kappa, and d0 that of the start polynomial, the scaled rows
+Q_n = d0 D^(n - start) P_n have integer coefficients and obey
+
+    Q_n = (D gamma) Q_{n-1} + (D m) x Q'_{n-1} + sum w(n, s) (D^s kappa) Q_{n-s},
+
+so `advance` works coefficient-wise on plain `int` lists and `generate`
+divides by d0 D^(n - start) once per row at the end (nothing at all when
+the data are integers, as for every catalog family).  The module also builds
+coefficient triangles, both from the polynomial recurrence and directly from
+the linear entrywise recurrence
 
     T_{n,k} = u T_{n-1,k-1} + (a + b k) T_{n-1,k},   T_{0,0} = 1.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .algebra import ONE, X, ZERO, ExactPolynomial, Scalar, as_fraction
+from .algebra import ONE, ExactPolynomial, Scalar, as_fraction
 from .errors import InvalidIndexError
+
+Row = list[int]
 
 
 @dataclass(frozen=True)
@@ -44,6 +57,26 @@ class LagTerm:
 
     def weight(self, n: int) -> int:
         return math.comb(n - 1, self.s - 1) if self.binom_weight else 1
+
+
+class ScaledData(NamedTuple):
+    """A spec's data as integers: gamma and m times D, each kappa times
+    D^s, and the start polynomial times d0 (lowest power first)."""
+
+    denominator: int
+    start_denominator: int
+    gamma: tuple[int, ...]
+    m: int
+    lags: tuple[tuple[LagTerm, tuple[int, ...]], ...]
+    start: tuple[int, ...]
+
+
+def _lcm_of_denominators(values: Sequence[Fraction]) -> int:
+    return math.lcm(1, *(v.denominator for v in values))
+
+
+def _scaled(values: Sequence[Fraction], factor: int) -> tuple[int, ...]:
+    return tuple(v.numerator * (factor // v.denominator) for v in values)
 
 
 @dataclass(frozen=True)
@@ -75,40 +108,77 @@ class RecurrenceSpec:
     def max_lag(self) -> int:
         return max((lag.s for lag in self.lags), default=1)
 
+    @functools.cached_property
+    def scaled(self) -> ScaledData:
+        """The integer data `advance` runs on, computed once per spec."""
+        d = _lcm_of_denominators(
+            [*self.gamma.coeffs, self.m]
+            + [c for lag in self.lags for c in lag.kappa.coeffs]
+        )
+        d0 = _lcm_of_denominators(self.start_poly.coeffs)
+        return ScaledData(
+            denominator=d,
+            start_denominator=d0,
+            gamma=_scaled(self.gamma.coeffs, d),
+            m=self.m.numerator * (d // self.m.denominator),
+            lags=tuple((lag, _scaled(lag.kappa.coeffs, d**lag.s)) for lag in self.lags),
+            start=_scaled(self.start_poly.coeffs, d0),
+        )
 
-def advance(
-    spec: RecurrenceSpec, history: Sequence[ExactPolynomial], n: int
-) -> ExactPolynomial:
-    """Compute P_n from recent history.
 
-    `history[i]` must be P_{n-1-i}; entries for indices below the start
-    index may be anything (they are ignored, those polynomials are zero by
-    convention), but every index in [start_index, n-1] that a term needs
-    must be present.
+def _add_product(out: Row, a: Sequence[int], b: Sequence[int], scale: int = 1) -> None:
+    """out += scale * a * b (polynomial product); out must be long enough."""
+    for i, ai in enumerate(a):
+        if ai:
+            f = scale * ai
+            for j, bj in enumerate(b, i):
+                out[j] += f * bj
+
+
+def advance(spec: RecurrenceSpec, history: Sequence[Row], n: int) -> Row:
+    """Compute the scaled row Q_n = d0 D^(n - start) P_n from recent ones.
+
+    `history[i]` must be Q_{n-1-i} as an int list, lowest power first, with
+    no trailing zeros; the result has the same form.  Entries for indices
+    below the start index may be anything (they are ignored, those rows are
+    zero by convention), but every index in [start_index, n-1] that a term
+    needs must be present.
     """
     if n <= spec.start_index:
         raise InvalidIndexError(
             f"advance needs n > start index {spec.start_index}, got {n}"
         )
 
-    def lookup(idx: int) -> ExactPolynomial:
+    def lookup(idx: int) -> Sequence[int]:
         if idx < spec.start_index:
-            return ZERO
+            return ()
         pos = n - 1 - idx
         if pos >= len(history):
             raise InvalidIndexError(f"history does not reach back to index {idx}")
         return history[pos]
 
+    data = spec.scaled
     prev = lookup(n - 1)
-    result = spec.gamma * prev + spec.m * (X * prev.derivative())
-    for lag in spec.lags:
+    terms = []
+    for lag, kappa in data.lags:
         tail = lookup(n - lag.s)
-        if tail.is_zero:
-            continue
         w = lag.weight(n)
-        if w:
-            result = result + w * (lag.kappa * tail)
-    return result
+        if tail and w:
+            terms.append((kappa, tail, w))
+    size = max(
+        [len(prev) + max(len(data.gamma) - 1, 0)]
+        + [len(kappa) + len(tail) - 1 for kappa, tail, _ in terms]
+    )
+    out = [0] * size
+    m = data.m
+    for j, q in enumerate(prev):
+        out[j] = m * j * q
+    _add_product(out, data.gamma, prev)
+    for kappa, tail, w in terms:
+        _add_product(out, kappa, tail, w)
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def generate(spec: RecurrenceSpec, upto: int) -> list[ExactPolynomial]:
@@ -117,11 +187,18 @@ def generate(spec: RecurrenceSpec, upto: int) -> list[ExactPolynomial]:
         raise InvalidIndexError(
             f"upper index {upto} is below start index {spec.start_index}"
         )
-    out = [spec.start_poly]
+    data = spec.scaled
+    rows = [list(data.start)]
     window = spec.max_lag
     for n in range(spec.start_index + 1, upto + 1):
-        history = out[-1 : -window - 1 : -1]
-        out.append(advance(spec, history, n))
+        rows.append(advance(spec, rows[-1 : -window - 1 : -1], n))
+    if data.denominator == data.start_denominator == 1:
+        return [ExactPolynomial(row) for row in rows]
+    out = []
+    denominator = data.start_denominator
+    for row in rows:
+        out.append(ExactPolynomial([Fraction(q, denominator) for q in row]))
+        denominator *= data.denominator
     return out
 
 

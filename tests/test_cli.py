@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from polyrec import cli
+from polyrec import cli, families, recurrence
 from polyrec.cli import main
 from polyrec.families import catalog
 from polyrec.recurrence import triangle
@@ -196,6 +196,34 @@ def test_moments_table(capsys):
     assert len(lines) == 3
     assert lines[1].startswith("3,")
     assert "2,2/5" in lines[1]
+
+
+@pytest.mark.parametrize(
+    "argv,rows",
+    [
+        (("moments", "--family", "stirling2", "--ns", "10,30,20"), 30),
+        # rows 1..30 once, plus the enumeration oracle's own rows 1..8
+        (("verify", "--family", "dowling(m=2)", "--max-n", "30"), 30 + 8),
+    ],
+)
+def test_rows_are_generated_once(capsys, monkeypatch, argv, rows):
+    generated, advanced = [], []
+
+    def counting_generate(spec, upto):
+        generated.append(upto)
+        return recurrence.generate(spec, upto)
+
+    def counting_advance(spec, history, n, advance=recurrence.advance):
+        advanced.append(n)
+        return advance(spec, history, n)
+
+    monkeypatch.setattr(cli, "generate", counting_generate)
+    monkeypatch.setattr(families, "generate", counting_generate)
+    monkeypatch.setattr(recurrence, "advance", counting_advance)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert generated == [30]
+    assert len(advanced) == rows
 
 
 def test_asymptotics_json_fields(capsys):

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyrec.algebra import ONE, X, ZERO, ExactPolynomial, monomial
 from polyrec.errors import InvalidIndexError
@@ -96,19 +98,92 @@ def test_degree_bound():
                 assert p.degree <= n * bound + spec.start_poly.degree
 
 
+def scaled_rows(spec, polys):
+    """The rows advance works on: Q_k = d0 D^k P_k as int lists."""
+    d, d0 = spec.scaled.denominator, spec.scaled.start_denominator
+    out = []
+    for k, p in enumerate(polys):
+        row = [c * d0 * d**k for c in p.coeffs]
+        assert all(c.denominator == 1 for c in row)
+        out.append([int(c) for c in row])
+    return out
+
+
 def test_advance_needs_enough_history():
     spec = catalog("assoc_stirling", s=3).spec
-    history = [ZERO]  # P_4 needs P_1 via the depth-3 lag
+    history = [[]]  # Q_4 needs Q_1 via the depth-3 lag
     with pytest.raises(InvalidIndexError):
         advance(spec, history, 4)
+    with pytest.raises(InvalidIndexError):
+        advance(spec, [[1]], 0)
+
+
+RATIONAL_SPEC = RecurrenceSpec(
+    gamma=ExactPolynomial([Fraction(1, 3), Fraction(1, 2)]),
+    m=Fraction(3, 2),
+    lags=(LagTerm(2, ExactPolynomial([0, Fraction(1, 5)]), True),),
+    start_index=1,
+    start_poly=monomial(1, Fraction(2, 7)),
+)
 
 
 def test_advance_matches_generate():
-    spec = catalog("dowling", m=3).spec
-    polys = generate(spec, 8)
-    for n in range(1, 9):
-        history = list(reversed(polys[:n]))
-        assert advance(spec, history, n) == polys[n]
+    for spec in (catalog("dowling", m=3).spec, RATIONAL_SPEC):
+        start = spec.start_index
+        rows = scaled_rows(spec, generate(spec, start + 8))
+        for i in range(1, len(rows)):
+            assert advance(spec, rows[i - 1 :: -1], start + i) == rows[i]
+
+
+def test_scaled_data():
+    scaled = RATIONAL_SPEC.scaled
+    assert (scaled.denominator, scaled.start_denominator) == (30, 7)
+    assert scaled.gamma == (10, 15) and scaled.m == 45
+    assert scaled.lags == ((RATIONAL_SPEC.lags[0], (0, 180)),)
+    assert scaled.start == (0, 2)
+    assert catalog("dowling", m=3).spec.scaled.denominator == 1
+
+
+def reference_generate(spec, upto):
+    """The recurrence on ExactPolynomial arithmetic, straight from its
+    definition: rows below the start index are zero."""
+    polys = {spec.start_index: spec.start_poly}
+    for n in range(spec.start_index + 1, upto + 1):
+        prev = polys[n - 1]
+        row = spec.gamma * prev + spec.m * (X * prev.derivative())
+        for lag in spec.lags:
+            row = row + lag.weight(n) * (lag.kappa * polys.get(n - lag.s, ZERO))
+        polys[n] = row
+    return [polys[n] for n in range(spec.start_index, upto + 1)]
+
+
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+_POLYS = st.lists(_RATIONALS, max_size=3).map(ExactPolynomial)
+_NONZERO = _RATIONALS.filter(bool)
+
+
+@st.composite
+def _random_specs(draw):
+    depths = draw(st.lists(st.integers(1, 4), max_size=3, unique=True))
+    if draw(st.booleans()):
+        start_poly = monomial(draw(st.integers(0, 3)), draw(_NONZERO))
+    else:
+        start_poly = draw(_POLYS.filter(lambda p: not p.is_zero))
+    spec = RecurrenceSpec(
+        gamma=draw(_POLYS),
+        m=draw(st.fractions(min_value=Fraction(1, 6), max_value=3, max_denominator=6)),
+        lags=tuple(LagTerm(s, draw(_POLYS), draw(st.booleans())) for s in depths),
+        start_index=draw(st.integers(0, 2)),
+        start_poly=start_poly,
+    )
+    return spec, spec.start_index + draw(st.integers(0, 10))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_random_specs())
+def test_generate_matches_reference_recurrence(case):
+    spec, upto = case
+    assert generate(spec, upto) == reference_generate(spec, upto)
 
 
 def test_spec_validation():
