@@ -1,12 +1,15 @@
 """Exact arithmetic layer: dense rational polynomials and the exponential
 of a power series in z, both sides given by EGF coefficients.
 
-Coefficients are `fractions.Fraction` throughout and every operation keeps
-them fully reduced, so identity tests are exact.  Values are immutable after
-construction; floating point enters the picture only in the distribution and
-asymptotics layers.  `ExactPolynomial` is the exchange format between layers;
-the recurrence kernel itself advances rows as `int` lists under one common
-denominator (see `recurrence`) and converts to it once per row.
+`ExactPolynomial` holds `fractions.Fraction` coefficients, fully reduced,
+so identity tests are exact; it is immutable and is the exchange format
+between layers.  The heavy loops do not run on it: both int kernels step
+plain `int` coefficient lists through the one convolution `add_product` and
+convert once per finished row.  `recurrence.advance` scales its rows by one
+common denominator D^n; `series_exp` scales row n by c^n for one integer c
+chosen from the denominators of its input (c = 1 for integer input).
+Floating point enters the picture only in the distribution and asymptotics
+layers.
 """
 
 from __future__ import annotations
@@ -163,6 +166,44 @@ ONE = ExactPolynomial((1,))
 X = ExactPolynomial((0, 1))
 
 
+def lcm_of_denominators(values: Sequence[Fraction]) -> int:
+    return math.lcm(1, *(v.denominator for v in values))
+
+
+def scaled_ints(values: Sequence[Fraction], factor: int) -> tuple[int, ...]:
+    """factor * values as ints; factor must be a multiple of each denominator."""
+    return tuple(v.numerator * (factor // v.denominator) for v in values)
+
+
+def add_product(
+    out: list[int], a: Sequence[int], b: Sequence[int], scale: int = 1
+) -> None:
+    """out += scale * a * b for int coefficient lists (lowest power first);
+    out must be long enough.  The one convolution kernel of the package."""
+    for i, ai in enumerate(a):
+        if ai:
+            f = scale * ai
+            for j, bj in enumerate(b, i):
+                out[j] += f * bj
+
+
+def _exp_scale(g: Sequence[ExactPolynomial]) -> int:
+    """An integer c >= 1 with c^p g[p] integral for every p >= 1.
+
+    Starts from the denominators of g[1] and multiplies in only what each
+    later g[p] still lacks, so data whose denominators grow like b^p (as
+    for a rational rate m = a/b) get c of order b, not b^N.  It is 1 when
+    every g[p] has integer coefficients.
+    """
+    c = 1
+    for p, poly in enumerate(g[1:], 1):
+        need = lcm_of_denominators(poly.coeffs)
+        power = c**p
+        if power % need:
+            c *= need // math.gcd(need, power)
+    return c
+
+
 def series_exp(g: Sequence[ExactPolynomial]) -> list[ExactPolynomial]:
     """EGF coefficients of exp(f), given those of f.
 
@@ -171,18 +212,33 @@ def series_exp(g: Sequence[ExactPolynomial]) -> list[ExactPolynomial]:
 
         T_0 = 1,   T_{n+1} = sum_{i=0..n} C(n, i) g_{i+1} T_{n-i}
 
-    (the Bell-number recurrence, read off from (e^f)' = f' e^f).  A nonzero
-    constant term is rejected since exp of it is transcendental.
+    (the Bell-number recurrence, read off from (e^f)' = f' e^f).  It runs
+    on `int` lists: with c from `_exp_scale` and h_p = c^p g_p, the rows
+    U_n = c^n T_n obey the same recurrence with h in place of g, and each
+    is divided by c^n once at the end (not at all when c = 1).  A nonzero
+    constant term is rejected since exp of it is transcendental; an empty
+    g gives an empty result.
     """
+    if not g:
+        return []
     if not g[0].is_zero:
         raise NonzeroConstantTermError(
             "series_exp needs a zero constant term, got %s" % (g[0],)
         )
-    out = [ONE]
+    c = _exp_scale(g)
+    h = [scaled_ints(poly.coeffs, c**p) for p, poly in enumerate(g)]
+    rows: list[list[int]] = [[1]]
     for n in range(len(g) - 1):
-        acc = ZERO
-        for i in range(n + 1):
-            if not g[i + 1].is_zero:
-                acc = acc + (math.comb(n, i) * g[i + 1]) * out[n - i]
-        out.append(acc)
-    return out
+        terms = [
+            (h[i + 1], rows[n - i], i) for i in range(n + 1) if h[i + 1] and rows[n - i]
+        ]
+        out = [0] * max((len(a) + len(b) - 1 for a, b, _ in terms), default=0)
+        for a, b, i in terms:
+            add_product(out, a, b, math.comb(n, i))
+        while out and not out[-1]:
+            out.pop()
+        rows.append(out)
+    return [
+        ExactPolynomial(row if c == 1 else [Fraction(u, c**n) for u in row])
+        for n, row in enumerate(rows)
+    ]

@@ -22,8 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
+from .algebra import ExactPolynomial
 from .errors import (
     ParameterError,
     SaddleFailureError,
@@ -273,7 +274,9 @@ class ComparisonRecord:
     report: SaddleReport
 
 
-def compare_exact(descriptor: FamilyDescriptor, n: int) -> ComparisonRecord:
+def compare_exact(
+    descriptor: FamilyDescriptor, n: int, poly: Optional[ExactPolynomial] = None
+) -> ComparisonRecord:
     """Compare row n's exact mean, variance, and log total mass with the
     saddle-point predictions.
 
@@ -282,7 +285,8 @@ def compare_exact(descriptor: FamilyDescriptor, n: int) -> ComparisonRecord:
     and leaves the variance alone, and the coefficient estimate is matched
     through log P_n(1) = log c + log n'! + log [z^{n'}] e^{f(z,1)}.  A row
     with zero variance or with P_n(1) = 1 has no relative error to report
-    and raises ZeroVarianceError or UnitMassError.
+    and raises ZeroVarianceError or UnitMassError.  `poly`, when given, is
+    the spec's row P_n (as from `generate`); otherwise it is generated here.
     """
     from .distribution import pmf
     from .recurrence import generate
@@ -293,7 +297,8 @@ def compare_exact(descriptor: FamilyDescriptor, n: int) -> ComparisonRecord:
     if series_n < 3:
         raise ParameterError(f"n must be >= {offset + 3}, got {n}")
     report = saddle_report(descriptor.saddle, series_n)
-    poly = generate(descriptor.spec, n)[n - descriptor.spec.start_index]
+    if poly is None:
+        poly = generate(descriptor.spec, n)[n - descriptor.spec.start_index]
     table = pmf(poly, n)
     exact_mean = float(table.mean)
     exact_variance = float(table.variance)

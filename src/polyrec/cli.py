@@ -256,7 +256,15 @@ _COMPARE_FIELDS = (
 def _cmd_asymptotics(args) -> int:
     spec, descriptor, label = _resolve(args)
     descriptor = _descriptor_for(spec, descriptor, label)
-    records = [asym.compare_exact(descriptor, n) for n in sorted(set(args.ns))]
+    ns = sorted(set(args.ns))
+    # one generation for every n; an n below start + 3 makes the first
+    # compare_exact raise its ParameterError before any row is needed
+    start = spec.start_index
+    polys = generate(spec, ns[-1]) if ns and ns[0] >= start + 3 else None
+    records = [
+        asym.compare_exact(descriptor, n, polys[n - start] if polys else None)
+        for n in ns
+    ]
     if args.format == "json":
         payload = [
             {

@@ -34,7 +34,12 @@ from .algebra import (
     as_fraction,
     series_exp,
 )
-from .errors import ParameterError, UnknownFamilyError, UnsupportedShapeError
+from .errors import (
+    InvalidIndexError,
+    ParameterError,
+    UnknownFamilyError,
+    UnsupportedShapeError,
+)
 from .recurrence import LagTerm, RecurrenceSpec, TriangleRow, generate
 
 
@@ -173,6 +178,8 @@ class FamilyDescriptor:
 
 def egf_rows(descriptor: FamilyDescriptor, order: int) -> list[ExactPolynomial]:
     """Rows predicted by the EGF: prefactor * n! * [z^n] exp(f), n = 0..order."""
+    if order < 0:
+        raise InvalidIndexError(f"egf_rows needs order >= 0, got {order}")
     series = series_exp(descriptor.saddle.egf_coefficients(order))
     return [descriptor.egf_prefactor * t for t in series]
 

@@ -32,7 +32,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .algebra import ONE, ExactPolynomial, Scalar, as_fraction
+from .algebra import (
+    ONE,
+    ExactPolynomial,
+    Scalar,
+    add_product,
+    as_fraction,
+    lcm_of_denominators,
+    scaled_ints,
+)
 from .errors import InvalidIndexError
 
 Row = list[int]
@@ -71,14 +79,6 @@ class ScaledData(NamedTuple):
     start: tuple[int, ...]
 
 
-def _lcm_of_denominators(values: Sequence[Fraction]) -> int:
-    return math.lcm(1, *(v.denominator for v in values))
-
-
-def _scaled(values: Sequence[Fraction], factor: int) -> tuple[int, ...]:
-    return tuple(v.numerator * (factor // v.denominator) for v in values)
-
-
 @dataclass(frozen=True)
 class RecurrenceSpec:
     """Full data of one recurrence instance."""
@@ -111,28 +111,19 @@ class RecurrenceSpec:
     @functools.cached_property
     def scaled(self) -> ScaledData:
         """The integer data `advance` runs on, computed once per spec."""
-        d = _lcm_of_denominators(
+        d = lcm_of_denominators(
             [*self.gamma.coeffs, self.m]
             + [c for lag in self.lags for c in lag.kappa.coeffs]
         )
-        d0 = _lcm_of_denominators(self.start_poly.coeffs)
+        d0 = lcm_of_denominators(self.start_poly.coeffs)
         return ScaledData(
             denominator=d,
             start_denominator=d0,
-            gamma=_scaled(self.gamma.coeffs, d),
+            gamma=scaled_ints(self.gamma.coeffs, d),
             m=self.m.numerator * (d // self.m.denominator),
-            lags=tuple((lag, _scaled(lag.kappa.coeffs, d**lag.s)) for lag in self.lags),
-            start=_scaled(self.start_poly.coeffs, d0),
+            lags=tuple((lag, scaled_ints(lag.kappa.coeffs, d**lag.s)) for lag in self.lags),
+            start=scaled_ints(self.start_poly.coeffs, d0),
         )
-
-
-def _add_product(out: Row, a: Sequence[int], b: Sequence[int], scale: int = 1) -> None:
-    """out += scale * a * b (polynomial product); out must be long enough."""
-    for i, ai in enumerate(a):
-        if ai:
-            f = scale * ai
-            for j, bj in enumerate(b, i):
-                out[j] += f * bj
 
 
 def advance(spec: RecurrenceSpec, history: Sequence[Row], n: int) -> Row:
@@ -173,9 +164,9 @@ def advance(spec: RecurrenceSpec, history: Sequence[Row], n: int) -> Row:
     m = data.m
     for j, q in enumerate(prev):
         out[j] = m * j * q
-    _add_product(out, data.gamma, prev)
+    add_product(out, data.gamma, prev)
     for kappa, tail, w in terms:
-        _add_product(out, kappa, tail, w)
+        add_product(out, kappa, tail, w)
     while out and not out[-1]:
         out.pop()
     return out

@@ -12,6 +12,8 @@ from polyrec.algebra import (
     X,
     ZERO,
     ExactPolynomial,
+    _exp_scale,
+    add_product,
     as_fraction,
     format_terms,
     monomial,
@@ -91,6 +93,29 @@ def test_series_exp_of_z():
     assert series_exp(g) == [ONE] * 7
 
 
+def test_series_exp_of_empty_input():
+    assert series_exp([]) == []
+    assert series_exp([ZERO]) == [ONE]
+
+
+def test_add_product():
+    out = [1, 0, 0, 0]
+    add_product(out, [1, 2], [0, 3, 1], 5)  # 1 + 5 (1 + 2x)(3x + x^2)
+    assert out == [1, 15, 35, 10]
+    add_product(out, [0, 0], [7, 7])  # zero entries of a add nothing
+    assert out == [1, 15, 35, 10]
+
+
+def test_exp_scale():
+    # integer data need no scaling at all
+    assert _exp_scale([ZERO, X, 3 * X, ExactPolynomial([2, 5])]) == 1
+    # g_p = (3/4)^p x: den 4^p, so c = 4 (not 4^N)
+    g = [ZERO] + [ExactPolynomial([0, Fraction(3, 4) ** p]) for p in range(1, 12)]
+    assert _exp_scale(g) == 4
+    # g_1 = 1/2 gives c = 2; g_2 = 1/8 needs 8 | c^2, so c = 4
+    assert _exp_scale([ZERO, ONE * Fraction(1, 2), ONE * Fraction(1, 8)]) == 4
+
+
 def test_series_exp_rejects_constant_term():
     g = [ONE, ONE, ZERO, ZERO]
     with pytest.raises(NonzeroConstantTermError):
@@ -111,3 +136,41 @@ def test_series_exp_inverse(g):
         for n in range(len(g))
     ]
     assert product == [ONE] + [ZERO] * (len(g) - 1)
+
+
+def reference_exp(g):
+    """T_0 = 1, T_{n+1} = sum C(n, i) g_{i+1} T_{n-i} on plain Fractions."""
+    rows = [[Fraction(1)]]
+    for n in range(len(g) - 1):
+        size = max(len(g[i + 1]) + len(rows[n - i]) for i in range(n + 1))
+        out = [Fraction(0)] * size
+        for i in range(n + 1):
+            for j, a in enumerate(g[i + 1]):
+                for k, b in enumerate(rows[n - i]):
+                    out[j + k] += math.comb(n, i) * a * b
+        rows.append(out)
+    return [ExactPolynomial(row) for row in rows]
+
+
+@st.composite
+def egf_inputs(draw):
+    """EGF coefficient lists of order 0..16: integer, geometric
+    g_p = (a/b)^p q_p (denominators growing like b^p, the shape of a
+    rational rate m), or small arbitrary rationals."""
+    order = draw(st.integers(0, 16))
+    shape = draw(st.sampled_from(["integer", "geometric", "rational"]))
+    if shape == "rational":
+        entries = st.lists(rationals, max_size=3)
+    else:
+        entries = st.lists(st.integers(-20, 20), max_size=4)
+    tail = draw(st.lists(entries, min_size=order, max_size=order))
+    if shape == "geometric":
+        r = Fraction(draw(st.integers(-7, 7)), draw(st.integers(1, 9)))
+        tail = [[c * r**p for c in q] for p, q in enumerate(tail, 1)]
+    return [[]] + [[Fraction(c) for c in q] for q in tail]
+
+
+@settings(max_examples=80, deadline=None)
+@given(egf_inputs())
+def test_series_exp_matches_fraction_reference(g):
+    assert series_exp([ExactPolynomial(q) for q in g]) == reference_exp(g)

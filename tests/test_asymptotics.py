@@ -16,7 +16,7 @@ from polyrec.asymptotics import (
 )
 from polyrec.errors import ParameterError, SaddleFailureError, SaddleOverflowError
 from polyrec.families import build_exponent, catalog
-from polyrec.recurrence import RecurrenceSpec
+from polyrec.recurrence import RecurrenceSpec, generate
 
 
 STIRLING = catalog("stirling2").saddle
@@ -182,6 +182,12 @@ def test_compare_exact_improves_with_n():
     assert far.variance_rel_err < near.variance_rel_err
     assert far.log_total_rel_err < near.log_total_rel_err
     assert far.log_total_rel_err < 1e-3
+
+
+def test_compare_exact_takes_a_precomputed_row():
+    descriptor = catalog("r_stirling", r=2)
+    poly = generate(descriptor.spec, 40)[40 - 2]
+    assert compare_exact(descriptor, 40, poly) == compare_exact(descriptor, 40)
 
 
 def test_compare_exact_r_stirling_offset():

@@ -204,6 +204,7 @@ def test_moments_table(capsys):
         (("moments", "--family", "stirling2", "--ns", "10,30,20"), 30),
         # rows 1..30 once, plus the enumeration oracle's own rows 1..8
         (("verify", "--family", "dowling(m=2)", "--max-n", "30"), 30 + 8),
+        (("asymptotics", "--family", "stirling2", "--ns", "10,30,20"), 30),
     ],
 )
 def test_rows_are_generated_once(capsys, monkeypatch, argv, rows):

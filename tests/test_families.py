@@ -7,8 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyrec.algebra import ONE, X, ZERO, ExactPolynomial, monomial
-from polyrec.errors import ParameterError, UnknownFamilyError, UnsupportedShapeError
+from polyrec.algebra import ONE, X, ZERO, ExactPolynomial, _exp_scale, monomial
+from polyrec.errors import (
+    InvalidIndexError,
+    ParameterError,
+    UnknownFamilyError,
+    UnsupportedShapeError,
+)
 from polyrec.families import (
     FamilyDescriptor,
     SaddleFunction,
@@ -52,6 +57,13 @@ def test_egf_rows_prefactor():
     assert rows[0] == monomial(3)
     polys = generate(descriptor.spec, 7)
     assert rows[4] == polys[4]
+
+
+def test_egf_rows_order_bounds():
+    descriptor = catalog("r_stirling", r=3)
+    assert egf_rows(descriptor, 0) == [monomial(3)]
+    with pytest.raises(InvalidIndexError):
+        egf_rows(descriptor, -1)
 
 
 def test_build_exponent_stirling():
@@ -157,8 +169,11 @@ def test_egf_coefficients_closed_forms():
     g = catalog("dowling", m=2).saddle.egf_coefficients(order)
     for p in range(1, order + 1):
         assert g[p] == ExactPolynomial([int(p == 1), 2 ** (p - 1)]), p
+    # G_0 = 0, and every G_p is an integer polynomial, so series_exp
+    # divides nothing
     for name, params in ALL_DEFAULT_INSTANCES:
-        assert catalog(name, **params).saddle.egf_coefficients(order)[0] == ZERO, name
+        g = catalog(name, **params).saddle.egf_coefficients(order)
+        assert g[0] == ZERO and _exp_scale(g) == 1, name
 
 
 def test_catalog_unknown_and_bad_params():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyrec import algebra, recurrence
 from polyrec.algebra import ONE, X, ZERO, ExactPolynomial, monomial
 from polyrec.errors import InvalidIndexError
 from polyrec.families import catalog
@@ -133,6 +134,24 @@ def test_advance_matches_generate():
         rows = scaled_rows(spec, generate(spec, start + 8))
         for i in range(1, len(rows)):
             assert advance(spec, rows[i - 1 :: -1], start + i) == rows[i]
+
+
+def test_advance_runs_on_the_shared_kernel(monkeypatch):
+    # advance's convolutions are algebra.add_product's, the kernel
+    # series_exp uses too; recording its calls leaves the rows unchanged
+    assert recurrence.add_product is algebra.add_product
+    calls = []
+
+    def recording(out, a, b, scale=1):
+        calls.append(scale)
+        algebra.add_product(out, a, b, scale)
+
+    spec = catalog("dowling", m=3).spec
+    rows = scaled_rows(spec, generate(spec, 8))
+    monkeypatch.setattr(recurrence, "add_product", recording)
+    for i in range(1, len(rows)):
+        assert advance(spec, rows[i - 1 :: -1], i) == rows[i]
+    assert calls
 
 
 def test_scaled_data():
