@@ -1,13 +1,15 @@
 """Exact arithmetic layer: dense rational polynomials and the exponential
 of a power series in z, both sides given by EGF coefficients.
 
-`ExactPolynomial` holds `fractions.Fraction` coefficients, fully reduced,
-so identity tests are exact; it is immutable and is the exchange format
-between layers.  The heavy loops do not run on it: both int kernels step
-plain `int` coefficient lists through the one convolution `add_product` and
-convert once per finished row.  `recurrence.advance` scales its rows by one
-common denominator D^n; `series_exp` scales row n by c^n for one integer c
-chosen from the denominators of its input (c = 1 for integer input).
+`ExactPolynomial`, the package's one row type, is a tuple of `int`
+numerators over one `int` denominator.  The int kernels hand their rows
+over as such pairs without touching a coefficient: `recurrence.advance`
+scales row n by one common denominator d0 D^n, and `series_exp` scales row
+n by c^n for one integer c chosen from the denominators of its input; both
+step plain `int` lists through the one convolution `add_product`.  For
+integer data the denominator is 1.  A pair is brought to lowest terms only
+when `==`, `hash`, `numerators` or `denominator` needs it, so identity tests
+stay exact; `coeffs`, the `Fraction` view, is built on first read.
 Floating point enters the picture only in the distribution and asymptotics
 layers.
 """
@@ -34,99 +36,146 @@ def as_fraction(value: Scalar) -> Fraction:
 
 
 class ExactPolynomial:
-    """Dense univariate polynomial over exact rationals.
+    """Dense univariate polynomial over exact rationals: coefficient j, of
+    x^j, is numerator j over one positive denominator.
 
-    Index j of the coefficient tuple is the power of x.  The representation
-    is normalized: no trailing zero coefficients, and the zero polynomial is
-    the empty tuple with degree -1.
+    There are no trailing zero numerators; the zero polynomial has none and
+    degree -1.  The value is immutable; reducing the pair to lowest terms
+    changes only how it is stored.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_nums", "_den", "_coeffs")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs = tuple(cs)
+        den = math.lcm(1, *(c.denominator for c in cs))
+        self._set([c.numerator * (den // c.denominator) for c in cs], den)
+
+    @classmethod
+    def from_scaled(
+        cls, numerators: Iterable[int], denominator: int = 1
+    ) -> ExactPolynomial:
+        """The polynomial with coefficients numerators[j] / denominator; the
+        pair need not be in lowest terms."""
+        if denominator < 1:
+            raise ValueError(f"denominator must be >= 1, got {denominator}")
+        poly = cls.__new__(cls)
+        poly._set(numerators, denominator)
+        return poly
+
+    def _set(self, nums: Iterable[int], den: int) -> None:
+        nums = tuple(nums)
+        end = len(nums)
+        while end and not nums[end - 1]:
+            end -= 1
+        self._nums, self._den, self._coeffs = nums[:end], den, None
+
+    def _lowest(self) -> tuple[tuple[int, ...], int]:
+        g = math.gcd(self._den, *self._nums)
+        if g > 1:
+            self._nums, self._den = tuple(q // g for q in self._nums), self._den // g
+        return self._nums, self._den
+
+    @property
+    def scaled(self) -> tuple[tuple[int, ...], int]:
+        """(numerators, denominator) as stored, not necessarily in lowest terms."""
+        return self._nums, self._den
+
+    @property
+    def numerators(self) -> tuple[int, ...]:
+        """Numerators over `denominator`, in lowest terms."""
+        return self._lowest()[0]
+
+    @property
+    def denominator(self) -> int:
+        """The lcm of the coefficients' reduced denominators."""
+        return self._lowest()[1]
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, built on first read."""
+        if self._coeffs is None:
+            self._coeffs = tuple(Fraction(q, self._den) for q in self._nums)
         return self._coeffs
 
     @property
     def degree(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._nums
 
     def coefficient(self, j: int) -> Fraction:
         """Coefficient of x^j (zero beyond the degree)."""
-        if 0 <= j < len(self._coeffs):
-            return self._coeffs[j]
+        if 0 <= j < len(self._nums):
+            return Fraction(self._nums[j], self._den)
         return Fraction(0)
 
     @property
     def leading_coefficient(self) -> Fraction:
-        return self._coeffs[-1] if self._coeffs else Fraction(0)
+        return self.coefficient(self.degree)
 
     def __add__(self, other: ExactPolynomial) -> ExactPolynomial:
         if not isinstance(other, ExactPolynomial):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for j, c in enumerate(b):
-            out[j] += c
-        return ExactPolynomial(out)
+        den = math.lcm(self._den, other._den)
+        out = [0] * max(len(self._nums), len(other._nums))
+        for p in (self, other):
+            f = den // p._den
+            for j, q in enumerate(p._nums):
+                out[j] += f * q
+        return ExactPolynomial.from_scaled(out, den)
 
     def __neg__(self) -> ExactPolynomial:
-        return ExactPolynomial(-c for c in self._coeffs)
+        return ExactPolynomial.from_scaled([-q for q in self._nums], self._den)
 
     def __sub__(self, other: ExactPolynomial) -> ExactPolynomial:
         return self + (-other)
 
     def __mul__(self, other) -> ExactPolynomial:
         if isinstance(other, ExactPolynomial):
-            if not self._coeffs or not other._coeffs:
+            if not self._nums or not other._nums:
                 return ZERO
-            out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-            for i, a in enumerate(self._coeffs):
-                if a:
-                    for j, b in enumerate(other._coeffs):
-                        out[i + j] += a * b
-            return ExactPolynomial(out)
+            out = [0] * (len(self._nums) + len(other._nums) - 1)
+            add_product(out, self._nums, other._nums)
+            return ExactPolynomial.from_scaled(out, self._den * other._den)
         if isinstance(other, (int, Fraction)):
             t = as_fraction(other)
-            return ExactPolynomial(c * t for c in self._coeffs)
+            return ExactPolynomial.from_scaled(
+                [q * t.numerator for q in self._nums], self._den * t.denominator
+            )
         return NotImplemented
 
     __rmul__ = __mul__
 
     def derivative(self) -> ExactPolynomial:
         """Formal derivative with respect to x."""
-        return ExactPolynomial(j * c for j, c in enumerate(self._coeffs) if j)
+        return ExactPolynomial.from_scaled(
+            [j * q for j, q in enumerate(self._nums) if j], self._den
+        )
 
     def __call__(self, t: Scalar) -> Fraction:
-        """Exact Horner evaluation."""
+        """Exact evaluation: sum_j q_j a^j b^(deg - j) / (den b^deg) at
+        t = a/b, by Horner on ints."""
         t = as_fraction(t)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * t + c
-        return acc
+        a, b = t.numerator, t.denominator
+        acc, scale = 0, 1
+        for q in reversed(self._nums):
+            acc = acc * a + q * scale
+            scale *= b
+        return Fraction(acc * b, self._den * scale)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ExactPolynomial):
-            return self._coeffs == other._coeffs
+            return self._lowest() == other._lowest()
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash(self._lowest())
 
     def __str__(self) -> str:
-        return format_terms(self._coeffs)
+        return format_terms(self.coeffs)
 
     def __repr__(self) -> str:
         return f"ExactPolynomial({self})"
@@ -166,13 +215,10 @@ ONE = ExactPolynomial((1,))
 X = ExactPolynomial((0, 1))
 
 
-def lcm_of_denominators(values: Sequence[Fraction]) -> int:
-    return math.lcm(1, *(v.denominator for v in values))
-
-
-def scaled_ints(values: Sequence[Fraction], factor: int) -> tuple[int, ...]:
-    """factor * values as ints; factor must be a multiple of each denominator."""
-    return tuple(v.numerator * (factor // v.denominator) for v in values)
+def scaled_ints(poly: ExactPolynomial, factor: int) -> tuple[int, ...]:
+    """factor * poly as ints; factor must be a multiple of poly.denominator."""
+    k = factor // poly.denominator
+    return tuple(q * k for q in poly.numerators)
 
 
 def add_product(
@@ -197,7 +243,7 @@ def _exp_scale(g: Sequence[ExactPolynomial]) -> int:
     """
     c = 1
     for p, poly in enumerate(g[1:], 1):
-        need = lcm_of_denominators(poly.coeffs)
+        need = poly.denominator
         power = c**p
         if power % need:
             c *= need // math.gcd(need, power)
@@ -215,9 +261,9 @@ def series_exp(g: Sequence[ExactPolynomial]) -> list[ExactPolynomial]:
     (the Bell-number recurrence, read off from (e^f)' = f' e^f).  It runs
     on `int` lists: with c from `_exp_scale` and h_p = c^p g_p, the rows
     U_n = c^n T_n obey the same recurrence with h in place of g, and each
-    is divided by c^n once at the end (not at all when c = 1).  A nonzero
-    constant term is rejected since exp of it is transcendental; an empty
-    g gives an empty result.
+    is handed over as the pair (U_n, c^n).  A nonzero constant term is
+    rejected since exp of it is transcendental; an empty g gives an empty
+    result.
     """
     if not g:
         return []
@@ -226,7 +272,7 @@ def series_exp(g: Sequence[ExactPolynomial]) -> list[ExactPolynomial]:
             "series_exp needs a zero constant term, got %s" % (g[0],)
         )
     c = _exp_scale(g)
-    h = [scaled_ints(poly.coeffs, c**p) for p, poly in enumerate(g)]
+    h = [scaled_ints(poly, c**p) for p, poly in enumerate(g)]
     rows: list[list[int]] = [[1]]
     for n in range(len(g) - 1):
         terms = [
@@ -238,7 +284,4 @@ def series_exp(g: Sequence[ExactPolynomial]) -> list[ExactPolynomial]:
         while out and not out[-1]:
             out.pop()
         rows.append(out)
-    return [
-        ExactPolynomial(row if c == 1 else [Fraction(u, c**n) for u in row])
-        for n, row in enumerate(rows)
-    ]
+    return [ExactPolynomial.from_scaled(row, c**n) for n, row in enumerate(rows)]

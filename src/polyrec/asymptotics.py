@@ -82,10 +82,10 @@ def _exp_sums(sf: SaddleFunction, z: float, x: float) -> tuple[float, float, flo
     return c0, s1, s2
 
 
-def _poly_at(poly, x: float) -> float:
+def _poly_at(coeffs: tuple[float, ...], x: float) -> float:
     value = 0.0
-    for c in reversed(poly.coeffs):
-        value = value * x + float(c)
+    for c in reversed(coeffs):
+        value = value * x + c
     return value
 
 
@@ -105,10 +105,10 @@ def f_partials(sf: SaddleFunction, z: float, x: float) -> Partials:
     q2_val, a, b = _exp_sums(sf, z, x)
 
     f = f_z = f_zz = f_x = f_zx = f_xx = 0.0
-    for p, poly in enumerate(sf.q1):
-        v = _poly_at(poly, x)
-        dv = _poly_at(poly.derivative(), x)
-        ddv = _poly_at(poly.derivative().derivative(), x)
+    for p, (c, dc, ddc) in enumerate(sf.q1_floats):
+        v = _poly_at(c, x)
+        dv = _poly_at(dc, x)
+        ddv = _poly_at(ddc, x)
         f += v * z**p
         f_x += dv * z**p
         f_xx += ddv * z**p

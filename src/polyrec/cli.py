@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -116,24 +117,28 @@ def _json(payload) -> str:
 # command bodies ---------------------------------------------------------
 
 
+def _row_texts(poly) -> list[str]:
+    """The row's coefficients as text, each byte-identical to str(Fraction)."""
+    nums, den = poly.scaled
+    if den == 1:
+        return list(map(str, nums))
+    texts = []
+    for q in nums:
+        g = math.gcd(q, den)
+        texts.append(str(q // g) if g == den else f"{q // g}/{den // g}")
+    return texts
+
+
 def _cmd_triangle(args) -> int:
     spec, _, _ = _resolve(args)
-    rows = triangle(spec, args.max_n)
+    rows = [(row.n, _row_texts(row.poly)) for row in triangle(spec, args.max_n)]
     if args.format == "json":
-        payload = {
-            "rows": [
-                {"n": row.n, "coeffs": [_fmt_exact(c) for c in row.coeffs]}
-                for row in rows
-            ]
-        }
+        payload = {"rows": [{"n": n, "coeffs": texts} for n, texts in rows]}
         _emit(args, _json(payload))
         return 0
-    width = max((len(row.coeffs) for row in rows), default=1)
+    width = max((len(texts) for _, texts in rows), default=1)
     header = ["n"] + [f"c{k}" for k in range(width)]
-    out = []
-    for row in rows:
-        padded = list(row.coeffs) + [Fraction(0)] * (width - len(row.coeffs))
-        out.append([str(row.n)] + [_fmt_exact(c) for c in padded])
+    out = [[str(n)] + texts + ["0"] * (width - len(texts)) for n, texts in rows]
     _emit(args, _csv(header, out))
     return 0
 
@@ -338,9 +343,7 @@ def _cmd_verify(args) -> int:
     if polys is None or args.max_n < start:
         polys = generate(spec, args.max_n)
     rows = polys[: args.max_n - start + 1]
-    scan = validate_nonnegativity(
-        [TriangleRow(n, p.coeffs) for n, p in enumerate(rows, start)]
-    )
+    scan = validate_nonnegativity([TriangleRow(n, p) for n, p in enumerate(rows, start)])
     if scan.all_nonnegative:
         detail = "all entries >= 0"
         if scan.zero_sum_rows:

@@ -18,8 +18,9 @@ integer-k statistic is kept alongside.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -42,47 +43,43 @@ def standard_normal_cdf(t: float) -> float:
 
 @dataclass(frozen=True)
 class PMFTable:
-    """Exact distribution of X_n extracted from one row polynomial."""
+    """Exact distribution of X_n extracted from one row polynomial:
+    P(X_n = k) = weights[k] / total, with int weights."""
 
     n: int
-    probs: dict[int, Fraction]
+    weights: tuple[int, ...]
+    total: int
     mean: Fraction
     variance: Fraction
     skewness: float
     excess_kurtosis: float
 
-    def support(self) -> tuple[int, int]:
-        keys = sorted(self.probs)
-        return (keys[0], keys[-1])
-
-    def raw_moment(self, j: int) -> Fraction:
-        return sum((Fraction(k) ** j) * p for k, p in self.probs.items()) or Fraction(0)
-
-    def central_moment(self, j: int) -> Fraction:
-        mu = self.mean
-        return sum((k - mu) ** j * p for k, p in self.probs.items()) or Fraction(0)
+    @functools.cached_property
+    def probs(self) -> dict[int, Fraction]:
+        """P(X_n = k) for every k of positive probability, built on first read."""
+        return {k: Fraction(a, self.total) for k, a in enumerate(self.weights) if a}
 
 
 def pmf(p: ExactPolynomial, n: int) -> PMFTable:
     """Normalize a row polynomial into an exact PMF with exact low moments.
 
-    The moments come from the integer power sums S_j = sum k^j a_k of the
-    coefficients a_k = L c_k over their common denominator L, with one
-    division each at the end.  Rejects negative coefficients (not a
-    distribution) and zero total mass (rows below the first nonzero row of
-    block-size-restricted families).
+    The weights are the row's numerators divided by their gcd, so equal
+    distributions give equal tables, and the moments come from their
+    integer power sums S_j = sum k^j a_k with one division each at the end.
+    Rejects negative coefficients (not a distribution) and zero total mass
+    (rows below the first nonzero row of block-size-restricted families).
     """
-    for k, c in enumerate(p.coeffs):
-        if c < 0:
-            raise InvalidDistributionError(
-                f"coefficient of x^{k} is negative ({c}); not a distribution"
-            )
-    lcm = math.lcm(1, *(c.denominator for c in p.coeffs))
-    weights = {
-        k: c.numerator * (lcm // c.denominator) for k, c in enumerate(p.coeffs) if c
-    }
+    weights, _ = p.scaled
+    g = math.gcd(*weights)
+    if g > 1:
+        weights = tuple(a // g for a in weights)
     s0 = s1 = s2 = s3 = s4 = 0
-    for k, a in weights.items():
+    for k, a in enumerate(weights):
+        if a < 0:
+            raise InvalidDistributionError(
+                f"coefficient of x^{k} is negative ({p.coefficient(k)}); "
+                "not a distribution"
+            )
         s0 += a
         a *= k
         s1 += a
@@ -93,7 +90,6 @@ def pmf(p: ExactPolynomial, n: int) -> PMFTable:
         s4 += a * k
     if s0 == 0:
         raise ZeroMassError(f"row {n} has zero total mass")
-    probs = {k: Fraction(a, s0) for k, a in weights.items()}
 
     # central moments E[(X - mean)^j] times s0^j
     mean = Fraction(s1, s0)
@@ -109,9 +105,7 @@ def pmf(p: ExactPolynomial, n: int) -> PMFTable:
         # int / int rounds correctly, so this is float(m3), float(m4)
         skew = (c3 / s0**3) / sigma**3
         kurt = (c4 / s0**4) / sigma**4 - 3.0
-    return PMFTable(
-        n=n, probs=probs, mean=mean, variance=m2, skewness=skew, excess_kurtosis=kurt
-    )
+    return PMFTable(n, weights, s0, mean, m2, skew, kurt)
 
 
 @dataclass(frozen=True)
@@ -135,17 +129,22 @@ class NormalityReport:
 
 
 def _sup_normal_gap(
-    probs: dict[int, Fraction], center: float, scale: float, half_shift: bool
+    table: PMFTable, center: float, scale: float, half_shift: bool
 ) -> float:
-    """sup over lattice points k of |F(k) - Phi((k + shift - center)/scale)|."""
-    keys = sorted(probs)
-    lo, hi = keys[0], keys[-1]
+    """sup over lattice points k of |F(k) - Phi((k + shift - center)/scale)|.
+
+    F(k) is an integer partial sum of the weights over their total; int / int
+    rounds correctly, so it is the same float as float(Fraction).
+    """
+    weights, total = table.weights, table.total
+    lo = next(k for k, a in enumerate(weights) if a)
     shift = 0.5 if half_shift else 0.0
-    cumulative = Fraction(0)
+    cumulative = 0
     sup = 0.0
-    for k in range(lo - 1, hi + 1):
-        cumulative += probs.get(k, Fraction(0))
-        gap = abs(float(cumulative) - standard_normal_cdf((k + shift - center) / scale))
+    for k in range(lo - 1, len(weights)):
+        if k >= lo:
+            cumulative += weights[k]
+        gap = abs(cumulative / total - standard_normal_cdf((k + shift - center) / scale))
         if gap > sup:
             sup = gap
     return sup
@@ -166,14 +165,14 @@ def normality(table: PMFTable, d: int) -> NormalityReport:
     scale = d * math.sqrt(table.n) / log_n
     return NormalityReport(
         n=table.n,
-        ks_plain=_sup_normal_gap(table.probs, mu, sigma, False),
-        ks_continuity=_sup_normal_gap(table.probs, mu, sigma, True),
+        ks_plain=_sup_normal_gap(table, mu, sigma, False),
+        ks_continuity=_sup_normal_gap(table, mu, sigma, True),
         standardized_third=table.skewness,
         standardized_fourth=table.excess_kurtosis + 3.0,
         center=center,
         scale=scale,
-        ks_plain_limit=_sup_normal_gap(table.probs, center, scale, False),
-        ks_continuity_limit=_sup_normal_gap(table.probs, center, scale, True),
+        ks_plain_limit=_sup_normal_gap(table, center, scale, False),
+        ks_continuity_limit=_sup_normal_gap(table, center, scale, True),
     )
 
 

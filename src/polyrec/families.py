@@ -21,6 +21,7 @@ appear on the way.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -70,11 +71,20 @@ class SaddleFunction:
         """G_p = p! [z^p] f(z, x) for p = 0..order, that is
         p! Q1[p] + sum_j Q2[j] (j m)^p x^j."""
         rates = [j * self.m for j in range(len(self.q2.coeffs))]
-        return [
-            (self.q1[p] if p < len(self.q1) else ZERO) * math.factorial(p)
-            + ExactPolynomial(c * r**p for c, r in zip(self.q2.coeffs, rates))
+        out = [
+            ExactPolynomial(c * r**p for c, r in zip(self.q2.coeffs, rates))
             for p in range(order + 1)
         ]
+        for p, poly in enumerate(self.q1[: order + 1]):
+            out[p] = poly * math.factorial(p) + out[p]
+        return out
+
+    @functools.cached_property
+    def q1_floats(self) -> tuple[tuple[tuple[float, ...], ...], ...]:
+        """Float coefficients of each Q1 entry and of its first and second
+        x-derivatives, for the saddle solver."""
+        derivs = [(q, q.derivative(), q.derivative().derivative()) for q in self.q1]
+        return tuple(tuple(tuple(map(float, d.coeffs)) for d in ds) for ds in derivs)
 
 
 class TheoremConstants(NamedTuple):
@@ -230,10 +240,10 @@ def validate_nonnegativity(rows: Sequence[TriangleRow]) -> NonnegativityReport:
     first_negative = None
     zero_sums = []
     for row in rows:
-        for k, value in enumerate(row.coeffs):
-            if value < 0 and first_negative is None:
-                first_negative = (row.n, k)
-        if row.row_sum() == 0:
+        nums, _ = row.poly.scaled
+        if first_negative is None and min(nums, default=0) < 0:
+            first_negative = (row.n, next(k for k, q in enumerate(nums) if q < 0))
+        if not sum(nums):
             zero_sums.append(row.n)
     return NonnegativityReport(first_negative is None, first_negative, tuple(zero_sums))
 

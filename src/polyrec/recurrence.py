@@ -16,10 +16,10 @@ Q_n = d0 D^(n - start) P_n have integer coefficients and obey
     Q_n = (D gamma) Q_{n-1} + (D m) x Q'_{n-1} + sum w(n, s) (D^s kappa) Q_{n-s},
 
 so `advance` works coefficient-wise on plain `int` lists and `generate`
-divides by d0 D^(n - start) once per row at the end (nothing at all when
-the data are integers, as for every catalog family).  The module also builds
-coefficient triangles, both from the polynomial recurrence and directly from
-the linear entrywise recurrence
+hands each row over as the pair (Q_n, d0 D^(n - start)) without touching a
+coefficient (the denominator is 1 when the data are integers, as for every
+catalog family).  The module also builds coefficient triangles, both from
+the polynomial recurrence and directly from the linear entrywise recurrence
 
     T_{n,k} = u T_{n-1,k-1} + (a + b k) T_{n-1,k},   T_{0,0} = 1.
 """
@@ -32,15 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .algebra import (
-    ONE,
-    ExactPolynomial,
-    Scalar,
-    add_product,
-    as_fraction,
-    lcm_of_denominators,
-    scaled_ints,
-)
+from .algebra import ONE, ExactPolynomial, Scalar, add_product, as_fraction, scaled_ints
 from .errors import InvalidIndexError
 
 Row = list[int]
@@ -68,15 +60,13 @@ class LagTerm:
 
 
 class ScaledData(NamedTuple):
-    """A spec's data as integers: gamma and m times D, each kappa times
-    D^s, and the start polynomial times d0 (lowest power first)."""
+    """A spec's data as integers: gamma and m times D, and each kappa times
+    D^s (lowest power first)."""
 
     denominator: int
-    start_denominator: int
     gamma: tuple[int, ...]
     m: int
     lags: tuple[tuple[LagTerm, tuple[int, ...]], ...]
-    start: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -111,18 +101,16 @@ class RecurrenceSpec:
     @functools.cached_property
     def scaled(self) -> ScaledData:
         """The integer data `advance` runs on, computed once per spec."""
-        d = lcm_of_denominators(
-            [*self.gamma.coeffs, self.m]
-            + [c for lag in self.lags for c in lag.kappa.coeffs]
+        d = math.lcm(
+            self.gamma.denominator,
+            self.m.denominator,
+            *(lag.kappa.denominator for lag in self.lags),
         )
-        d0 = lcm_of_denominators(self.start_poly.coeffs)
         return ScaledData(
             denominator=d,
-            start_denominator=d0,
-            gamma=scaled_ints(self.gamma.coeffs, d),
+            gamma=scaled_ints(self.gamma, d),
             m=self.m.numerator * (d // self.m.denominator),
-            lags=tuple((lag, scaled_ints(lag.kappa.coeffs, d**lag.s)) for lag in self.lags),
-            start=scaled_ints(self.start_poly.coeffs, d0),
+            lags=tuple((lag, scaled_ints(lag.kappa, d**lag.s)) for lag in self.lags),
         )
 
 
@@ -178,37 +166,37 @@ def generate(spec: RecurrenceSpec, upto: int) -> list[ExactPolynomial]:
         raise InvalidIndexError(
             f"upper index {upto} is below start index {spec.start_index}"
         )
-    data = spec.scaled
-    rows = [list(data.start)]
+    rows = [spec.start_poly.numerators]
     window = spec.max_lag
     for n in range(spec.start_index + 1, upto + 1):
         rows.append(advance(spec, rows[-1 : -window - 1 : -1], n))
-    if data.denominator == data.start_denominator == 1:
-        return [ExactPolynomial(row) for row in rows]
     out = []
-    denominator = data.start_denominator
+    d, denominator = spec.scaled.denominator, spec.start_poly.denominator
     for row in rows:
-        out.append(ExactPolynomial([Fraction(q, denominator) for q in row]))
-        denominator *= data.denominator
+        out.append(ExactPolynomial.from_scaled(row, denominator))
+        denominator *= d
     return out
 
 
-@dataclass(frozen=True)
-class TriangleRow:
-    """Coefficient vector of one generating polynomial, trailing zeros
-    stripped (the zero polynomial gives an empty row)."""
+class TriangleRow(NamedTuple):
+    """Row n of a coefficient triangle: its entries are the coefficients of
+    `poly`, trailing zeros stripped (the zero polynomial gives none)."""
 
     n: int
-    coeffs: tuple[Fraction, ...] = field(default=())
+    poly: ExactPolynomial
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return self.poly.coeffs
 
     def row_sum(self) -> Fraction:
-        return sum(self.coeffs, Fraction(0))
+        return self.poly(1)
 
 
 def triangle(spec: RecurrenceSpec, upto: int) -> list[TriangleRow]:
     """Coefficient triangle of the polynomial sequence."""
     return [
-        TriangleRow(n, p.coeffs)
+        TriangleRow(n, p)
         for n, p in enumerate(generate(spec, upto), start=spec.start_index)
     ]
 
@@ -221,7 +209,7 @@ def triangle_linear(
     if upto < 0:
         raise InvalidIndexError("triangle_linear needs upto >= 0")
     u, a, b = as_fraction(u), as_fraction(a), as_fraction(b)
-    rows = [TriangleRow(0, (Fraction(1),))]
+    rows = [TriangleRow(0, ONE)]
     cur = [Fraction(1)]
     for n in range(1, upto + 1):
         nxt = [Fraction(0)] * (n + 1)
@@ -230,8 +218,5 @@ def triangle_linear(
                 nxt[k + 1] += u * t
                 nxt[k] += (a + b * k) * t
         cur = nxt
-        trimmed = list(cur)
-        while trimmed and trimmed[-1] == 0:
-            trimmed.pop()
-        rows.append(TriangleRow(n, tuple(trimmed)))
+        rows.append(TriangleRow(n, ExactPolynomial(cur)))
     return rows

@@ -87,6 +87,79 @@ def test_mul_is_evaluation_compatible(p, q, t):
     assert (p * q)(t) == p(t) * q(t)
 
 
+def _fraction_row(values):
+    """values as Fractions with trailing zeros stripped: the reference row."""
+    out = [Fraction(v) for v in values]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+@st.composite
+def rows_with_reference(draw):
+    """A polynomial with its Fraction reference, built either from Fractions
+    or from a scaled int pair that keeps an extra common factor (and maybe
+    trailing zeros), so that it is not in lowest terms."""
+    values = draw(st.lists(rationals, max_size=6))
+    if draw(st.booleans()):
+        return ExactPolynomial(values), _fraction_row(values)
+    den = math.lcm(1, *(v.denominator for v in values)) * draw(st.integers(1, 12))
+    nums = [v.numerator * (den // v.denominator) for v in values]
+    nums += [0] * draw(st.integers(0, 2))
+    return ExactPolynomial.from_scaled(nums, den), _fraction_row(values)
+
+
+def _ref_add(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for row in (a, b):
+        for j, c in enumerate(row):
+            out[j] += c
+    return _fraction_row(out)
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _fraction_row(out)
+
+
+@given(rows_with_reference())
+def test_row_type_is_canonical(pair):
+    p, ref = pair
+    nums, den = p.scaled
+    assert tuple(Fraction(q, den) for q in nums) == ref
+    assert math.gcd(*p.numerators, p.denominator) == 1
+    assert p.coeffs == ref
+    assert p.denominator == math.lcm(1, *(c.denominator for c in ref))
+    assert p.degree == len(ref) - 1
+
+
+@given(rows_with_reference(), rows_with_reference())
+def test_row_type_equality_and_hash(a, b):
+    (p, p_ref), (q, q_ref) = a, b
+    assert (p == q) == (p_ref == q_ref)
+    twin = ExactPolynomial(p_ref)
+    assert p == twin and hash(p) == hash(twin)
+
+
+@given(rows_with_reference(), rows_with_reference(), rationals)
+def test_row_type_arithmetic_matches_fractions(a, b, t):
+    (p, p_ref), (q, q_ref) = a, b
+    assert (p + q).coeffs == _ref_add(p_ref, q_ref)
+    assert (p - q).coeffs == _ref_add(p_ref, [-c for c in q_ref])
+    assert (p * q).coeffs == _ref_mul(p_ref, q_ref)
+    assert (p * t).coeffs == (t * p).coeffs == _ref_mul(p_ref, [t])
+    assert p.derivative().coeffs == _fraction_row([j * c for j, c in enumerate(p_ref)][1:])
+    assert p(t) == sum((c * t**j for j, c in enumerate(p_ref)), Fraction(0))
+
+
+def test_from_scaled_rejects_a_nonpositive_denominator():
+    with pytest.raises(ValueError):
+        ExactPolynomial.from_scaled([1, 2], 0)
+
+
 def test_series_exp_of_z():
     # f = z has EGF coefficients [0, 1, 0, ...]; n! [z^n] exp(z) = 1
     g = [ZERO, ONE] + [ZERO] * 5

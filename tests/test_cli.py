@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -43,6 +44,44 @@ def test_triangle_json_round_trips(capsys):
     for row, entry in zip(rows, payload["rows"]):
         assert entry["n"] == row.n
         assert [str(c) for c in row.coeffs] == entry["coeffs"]
+
+
+SHIFTED_RATIONAL = "gamma: x + 1/2; m: 2/3; start: {index: 2, poly: 3/4x^2};"
+
+# sha256 of stdout, recorded while rows were still Fraction tuples
+GOLDEN_DIGESTS = {
+    ("triangle", "--family", "stirling2", "--max-n", "60", "--format", "csv"):
+        "46c219509b85ea8faeaa6c05655084dd5988b1a0e270b5e8c61756b52ce5368d",
+    ("triangle", "--family", "stirling2", "--max-n", "60", "--format", "json"):
+        "2d1e6344ffff935d320d71cfd1ecd61078b51a66d111e2b1205f19aa2f255325",
+    ("triangle", "--inline", SHIFTED_RATIONAL, "--max-n", "30", "--format", "csv"):
+        "3438b6dbb686361bfd3d8449cf092357be7254812a1a6ae1a8a0be7b0776add3",
+    ("triangle", "--inline", SHIFTED_RATIONAL, "--max-n", "30", "--format", "json"):
+        "17db872376f9207b4cb1ca57b9e2e897c8c0e8e9cf54c3ea6f534b74257dd2ff",
+    ("pmf", "--family", "dowling(m=2)", "--n", "40", "--format", "csv"):
+        "721a81c9d807a9c2f5a8a9bae3f69180a7bd7033702604bd6d4bfb533b6a05f3",
+    ("pmf", "--family", "dowling(m=2)", "--n", "40", "--format", "json"):
+        "b229fad93a558939a76f7064ca30b9dddab78487655785bb1efb5a689dd2da9c",
+    ("clt", "--family", "dowling(m=2)", "--ns", "20,40,80", "--format", "csv"):
+        "0b91c6718adc9e7dd2dfbfead25986f44f681c161ac2d1f17396d054ddb83792",
+    ("clt", "--family", "dowling(m=2)", "--ns", "20,40,80", "--format", "json"):
+        "e5dc418fe179c397a2cd0217cc422c114ae28c5e3c488ba63525bf8ec3aa3ae8",
+    ("asymptotics", "--family", "dowling(m=2)", "--ns", "30,60", "--format", "csv"):
+        "0ead224811813430183180dc8a3e3c1de2350e33aa1bb16841082db600772927",
+    ("asymptotics", "--family", "dowling(m=2)", "--ns", "30,60", "--format", "json"):
+        "0b8c1f5dba2b1a3216046e3b38f2c8e194f2757caf53aee67fbf7bdb2656a2e0",
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    list(GOLDEN_DIGESTS),
+    ids=[f"{a[0]}-{a[2] if a[1] == '--family' else 'inline'}-{a[-1]}" for a in GOLDEN_DIGESTS],
+)
+def test_output_matches_golden_digest(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[argv]
 
 
 def test_pmf_json_probs(capsys):

@@ -34,6 +34,10 @@ def test_pmf_stirling_row_three():
     }
     assert table.mean == 2
     assert table.variance == Fraction(2, 5)
+    assert table.weights == (0, 1, 3, 1) and table.total == 5
+    # a rescaled row, over any common denominator, is the same distribution
+    rescaled = ExactPolynomial.from_scaled([0, 2, 6, 2], 7)
+    assert pmf(3 * rescaled, 3) == pmf(rescaled, 3) == table
 
 
 def test_pmf_point_mass():

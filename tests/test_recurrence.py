@@ -101,7 +101,7 @@ def test_degree_bound():
 
 def scaled_rows(spec, polys):
     """The rows advance works on: Q_k = d0 D^k P_k as int lists."""
-    d, d0 = spec.scaled.denominator, spec.scaled.start_denominator
+    d, d0 = spec.scaled.denominator, spec.start_poly.denominator
     out = []
     for k, p in enumerate(polys):
         row = [c * d0 * d**k for c in p.coeffs]
@@ -156,10 +156,11 @@ def test_advance_runs_on_the_shared_kernel(monkeypatch):
 
 def test_scaled_data():
     scaled = RATIONAL_SPEC.scaled
-    assert (scaled.denominator, scaled.start_denominator) == (30, 7)
+    assert scaled.denominator == 30
     assert scaled.gamma == (10, 15) and scaled.m == 45
     assert scaled.lags == ((RATIONAL_SPEC.lags[0], (0, 180)),)
-    assert scaled.start == (0, 2)
+    start = RATIONAL_SPEC.start_poly
+    assert (start.numerators, start.denominator) == ((0, 2), 7)
     assert catalog("dowling", m=3).spec.scaled.denominator == 1
 
 
