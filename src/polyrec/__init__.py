@@ -63,7 +63,6 @@ from .families import (
     NonnegativityReport,
     SaddleFunction,
     TheoremConstants,
-    UNATTRIBUTED_OEIS_IDS,
     build_exponent,
     catalog,
     catalog_names,
@@ -116,7 +115,6 @@ __all__ = [
     "SpecSource",
     "TheoremConstants",
     "TriangleRow",
-    "UNATTRIBUTED_OEIS_IDS",
     "UnitMassError",
     "UnknownFamilyError",
     "UnsupportedShapeError",

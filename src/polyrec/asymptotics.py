@@ -280,8 +280,8 @@ def compare_exact(
     """Compare row n's exact mean, variance, and log total mass with the
     saddle-point predictions.
 
-    Row n is c x^r times n'! [z^{n'}] e^f with n' = n - egf_row_offset and
-    c x^r the prefactor (the start polynomial): x^r moves the mean up by r
+    Row n is c x^r times n'! [z^{n'}] e^f with n' = n - start_index and
+    c x^r the start polynomial: x^r moves the mean up by r
     and leaves the variance alone, and the coefficient estimate is matched
     through log P_n(1) = log c + log n'! + log [z^{n'}] e^{f(z,1)}.  A row
     with zero variance or with P_n(1) = 1 has no relative error to report
@@ -291,14 +291,14 @@ def compare_exact(
     from .distribution import pmf
     from .recurrence import generate
 
-    offset = descriptor.egf_row_offset
-    prefactor = descriptor.egf_prefactor
-    series_n = n - offset
+    start = descriptor.spec.start_index
+    prefactor = descriptor.spec.start_poly
+    series_n = n - start
     if series_n < 3:
-        raise ParameterError(f"n must be >= {offset + 3}, got {n}")
+        raise ParameterError(f"n must be >= {start + 3}, got {n}")
     report = saddle_report(descriptor.saddle, series_n)
     if poly is None:
-        poly = generate(descriptor.spec, n)[n - descriptor.spec.start_index]
+        poly = generate(descriptor.spec, n)[-1]
     table = pmf(poly, n)
     exact_mean = float(table.mean)
     exact_variance = float(table.variance)

@@ -34,7 +34,6 @@ from .errors import (
     ParseError,
     PolyrecError,
     UnsupportedShapeError,
-    ZeroMassError,
 )
 from .families import (
     FAMILIES,
@@ -46,7 +45,7 @@ from .families import (
 )
 from .oracle import verify_family
 from .recurrence import RecurrenceSpec, TriangleRow, generate, triangle
-from .speclang import SpecSource, load, parse
+from .speclang import SpecSource, load
 
 
 def _fmt_float(v: float) -> str:
@@ -68,15 +67,13 @@ def _resolve(args) -> tuple[RecurrenceSpec, Optional[FamilyDescriptor], str]:
     """Turn the chosen spec source into (spec, descriptor or None, label)."""
     if args.family is not None:
         text = args.family if "(" in args.family else args.family + "()"
-        parsed = parse(SpecSource(f"family: {text};", "<family>"))
-        descriptor = parsed.build()
-        return descriptor.spec, descriptor, descriptor.spec.label or descriptor.name
-    if args.spec is not None:
+        source = SpecSource(f"family: {text};", "<family>")
+    elif args.spec is not None:
         with open(args.spec, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        loaded = load(SpecSource(text, args.spec))
+            source = SpecSource(handle.read(), args.spec)
     else:
-        loaded = load(SpecSource(args.inline, "<inline>"))
+        source = SpecSource(args.inline, "<inline>")
+    loaded = load(source)
     if isinstance(loaded, FamilyDescriptor):
         return loaded.spec, loaded, loaded.spec.label or loaded.name
     return loaded, None, "custom"
@@ -143,18 +140,6 @@ def _cmd_triangle(args) -> int:
     return 0
 
 
-def _pmf_tables(spec: RecurrenceSpec, ns: Sequence[int]) -> list[dist.PMFTable]:
-    """PMFs of the distinct rows ns in ascending order, from one generation."""
-    ns = sorted(set(ns))
-    if not ns:
-        return []
-    start = spec.start_index
-    if ns[0] < start:
-        raise ZeroMassError(f"row {ns[0]} precedes the first row {start}")
-    polys = generate(spec, ns[-1])
-    return [dist.pmf(polys[n - start], n) for n in ns]
-
-
 def _pmf_payload(table: dist.PMFTable) -> dict:
     return {
         "n": table.n,
@@ -168,7 +153,7 @@ def _pmf_payload(table: dist.PMFTable) -> dict:
 
 def _cmd_pmf(args) -> int:
     spec, _, _ = _resolve(args)
-    (table,) = _pmf_tables(spec, [args.n])
+    (table,) = dist._row_pmfs(spec, [args.n])
     if args.format == "json":
         _emit(args, _json(_pmf_payload(table)))
         return 0
@@ -187,7 +172,7 @@ def _cmd_moments(args) -> int:
     if args.ns is None and args.n is None:
         raise ParameterError("moments needs --n or --ns")
     ns = args.ns if args.ns is not None else [args.n]
-    tables = _pmf_tables(spec, ns)
+    tables = list(dist._row_pmfs(spec, ns))
     if args.format == "json":
         _emit(args, _json([_pmf_payload(t) for t in tables]))
         return 0
@@ -313,7 +298,7 @@ def _cmd_verify(args) -> int:
 
     try:
         desc = _descriptor_for(spec, descriptor, label)
-        polys = generate(spec, args.max_n + desc.egf_row_offset)
+        polys = generate(spec, args.max_n + spec.start_index)
         mismatch = verify_egf_identity(desc, args.max_n, polys)
         if mismatch is None:
             checks.append(("egf_identity", True, f"rows 0..{args.max_n} match"))

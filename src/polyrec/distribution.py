@@ -22,9 +22,9 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .algebra import ExactPolynomial, X, ONE
+from .algebra import ExactPolynomial, ONE
 from .errors import (
     InvalidDistributionError,
     ParameterError,
@@ -33,7 +33,7 @@ from .errors import (
     ZeroVarianceError,
 )
 from .families import FamilyDescriptor
-from .recurrence import generate
+from .recurrence import RecurrenceSpec, generate
 
 
 def standard_normal_cdf(t: float) -> float:
@@ -176,24 +176,33 @@ def normality(table: PMFTable, d: int) -> NormalityReport:
     )
 
 
+def _row_pmfs(spec: RecurrenceSpec, ns: Sequence[int]) -> Iterator[PMFTable]:
+    """PMFs of the distinct rows ns in ascending order, from one generation.
+
+    A row below the start index has no mass: ZeroMassError, raised before
+    anything is generated.  Each table is built as it is drawn, so a
+    caller's own check on one row runs before the next row's PMF.
+    """
+    ns = sorted(set(ns))
+    if not ns:
+        return
+    start = spec.start_index
+    if ns[0] < start:
+        raise ZeroMassError(f"row {ns[0]} precedes the first row {start}")
+    polys = generate(spec, ns[-1])
+    for n in ns:
+        yield pmf(polys[n - start], n)
+
+
 def clt_scan(
     descriptor: FamilyDescriptor, ns: Sequence[int]
 ) -> list[NormalityReport]:
     """Normality reports for several row indices of one family."""
-    if not ns:
-        return []
     for n in ns:
         if n < 2:
             raise ParameterError(f"n must be >= 2, got {n}")
     d = descriptor.constants().d
-    start = descriptor.spec.start_index
-    polys = generate(descriptor.spec, max(ns))
-    reports = []
-    for n in sorted(set(ns)):
-        if n < start:
-            raise ZeroMassError(f"row {n} precedes the first row {start}")
-        reports.append(normality(pmf(polys[n - start], n), d))
-    return reports
+    return [normality(table, d) for table in _row_pmfs(descriptor.spec, ns)]
 
 
 @dataclass(frozen=True)

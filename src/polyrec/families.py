@@ -28,6 +28,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .algebra import (
+    ONE,
     X,
     ZERO,
     ExactPolynomial,
@@ -76,7 +77,9 @@ class SaddleFunction:
             for p in range(order + 1)
         ]
         for p, poly in enumerate(self.q1[: order + 1]):
-            out[p] = poly * math.factorial(p) + out[p]
+            nums, den = poly.scaled
+            f = math.factorial(p)
+            out[p] += ExactPolynomial.from_scaled([f * q for q in nums], den)
         return out
 
     @functools.cached_property
@@ -160,9 +163,8 @@ OracleModel = tuple[int, int, int, int, int]
 class FamilyDescriptor:
     """A named family: recurrence, EGF exponent, and metadata.
 
-    Row `egf_row_offset + n` of the spec equals
-    `egf_prefactor * n! * [z^n] exp(f)`: the offset is the start index and
-    the prefactor the start polynomial.  `oracle_model` is the partition
+    Row `spec.start_index + n` of the spec equals
+    `spec.start_poly * n! * [z^n] exp(f)`.  `oracle_model` is the partition
     model (r, m, s, row_offset, col_offset) the enumeration oracle checks
     the triangle against, or None when the family has none.
     """
@@ -174,24 +176,19 @@ class FamilyDescriptor:
     oeis_refs: tuple[str, ...] = ()
     oracle_model: Optional[OracleModel] = None
 
-    @property
-    def egf_row_offset(self) -> int:
-        return self.spec.start_index
-
-    @property
-    def egf_prefactor(self) -> ExactPolynomial:
-        return self.spec.start_poly
-
     def constants(self) -> TheoremConstants:
         return theorem_constants(self.saddle)
 
 
 def egf_rows(descriptor: FamilyDescriptor, order: int) -> list[ExactPolynomial]:
-    """Rows predicted by the EGF: prefactor * n! * [z^n] exp(f), n = 0..order."""
+    """Rows predicted by the EGF: start_poly * n! * [z^n] exp(f), n = 0..order."""
     if order < 0:
         raise InvalidIndexError(f"egf_rows needs order >= 0, got {order}")
     series = series_exp(descriptor.saddle.egf_coefficients(order))
-    return [descriptor.egf_prefactor * t for t in series]
+    start_poly = descriptor.spec.start_poly
+    if start_poly == ONE:
+        return series
+    return [start_poly * t for t in series]
 
 
 def verify_egf_identity(
@@ -202,20 +199,16 @@ def verify_egf_identity(
     """Cross-check the recurrence against the EGF exponent.
 
     `polys`, when given, are the spec's rows from its start index through
-    at least `order + egf_row_offset` (as from `generate`); otherwise they
-    are generated here.  Returns None when every row up to `order` matches
+    at least `order + start_index` (as from `generate`); otherwise they
+    are generated here.  Returns None when EGF rows 0..order all match
     exactly, else the first (row, from_recurrence, from_egf) mismatch.
     """
-    offset = descriptor.egf_row_offset
-    if polys is None:
-        polys = generate(descriptor.spec, order + offset)
-    predicted = egf_rows(descriptor, order)
     start = descriptor.spec.start_index
-    for n in range(order + 1):
-        row = n + offset
-        actual = polys[row - start] if row >= start else ZERO
-        if actual != predicted[n]:
-            return (row, actual, predicted[n])
+    if polys is None:
+        polys = generate(descriptor.spec, order + start)
+    for n, want in enumerate(egf_rows(descriptor, order)):
+        if polys[n] != want:
+            return (n + start, polys[n], want)
     return None
 
 
@@ -299,16 +292,6 @@ _SHEFFER_IDS = {
 }
 
 _GALTON_IDS = {(2, -1): "A186695", (3, -2): "A111577"}
-
-# Sheffer-family ids cited without explicit parameter values; kept as
-# metadata only.
-UNATTRIBUTED_OEIS_IDS = (
-    "A154537",
-    "A282629",
-    "A225466",
-    "A285061",
-    "A225467",
-)
 
 
 class Family(NamedTuple):

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from polyrec import cli, families, recurrence
+from polyrec import cli, distribution, families, recurrence
 from polyrec.cli import main
 from polyrec.families import catalog
 from polyrec.recurrence import triangle
@@ -188,6 +188,21 @@ def test_zero_mass_exits_3(capsys):
     assert payload["error"]["type"] == "ZeroMassError"
 
 
+@pytest.mark.parametrize("command", ["clt", "moments"])
+def test_rows_below_the_start_exit_3(capsys, command):
+    # r_stirling(r=3) starts at row 3: row 2 has no mass, whichever
+    # subcommand asks for it
+    code, out, err = run_cli(
+        capsys, command, "--family", "r_stirling(r=3)", "--ns", "2"
+    )
+    assert code == 3 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == {
+        "type": "ZeroMassError",
+        "message": "row 2 precedes the first row 3",
+    }
+
+
 @pytest.mark.parametrize(
     "source,error",
     [
@@ -258,6 +273,7 @@ def test_rows_are_generated_once(capsys, monkeypatch, argv, rows):
         return advance(spec, history, n)
 
     monkeypatch.setattr(cli, "generate", counting_generate)
+    monkeypatch.setattr(distribution, "generate", counting_generate)
     monkeypatch.setattr(families, "generate", counting_generate)
     monkeypatch.setattr(recurrence, "advance", counting_advance)
     code, _, err = run_cli(capsys, *argv)

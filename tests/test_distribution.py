@@ -159,3 +159,8 @@ def test_clt_scan_converges():
 def test_clt_scan_rejects_n_one():
     with pytest.raises(ParameterError):
         clt_scan(catalog("stirling2"), [1])
+
+
+def test_clt_scan_rejects_rows_below_the_start():
+    with pytest.raises(ZeroMassError, match="row 2 precedes the first row 3"):
+        clt_scan(catalog("r_stirling", r=3), [2])

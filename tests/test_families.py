@@ -17,7 +17,6 @@ from polyrec.errors import (
 from polyrec.families import (
     FamilyDescriptor,
     SaddleFunction,
-    UNATTRIBUTED_OEIS_IDS,
     build_exponent,
     catalog,
     catalog_names,
@@ -57,6 +56,31 @@ def test_egf_rows_prefactor():
     assert rows[0] == monomial(3)
     polys = generate(descriptor.spec, 7)
     assert rows[4] == polys[4]
+
+
+def test_egf_rows_skip_a_unit_start_polynomial(monkeypatch):
+    # with start polynomial 1 the series rows are the rows: no product
+    descriptor = catalog("stirling2")
+    want = generate(descriptor.spec, 10)
+
+    def refuse(self, other):
+        raise AssertionError("unexpected polynomial product")
+
+    monkeypatch.setattr(ExactPolynomial, "__mul__", refuse)
+    assert egf_rows(descriptor, 10) == want
+
+
+def test_verify_egf_identity_reports_the_spec_row():
+    # r_stirling(r=3) with the exponent of stirling2: EGF row 0 (spec row 3)
+    # agrees, EGF row 1 is x^4 against the spec's x^4 + 3x^3
+    shifted = catalog("r_stirling", r=3)
+    wrong = FamilyDescriptor(
+        "wrong", {}, shifted.spec, build_exponent(catalog("stirling2").spec)
+    )
+    polys = generate(shifted.spec, 8)
+    mismatch = (4, polys[1], monomial(4))
+    assert verify_egf_identity(wrong, 5) == mismatch
+    assert verify_egf_identity(wrong, 5, polys) == mismatch
 
 
 def test_egf_rows_order_bounds():
@@ -210,7 +234,6 @@ def test_oeis_tags():
     assert catalog("stirling_frobenius", m=3).oeis_refs == ("A225468",)
     assert catalog("galton", m=2, c=-1).oeis_refs == ("A186695",)
     assert catalog("galton", m=3, c=-2).oeis_refs == ("A111577",)
-    assert len(UNATTRIBUTED_OEIS_IDS) == 5
 
 
 def test_sheffer_scales_stirling_frobenius():
