@@ -17,6 +17,7 @@ layers.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -274,14 +275,15 @@ def series_exp(g: Sequence[ExactPolynomial]) -> list[ExactPolynomial]:
     c = _exp_scale(g)
     h = [scaled_ints(poly, c**p) for p, poly in enumerate(g)]
     rows: list[list[int]] = [[1]]
+    pascal = [1]  # C(n, i) for i = 0..n
     for n in range(len(g) - 1):
-        terms = [
-            (h[i + 1], rows[n - i], i) for i in range(n + 1) if h[i + 1] and rows[n - i]
-        ]
+        # (h_{i+1}, U_{n-i}, C(n, i)) for i = 0..n
+        terms = [(a, b, w) for a, b, w in zip(h[1:], reversed(rows), pascal) if a and b]
         out = [0] * max((len(a) + len(b) - 1 for a, b, _ in terms), default=0)
-        for a, b, i in terms:
-            add_product(out, a, b, math.comb(n, i))
+        for a, b, w in terms:
+            add_product(out, a, b, w)
         while out and not out[-1]:
             out.pop()
         rows.append(out)
+        pascal = [1, *map(operator.add, pascal, pascal[1:]), 1]
     return [ExactPolynomial.from_scaled(row, c**n) for n, row in enumerate(rows)]

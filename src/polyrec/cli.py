@@ -24,8 +24,9 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import asymptotics as asym
 from . import distribution as dist
@@ -89,26 +90,31 @@ def _descriptor_for(spec: RecurrenceSpec, descriptor: Optional[FamilyDescriptor]
     )
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+def _emit(args, pieces: Iterable[str]) -> None:
+    """Write the text pieces to --out or stdout as they arrive, then a
+    newline unless the text already ends with one.
+
+    Anything that can fail must be computed before this is called: the
+    --out file is opened, and stdout written to, as soon as it starts.
+    """
+    last = ""
+    sink = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    with sink as handle:
+        for piece in pieces:
+            handle.write(piece)
+            last = piece or last
+        if not last.endswith("\n"):
+            handle.write("\n")
 
 
-def _csv(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines)
+def _csv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> Iterator[str]:
+    yield ",".join(header)
+    for row in rows:
+        yield "\n" + ",".join(row)
 
 
-def _json(payload) -> str:
-    return json.dumps(payload, indent=2)
+def _json(payload) -> list[str]:
+    return [json.dumps(payload, indent=2)]
 
 
 # command bodies ---------------------------------------------------------
@@ -126,17 +132,51 @@ def _row_texts(poly) -> list[str]:
     return texts
 
 
+def _check_texts(polys) -> None:
+    """Raise the ValueError that `_row_texts` would raise on the first
+    coefficient past Python's int-to-str digit limit, if any.
+
+    Only rows holding a numerator or denominator with enough bits to reach
+    the limit are converted, so the check is cheap when nothing is near it.
+    """
+    # the limit arrived in 3.10.7; 0 means none
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return
+    # log2(10) > 3.321928, so an int of at most safe_bits bits is below
+    # 10**limit and has at most `limit` digits
+    safe_bits = limit * 3321928 // 1000000
+    for poly in polys:
+        nums, den = poly.scaled
+        if max(map(int.bit_length, (den, *nums))) > safe_bits:
+            _row_texts(poly)
+
+
+def _json_rows(rows: Iterable[tuple[int, list[str]]]) -> Iterator[str]:
+    """The text of _json({"rows": [{"n": n, "coeffs": texts}, ...]}) for a
+    non-empty `rows`, one row per piece."""
+    sep = '{\n  "rows": [\n'
+    for n, texts in rows:
+        block = json.dumps({"n": n, "coeffs": texts}, indent=2)
+        yield sep + "    " + block.replace("\n", "\n    ")
+        sep = ",\n"
+    yield "\n  ]\n}"
+
+
 def _cmd_triangle(args) -> int:
     spec, _, _ = _resolve(args)
-    rows = [(row.n, _row_texts(row.poly)) for row in triangle(spec, args.max_n)]
+    rows = triangle(spec, args.max_n)
+    # the rows are written as they are converted to text, so any conversion
+    # failure must surface before the first byte is written
+    _check_texts(row.poly for row in rows)
+    texts = ((row.n, _row_texts(row.poly)) for row in rows)
     if args.format == "json":
-        payload = {"rows": [{"n": n, "coeffs": texts} for n, texts in rows]}
-        _emit(args, _json(payload))
+        _emit(args, _json_rows(texts))
         return 0
-    width = max((len(texts) for _, texts in rows), default=1)
+    width = max(len(row.poly.scaled[0]) for row in rows)
     header = ["n"] + [f"c{k}" for k in range(width)]
-    out = [[str(n)] + texts + ["0"] * (width - len(texts)) for n, texts in rows]
-    _emit(args, _csv(header, out))
+    lines = ([str(n)] + t + ["0"] * (width - len(t)) for n, t in texts)
+    _emit(args, _csv(header, lines))
     return 0
 
 
@@ -312,7 +352,7 @@ def _cmd_verify(args) -> int:
         checks.append(("egf_identity", True, f"skipped: {err}"))
 
     if descriptor is not None:
-        report = verify_family(descriptor, 8)
+        report = verify_family(descriptor, 8, polys)
         if report.skipped:
             checks.append(("enumeration", True, f"skipped: {report.notice}"))
         else:

@@ -15,8 +15,9 @@ exact integers, which is the point: it is the independent witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
+from .algebra import ExactPolynomial
 from .errors import ParameterError, SizeGuardError
 from .families import FamilyDescriptor
 
@@ -102,12 +103,18 @@ class OracleReport:
         return f"{self.family}: mismatch at (n={n}, k={k}): triangle {got}, oracle {want}"
 
 
-def verify_family(descriptor: FamilyDescriptor, n_max: int) -> OracleReport:
+def verify_family(
+    descriptor: FamilyDescriptor,
+    n_max: int,
+    polys: Optional[Sequence[ExactPolynomial]] = None,
+) -> OracleReport:
     """Check the recurrence triangle against enumeration for rows <= n_max.
 
-    Families without a registered combinatorial model (galton, sheffer,
-    whitney with negative c) come back skipped-with-notice rather than
-    failing.
+    `polys` are the spec's rows from its start index on (as from
+    `generate`); they are generated here when not given or when they stop
+    short of `n_max`.  Families without a registered combinatorial model (galton,
+    sheffer, whitney with negative c) come back skipped-with-notice rather
+    than failing.
     """
     from .recurrence import generate
 
@@ -123,7 +130,8 @@ def verify_family(descriptor: FamilyDescriptor, n_max: int) -> OracleReport:
         )
     r, m, s, row_offset, col_offset = model
     start = descriptor.spec.start_index
-    polys = generate(descriptor.spec, n_max) if n_max >= start else []
+    if polys is None or start + len(polys) <= n_max:
+        polys = generate(descriptor.spec, n_max) if n_max >= start else []
     for row in range(start, n_max + 1):
         n_elements = row - row_offset
         counts = count_partitions(PartitionConstraint(n=n_elements, r=r, m=m, s=s))

@@ -1,7 +1,10 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
+import functools
 import hashlib
+import io
 import json
+import sys
 
 import pytest
 
@@ -9,6 +12,7 @@ from polyrec import cli, distribution, families, recurrence
 from polyrec.cli import main
 from polyrec.families import catalog
 from polyrec.recurrence import triangle
+from polyrec.speclang import load
 
 
 def run_cli(capsys, *argv):
@@ -70,6 +74,14 @@ GOLDEN_DIGESTS = {
         "0ead224811813430183180dc8a3e3c1de2350e33aa1bb16841082db600772927",
     ("asymptotics", "--family", "dowling(m=2)", "--ns", "30,60", "--format", "json"):
         "0b8c1f5dba2b1a3216046e3b38f2c8e194f2757caf53aee67fbf7bdb2656a2e0",
+    # recorded while the whole triangle text was built before writing: a zero
+    # row ("coeffs": []) and an integer spec starting at row 3
+    ("triangle", "--family", "assoc_stirling(s=2)", "--max-n", "12", "--format", "json"):
+        "ff0f668366ab3d1528224fdfea7106015f4768e3ca2d08bd7d90132276727bb1",
+    ("triangle", "--family", "r_stirling(r=3)", "--max-n", "20", "--format", "csv"):
+        "6ed879fee1286bbca03a854bcc009d26d617d0ec50b9bd30a2cd1f6e292fb837",
+    ("triangle", "--family", "r_stirling(r=3)", "--max-n", "20", "--format", "json"):
+        "700060140b4f77eafaa8d872b3b5d2589d5bc0036a65fc4cd537cd82e63bfcd1",
 }
 
 
@@ -82,6 +94,138 @@ def test_output_matches_golden_digest(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[argv]
+
+
+class RecordingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_triangle_is_written_row_by_row(monkeypatch, fmt):
+    stdout = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["triangle", "--family", "stirling2", "--max-n", "40", "--format", fmt]) == 0
+    assert len(stdout.writes) >= 41
+    if fmt == "csv":
+        header, *lines = stdout.getvalue().splitlines()
+        assert len(lines) == 41
+        assert max(map(len, stdout.writes)) <= len(header) + max(map(len, lines))
+    else:
+        assert len(json.loads(stdout.getvalue())["rows"]) == 41
+        assert max(map(len, stdout.writes)) < len(stdout.getvalue()) / 10
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "source", [("--family", "stirling2"), ("--inline", SHIFTED_RATIONAL)]
+)
+def test_out_file_matches_stdout(tmp_path, capsys, source, fmt):
+    argv = ("triangle", *source, "--max-n", "30", "--format", fmt)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    target = tmp_path / "rows"
+    code, second, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 0 and second == "" and err == ""
+    assert target.read_bytes() == out.encode()
+
+
+# m = 10^30 makes row 160's entries far longer than Python's 4300-digit
+# int-to-str limit (the benchmark's contract probe)
+OVERLONG = f"gamma: x + 1; m: {10**30};"
+# row 0 is 9e4299 + 9e4299 x (4300 digits, printable); row 1 is
+# 1.8e4300 + 3.6e4300 x + 9e4299 x^2, the first entry past the limit by one
+# digit, and later rows are longer still
+NINE_E4299 = "9" + "0" * 4299
+BOUNDARY = f"gamma: x + 2; m: 1; start: {{index: 0, poly: {NINE_E4299}x + {NINE_E4299}}};"
+# row n is 1 / (9e4299)^n: short numerators, and row 2's denominator is the
+# first entry past the limit
+DENOMINATOR = f"gamma: 1/{NINE_E4299}; m: 1;"
+
+
+@functools.lru_cache(maxsize=None)
+def first_conversion_error(text, max_n):
+    """The stderr line of the first entry, in row then column order, whose
+    text conversion fails."""
+    for row in triangle(load(text), max_n):
+        for c in row.coeffs:
+            try:
+                str(c)
+            except ValueError as err:
+                return json.dumps({"error": {"type": "ValueError", "message": str(err)}}) + "\n"
+    return None
+
+
+@pytest.mark.parametrize("use_out", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "text,max_n", [(OVERLONG, 160), (BOUNDARY, 1), (BOUNDARY, 3), (DENOMINATOR, 2)],
+    ids=["overlong", "boundary-1", "boundary-3", "denominator"],
+)
+def test_overlong_entry_writes_nothing(tmp_path, capsys, text, max_n, fmt, use_out):
+    target = tmp_path / "rows"
+    extra = ("--out", str(target)) if use_out else ()
+    code, out, err = run_cli(
+        capsys, "triangle", "--inline", text, "--max-n", str(max_n), "--format", fmt, *extra
+    )
+    assert code == 4 and out == ""
+    assert err == first_conversion_error(text, max_n)
+    assert "Exceeds the limit (4300" in err
+    assert not target.exists()
+
+
+def test_overlong_check_stops_at_the_first_failing_row(capsys, monkeypatch):
+    # row 0's entries have enough bits to need a look but print; row 1 fails,
+    # and rows 2 and 3, longer still, are never converted
+    seen = []
+
+    def spy(poly, row_texts=cli._row_texts):
+        seen.append(poly.degree)
+        return row_texts(poly)
+
+    monkeypatch.setattr(cli, "_row_texts", spy)
+    code, out, _ = run_cli(capsys, "triangle", "--inline", BOUNDARY, "--max-n", "3")
+    assert code == 4 and out == ""
+    assert seen == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "text,row",
+    [
+        # 4300 nines: the longest printable entry
+        (f"gamma: x; m: 1; start: {{index: 0, poly: {'9' * 4300}}};", ["0", "9" * 4300]),
+        # the scaled numerator 2 * 8e4299 has 4301 digits, the reduced ones fewer
+        (
+            f"gamma: x + 1/2; m: 1; start: {{index: 0, poly: 8{'0' * 4299}}};",
+            ["4" + "0" * 4299, "8" + "0" * 4299],
+        ),
+        (f"gamma: x; m: 1; start: {{index: 0, poly: 1/{'9' * 4300}}};", ["0", "1/" + "9" * 4300]),
+    ],
+    ids=["nines", "reduced", "denominator"],
+)
+def test_longest_printable_entries_are_written(capsys, text, row):
+    code, out, err = run_cli(capsys, "triangle", "--inline", text, "--max-n", "1")
+    assert code == 0 and err == ""
+    assert out.splitlines()[2].split(",") == ["1"] + row
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+def test_no_digit_limit_prints_everything(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, out, err = run_cli(capsys, "triangle", "--inline", BOUNDARY, "--max-n", "1")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0 and err == ""
+    assert out.splitlines()[2].split(",")[1:3] == ["18" + "0" * 4299, "36" + "0" * 4299]
 
 
 def test_pmf_json_probs(capsys):
@@ -256,8 +400,8 @@ def test_moments_table(capsys):
     "argv,rows",
     [
         (("moments", "--family", "stirling2", "--ns", "10,30,20"), 30),
-        # rows 1..30 once, plus the enumeration oracle's own rows 1..8
-        (("verify", "--family", "dowling(m=2)", "--max-n", "30"), 30 + 8),
+        # rows 1..30 once; the enumeration oracle reads rows 1..8 of them
+        (("verify", "--family", "dowling(m=2)", "--max-n", "30"), 30),
         (("asymptotics", "--family", "stirling2", "--ns", "10,30,20"), 30),
     ],
 )

@@ -128,3 +128,15 @@ def test_verify_family_reports_mismatch():
     assert report.first_mismatch is not None
     n, k, got, want = report.first_mismatch
     assert got != want
+
+
+def test_verify_family_reads_the_given_rows():
+    descriptor = catalog("stirling2")
+    rows = generate(descriptor.spec, 7)
+    assert verify_family(descriptor, 5, rows).ok
+    doubled = rows[:3] + [rows[3] * 2] + rows[4:]
+    report = verify_family(descriptor, 5, doubled)
+    assert not report.ok
+    assert report.first_mismatch == (3, 1, 2, 1)
+    # rows that stop short of n_max are generated afresh
+    assert verify_family(descriptor, 5, doubled[:4]).ok
