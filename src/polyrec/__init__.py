@@ -5,7 +5,8 @@ The pipeline, end to end:
 
     recurrence  P_n = gamma P_{n-1} + m x P'_{n-1} + lag terms   (exact rows)
     families    named instances with closed-form EGF exponents
-    oracle      brute-force partition enumeration (independent witness)
+    oracle      weighted partition counts over block-size profiles
+                (independent witness)
     distribution  exact PMFs, moments, distance-to-normal diagnostics
     asymptotics saddle-point predictions: mean ~ d n / log n,
                 variance ~ d^2 n / log^2 n, coefficient estimates

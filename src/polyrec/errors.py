@@ -34,7 +34,7 @@ class ParameterError(PolyrecError):
 
 
 class SizeGuardError(PolyrecError):
-    """Exhaustive enumeration was requested beyond the desk-scale guard."""
+    """The partition oracle was asked for more elements than its guard allows."""
 
 
 class InvalidDistributionError(PolyrecError):

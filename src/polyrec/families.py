@@ -249,7 +249,7 @@ def _require_int(params: dict, key: str, minimum: Optional[int] = None) -> int:
         if value.denominator != 1:
             raise ParameterError(f"parameter {key!r} must be an integer, got {value}")
         value = int(value)
-    if not isinstance(value, int):
+    if not isinstance(value, int) or isinstance(value, bool):
         raise ParameterError(f"parameter {key!r} must be an integer")
     if minimum is not None and value < minimum:
         raise ParameterError(f"parameter {key!r} must be >= {minimum}, got {value}")

@@ -1,4 +1,4 @@
-"""Brute-force partition enumeration for validating triangles at small n.
+"""Weighted partition counting for validating triangles at small n.
 
 The counting model: partitions of r + n elements where the first r
 (distinguished) elements lie in pairwise different blocks, every block
@@ -6,10 +6,15 @@ containing no distinguished element has at least s elements, and each such
 non-distinguished block B carries multiplicative weight m^(|B| - 1).
 Counts are grouped by the number of non-distinguished blocks.
 
-The walk is a restricted-growth enumeration over block choices; colors are
-folded in as weights rather than materialized, so the structure space stays
-desk-sized.  This module shares no code with the recurrence engine beyond
-exact integers, which is the point: it is the independent witness.
+The n plain elements are placed one at a time, each making one of three
+choices: join one of the r distinguished blocks, join an existing
+non-distinguished block (one more color factor m), or open a new block.
+Only the block-size profile matters to what follows, so the walk keeps one
+weight per profile (how many blocks have size 1, 2, ..., s - 1 and at least
+s) and merges equal profiles after each element; its cost is polynomial in
+n rather than the number of partitions.  This module shares no code with
+the recurrence engine beyond exact integers, which is the point: it is the
+independent witness.
 """
 
 from __future__ import annotations
@@ -38,12 +43,12 @@ class PartitionConstraint:
     def __post_init__(self):
         for name, minimum in (("n", 0), ("r", 0), ("m", 1), ("s", 1)):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < minimum:
+            if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
                 raise ParameterError(f"{name} must be an integer >= {minimum}")
 
 
 def count_partitions(constraint: PartitionConstraint) -> dict[int, int]:
-    """Exhaustively enumerate and weight the constrained partitions.
+    """Count the constrained partitions, weighted, over block-size profiles.
 
     Returns {number of non-distinguished blocks: total weight}, omitting
     zero entries.  Raises SizeGuardError beyond r + n = 14 elements.
@@ -53,33 +58,34 @@ def count_partitions(constraint: PartitionConstraint) -> dict[int, int]:
         raise SizeGuardError(
             f"r + n = {r + n} exceeds the enumeration guard ({MAX_ELEMENTS})"
         )
+    # profile[i] counts the non-distinguished blocks of size i + 1 for
+    # i < s - 1, and profile[s - 1] those of size >= s.  A profile is
+    # dropped once its undersized blocks need more elements than are left,
+    # so every profile left after the last element has zero deficit.
+    layer: dict[tuple[int, ...], int] = {(0,) * s: 1}
+    for left in range(n - 1, -1, -1):
+        following: dict[tuple[int, ...], int] = {}
+        for profile, weight in layer.items():
+            # join one of the r distinguished blocks
+            moves = [(profile, weight * r)] if r else []
+            # join one of the c blocks of size i + 1 (a non-smallest member,
+            # hence one color factor m); a block of size >= s stays put
+            for i, c in enumerate(profile):
+                if c:
+                    grown = list(profile)
+                    if i < s - 1:
+                        grown[i] -= 1
+                        grown[i + 1] += 1
+                    moves.append((tuple(grown), weight * c * m))
+            # open a new non-distinguished block
+            moves.append(((profile[0] + 1,) + profile[1:], weight))
+            for after, w in moves:
+                if sum(c * (s - 1 - i) for i, c in enumerate(after)) <= left:
+                    following[after] = following.get(after, 0) + w
+        layer = following
     counts: dict[int, int] = {}
-    sizes: list[int] = []  # sizes of non-distinguished blocks, in creation order
-
-    def walk(placed: int, deficit: int, weight: int) -> None:
-        if placed == n:
-            if deficit == 0:
-                k = len(sizes)
-                counts[k] = counts.get(k, 0) + weight
-            return
-        if deficit > n - placed:
-            return  # too few elements left to fill all blocks to size s
-        # join one of the r distinguished blocks
-        for _ in range(r):
-            walk(placed + 1, deficit, weight)
-        # join an existing non-distinguished block (a non-smallest member,
-        # hence one color factor m)
-        for b in range(len(sizes)):
-            gain = 1 if sizes[b] < s else 0
-            sizes[b] += 1
-            walk(placed + 1, deficit - gain, weight * m)
-            sizes[b] -= 1
-        # open a new non-distinguished block
-        sizes.append(1)
-        walk(placed + 1, deficit + s - 1, weight)
-        sizes.pop()
-
-    walk(0, 0, 1)
+    for profile, weight in layer.items():
+        counts[profile[-1]] = counts.get(profile[-1], 0) + weight
     return counts
 
 

@@ -217,6 +217,16 @@ def test_catalog_unknown_and_bad_params():
         catalog("r_stirling", r=-1)
 
 
+def test_catalog_rejects_bool_parameters():
+    for name, params in [
+        ("dowling", dict(m=True)),
+        ("r_stirling", dict(r=False)),
+        ("r_whitney_assoc", dict(m=2, r=1, s=True)),
+    ]:
+        with pytest.raises(ParameterError):
+            catalog(name, **params)
+
+
 def test_oeis_tags():
     assert catalog("stirling2").oeis_refs == ("A048993",)
     assert catalog("dowling", m=2).oeis_refs == ("A007405", "A039755")

@@ -1,16 +1,27 @@
-"""Brute-force partition enumeration against the recurrence engine."""
+"""The partition-counting oracle against brute-force enumeration and the
+recurrence engine."""
 
 import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyrec.errors import ParameterError, SizeGuardError
 from polyrec.families import catalog
-from polyrec.oracle import PartitionConstraint, count_partitions, verify_family
+from polyrec.oracle import (
+    MAX_ELEMENTS,
+    PartitionConstraint,
+    count_partitions,
+    verify_family,
+)
 from polyrec.recurrence import generate
 
-BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
+BELL = [
+    1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975,
+    678570, 4213597, 27644437, 190899322,
+]
 
 
 def test_counts_match_worked_examples():
@@ -30,7 +41,8 @@ def test_counts_match_worked_examples():
 
 
 def test_unweighted_totals_are_bell_numbers():
-    for n in range(11):
+    assert len(BELL) == MAX_ELEMENTS + 1
+    for n in range(len(BELL)):
         counts = count_partitions(PartitionConstraint(n=n))
         assert sum(counts.values()) == BELL[n]
 
@@ -77,6 +89,52 @@ def test_counts_match_independent_rgs_enumeration():
                 assert got == expected, (n, m, s)
 
 
+def test_counts_match_brute_force_with_distinguished_elements():
+    # restricted-growth strings over the r + n elements, written from
+    # scratch: the r distinguished elements come first and open blocks
+    # 0..r-1, so they lie in pairwise different blocks
+    def brute_force(n, r, m, s):
+        out = {}
+
+        def rec(prefix, blocks):
+            if len(prefix) == r + n:
+                sizes = [prefix.count(b) for b in range(r, blocks)]
+                if all(size >= s for size in sizes):
+                    weight = 1
+                    for size in sizes:
+                        weight *= m ** (size - 1)
+                    out[len(sizes)] = out.get(len(sizes), 0) + weight
+                return
+            for b in range(blocks + 1):
+                rec(prefix + [b], max(blocks, b + 1))
+
+        rec(list(range(r)), r)
+        return out
+
+    for r in (0, 1, 2):
+        for m in (1, 2, 3):
+            for s in (1, 2, 3):
+                for n in range(9 - r):
+                    expected = brute_force(n, r, m, s)
+                    got = count_partitions(PartitionConstraint(n=n, r=r, m=m, s=s))
+                    assert got == expected, (n, r, m, s)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    m=st.integers(1, 4),
+    r=st.integers(0, 3),
+    s=st.integers(1, 4),
+)
+def test_random_models_match_the_recurrence_up_to_the_guard(m, r, s):
+    report = verify_family(catalog("r_whitney_assoc", m=m, r=r, s=s), MAX_ELEMENTS - r)
+    assert report.ok and not report.skipped, report
+    # r_stirling(r) row n counts partitions of n elements, r of them
+    # distinguished
+    report = verify_family(catalog("r_stirling", r=r), MAX_ELEMENTS)
+    assert report.ok and not report.skipped, report
+
+
 def test_constraint_validation():
     with pytest.raises(ParameterError):
         PartitionConstraint(n=-1)
@@ -86,6 +144,10 @@ def test_constraint_validation():
         PartitionConstraint(n=2, s=0)
     with pytest.raises(ParameterError):
         PartitionConstraint(n=2, r=-1)
+    with pytest.raises(ParameterError):
+        PartitionConstraint(n=True)
+    with pytest.raises(ParameterError):
+        PartitionConstraint(n=2, s=True)
     with pytest.raises(SizeGuardError):
         count_partitions(PartitionConstraint(n=13, r=2))
 
