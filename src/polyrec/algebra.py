@@ -7,11 +7,11 @@ over as such pairs without touching a coefficient: `recurrence.advance`
 scales row n by one common denominator d0 D^n, and `series_exp` scales row
 n by c^n for one integer c chosen from the denominators of its input; both
 step plain `int` lists through the one convolution `add_product`.  For
-integer data the denominator is 1.  A pair is brought to lowest terms only
-when `==`, `hash`, `numerators` or `denominator` needs it, so identity tests
-stay exact; `coeffs`, the `Fraction` view, is built on first read.
-Floating point enters the picture only in the distribution and asymptotics
-layers.
+integer data the denominator is 1.  A pair is brought to lowest terms when
+the row is built (integer rows skip the gcd), so the stored pair is the
+value and `==` and `hash` compare it directly; `coeffs`, the `Fraction`
+view, is built on each read.  Floating point enters the picture only in the
+distribution and asymptotics layers.
 """
 
 from __future__ import annotations
@@ -40,12 +40,12 @@ class ExactPolynomial:
     """Dense univariate polynomial over exact rationals: coefficient j, of
     x^j, is numerator j over one positive denominator.
 
-    There are no trailing zero numerators; the zero polynomial has none and
-    degree -1.  The value is immutable; reducing the pair to lowest terms
-    changes only how it is stored.
+    The pair is in lowest terms and has no trailing zero numerators; the
+    zero polynomial has none, denominator 1 and degree -1.  The value is
+    immutable.
     """
 
-    __slots__ = ("_nums", "_den", "_coeffs")
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [as_fraction(c) for c in coeffs]
@@ -57,7 +57,7 @@ class ExactPolynomial:
         cls, numerators: Iterable[int], denominator: int = 1
     ) -> ExactPolynomial:
         """The polynomial with coefficients numerators[j] / denominator; the
-        pair need not be in lowest terms."""
+        pair need not be in lowest terms, it is reduced here."""
         if denominator < 1:
             raise ValueError(f"denominator must be >= 1, got {denominator}")
         poly = cls.__new__(cls)
@@ -69,35 +69,27 @@ class ExactPolynomial:
         end = len(nums)
         while end and not nums[end - 1]:
             end -= 1
-        self._nums, self._den, self._coeffs = nums[:end], den, None
-
-    def _lowest(self) -> tuple[tuple[int, ...], int]:
-        g = math.gcd(self._den, *self._nums)
-        if g > 1:
-            self._nums, self._den = tuple(q // g for q in self._nums), self._den // g
-        return self._nums, self._den
-
-    @property
-    def scaled(self) -> tuple[tuple[int, ...], int]:
-        """(numerators, denominator) as stored, not necessarily in lowest terms."""
-        return self._nums, self._den
+        nums = nums[:end]
+        if den > 1:
+            g = math.gcd(den, *nums)
+            if g > 1:
+                nums, den = tuple(q // g for q in nums), den // g
+        self._nums, self._den = nums, den
 
     @property
     def numerators(self) -> tuple[int, ...]:
         """Numerators over `denominator`, in lowest terms."""
-        return self._lowest()[0]
+        return self._nums
 
     @property
     def denominator(self) -> int:
         """The lcm of the coefficients' reduced denominators."""
-        return self._lowest()[1]
+        return self._den
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients as Fractions, built on first read."""
-        if self._coeffs is None:
-            self._coeffs = tuple(Fraction(q, self._den) for q in self._nums)
-        return self._coeffs
+        """The coefficients as Fractions, built on each read."""
+        return tuple(Fraction(q, self._den) for q in self._nums)
 
     @property
     def degree(self) -> int:
@@ -169,11 +161,11 @@ class ExactPolynomial:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ExactPolynomial):
-            return self._lowest() == other._lowest()
+            return self._den == other._den and self._nums == other._nums
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._lowest())
+        return hash((self._nums, self._den))
 
     def __str__(self) -> str:
         return format_terms(self.coeffs)

@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .algebra import ExactPolynomial
+from .distribution import pmf
 from .errors import (
     ParameterError,
     SaddleFailureError,
@@ -33,6 +34,7 @@ from .errors import (
     ZeroVarianceError,
 )
 from .families import FamilyDescriptor, SaddleFunction, theorem_constants
+from .recurrence import generate
 
 _LOG_SCALE_THRESHOLD = 300.0
 _FLOAT_LOG_MAX = 709.0  # log of the largest finite double, minus headroom
@@ -51,31 +53,31 @@ class Partials(NamedTuple):
 
 def _exp_sums(sf: SaddleFunction, z: float, x: float) -> tuple[float, float, float]:
     """(Q2(u), u Q2'(u), u^2 Q2''(u)) at u = x e^{m z}, log-scaled if needed."""
-    m = float(sf.m)
+    m, q2, _ = sf.floats
     w = m * z + math.log(x)  # log u
     c0 = s1 = s2 = 0.0
     if m * z <= _LOG_SCALE_THRESHOLD and w * max(sf.q2.degree, 1) <= _FLOAT_LOG_MAX:
         u = math.exp(w)
         power = 1.0
-        for j, cj in enumerate(sf.q2.coeffs):
+        for j, cj in enumerate(q2):
             if j:
                 power *= u
             if cj == 0:
                 continue
-            t = float(cj) * power
+            t = cj * power
             c0 += t
             s1 += j * t
             s2 += j * (j - 1) * t
         return c0, s1, s2
-    for j, cj in enumerate(sf.q2.coeffs):
+    for j, cj in enumerate(q2):
         if cj == 0:
             continue
-        log_t = math.log(abs(float(cj))) + j * w
+        log_t = math.log(abs(cj)) + j * w
         if log_t > _FLOAT_LOG_MAX:
             raise SaddleOverflowError(
                 f"term of degree {j} exceeds double range at z={z!r}, x={x!r}"
             )
-        t = math.copysign(math.exp(log_t), float(cj))
+        t = math.copysign(math.exp(log_t), cj)
         c0 += t
         s1 += j * t
         s2 += j * (j - 1) * t
@@ -101,11 +103,11 @@ def f_partials(sf: SaddleFunction, z: float, x: float) -> Partials:
     """
     if x <= 0:
         raise ParameterError(f"x must be > 0, got {x!r}")
-    m = float(sf.m)
+    m, _, q1 = sf.floats
     q2_val, a, b = _exp_sums(sf, z, x)
 
     f = f_z = f_zz = f_x = f_zx = f_xx = 0.0
-    for p, (c, dc, ddc) in enumerate(sf.q1_floats):
+    for p, (c, dc, ddc) in enumerate(q1):
         v = _poly_at(c, x)
         dv = _poly_at(dc, x)
         ddv = _poly_at(ddc, x)
@@ -155,7 +157,7 @@ def solve_saddle(sf: SaddleFunction, n: int, x: float = 1.0) -> float:
             f"coefficient and m > 0 (got d={constants.d}, "
             f"alpha_d={constants.alpha_d}, m={sf.m})"
         )
-    m = float(sf.m)
+    m = sf.floats[0]
     d = constants.d
 
     lo, s_lo = 0.0, -float(n)
@@ -288,9 +290,6 @@ def compare_exact(
     and raises ZeroVarianceError or UnitMassError.  `poly`, when given, is
     the spec's row P_n (as from `generate`); otherwise it is generated here.
     """
-    from .distribution import pmf
-    from .recurrence import generate
-
     start = descriptor.spec.start_index
     prefactor = descriptor.spec.start_poly
     series_n = n - start

@@ -25,7 +25,6 @@ import json
 import math
 import sys
 from contextlib import nullcontext
-from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import asymptotics as asym
@@ -53,10 +52,6 @@ def _fmt_float(v: float) -> str:
     return format(v, ".12g")
 
 
-def _fmt_exact(v: Fraction) -> str:
-    return str(v)
-
-
 def _parse_ns(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
@@ -76,7 +71,7 @@ def _resolve(args) -> tuple[RecurrenceSpec, Optional[FamilyDescriptor], str]:
         source = SpecSource(args.inline, "<inline>")
     loaded = load(source)
     if isinstance(loaded, FamilyDescriptor):
-        return loaded.spec, loaded, loaded.spec.label or loaded.name
+        return loaded.spec, loaded, loaded.label
     return loaded, None, "custom"
 
 
@@ -122,7 +117,7 @@ def _json(payload) -> list[str]:
 
 def _row_texts(poly) -> list[str]:
     """The row's coefficients as text, each byte-identical to str(Fraction)."""
-    nums, den = poly.scaled
+    nums, den = poly.numerators, poly.denominator
     if den == 1:
         return list(map(str, nums))
     texts = []
@@ -147,8 +142,7 @@ def _check_texts(polys) -> None:
     # 10**limit and has at most `limit` digits
     safe_bits = limit * 3321928 // 1000000
     for poly in polys:
-        nums, den = poly.scaled
-        if max(map(int.bit_length, (den, *nums))) > safe_bits:
+        if max(map(int.bit_length, (poly.denominator, *poly.numerators))) > safe_bits:
             _row_texts(poly)
 
 
@@ -173,7 +167,7 @@ def _cmd_triangle(args) -> int:
     if args.format == "json":
         _emit(args, _json_rows(texts))
         return 0
-    width = max(len(row.poly.scaled[0]) for row in rows)
+    width = max(len(row.poly.numerators) for row in rows)
     header = ["n"] + [f"c{k}" for k in range(width)]
     lines = ([str(n)] + t + ["0"] * (width - len(t)) for n, t in texts)
     _emit(args, _csv(header, lines))
@@ -183,9 +177,9 @@ def _cmd_triangle(args) -> int:
 def _pmf_payload(table: dist.PMFTable) -> dict:
     return {
         "n": table.n,
-        "probs": {str(k): _fmt_exact(table.probs[k]) for k in sorted(table.probs)},
-        "mean": _fmt_exact(table.mean),
-        "variance": _fmt_exact(table.variance),
+        "probs": {str(k): str(table.probs[k]) for k in sorted(table.probs)},
+        "mean": str(table.mean),
+        "variance": str(table.variance),
         "skewness": _fmt_float(table.skewness),
         "excess_kurtosis": _fmt_float(table.excess_kurtosis),
     }
@@ -198,7 +192,7 @@ def _cmd_pmf(args) -> int:
         _emit(args, _json(_pmf_payload(table)))
         return 0
     rows = [
-        [str(k), _fmt_exact(table.probs[k]), _fmt_float(float(table.probs[k]))]
+        [str(k), str(table.probs[k]), _fmt_float(float(table.probs[k]))]
         for k in sorted(table.probs)
     ]
     _emit(args, _csv(["k", "prob", "prob_float"], rows))
@@ -219,8 +213,8 @@ def _cmd_moments(args) -> int:
     rows = [
         [
             str(t.n),
-            _fmt_exact(t.mean),
-            _fmt_exact(t.variance),
+            str(t.mean),
+            str(t.variance),
             _fmt_float(t.skewness),
             _fmt_float(t.excess_kurtosis),
         ]
@@ -333,7 +327,6 @@ def _cmd_asymptotics(args) -> int:
 def _cmd_verify(args) -> int:
     spec, descriptor, label = _resolve(args)
     checks = []
-    ok_all = True
     polys = None
 
     try:
@@ -343,7 +336,6 @@ def _cmd_verify(args) -> int:
         if mismatch is None:
             checks.append(("egf_identity", True, f"rows 0..{args.max_n} match"))
         else:
-            ok_all = False
             n, got, want = mismatch
             checks.append(
                 ("egf_identity", False, f"row {n}: recurrence {got}, series {want}")
@@ -353,12 +345,8 @@ def _cmd_verify(args) -> int:
 
     if descriptor is not None:
         report = verify_family(descriptor, 8, polys)
-        if report.skipped:
-            checks.append(("enumeration", True, f"skipped: {report.notice}"))
-        else:
-            if not report.ok:
-                ok_all = False
-            checks.append(("enumeration", report.ok, str(report)))
+        detail = f"skipped: {report.notice}" if report.skipped else str(report)
+        checks.append(("enumeration", report.ok, detail))
     else:
         checks.append(("enumeration", True, "skipped: custom spec has no model"))
 
@@ -375,10 +363,10 @@ def _cmd_verify(args) -> int:
             detail += f"; zero-mass rows {list(scan.zero_sum_rows)}"
         checks.append(("nonnegativity", True, detail))
     else:
-        ok_all = False
         checks.append(
             ("nonnegativity", False, f"negative entry at (n,k)={scan.first_negative}")
         )
+    ok_all = all(ok for _, ok, _ in checks)
 
     if args.format == "json":
         payload = {

@@ -69,7 +69,7 @@ def pmf(p: ExactPolynomial, n: int) -> PMFTable:
     Rejects negative coefficients (not a distribution) and zero total mass
     (rows below the first nonzero row of block-size-restricted families).
     """
-    weights, _ = p.scaled
+    weights = p.numerators
     g = math.gcd(*weights)
     if g > 1:
         weights = tuple(a // g for a in weights)
@@ -241,7 +241,7 @@ def mean_identity_check(descriptor: FamilyDescriptor, n_max: int) -> MeanIdentit
     """Verify the exact mean formula for a gamma = x + c family, n <= n_max."""
     c = _ratio_shape(descriptor)
     m = descriptor.spec.m
-    label = descriptor.spec.label or descriptor.name
+    label = descriptor.label
     polys = generate(descriptor.spec, n_max + 1)
     totals = [p(Fraction(1)) for p in polys]
     for n in range(n_max + 1):

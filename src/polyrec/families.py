@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -77,17 +77,18 @@ class SaddleFunction:
             for p in range(order + 1)
         ]
         for p, poly in enumerate(self.q1[: order + 1]):
-            nums, den = poly.scaled
+            nums, den = poly.numerators, poly.denominator
             f = math.factorial(p)
             out[p] += ExactPolynomial.from_scaled([f * q for q in nums], den)
         return out
 
     @functools.cached_property
-    def q1_floats(self) -> tuple[tuple[tuple[float, ...], ...], ...]:
-        """Float coefficients of each Q1 entry and of its first and second
-        x-derivatives, for the saddle solver."""
+    def floats(self) -> tuple[float, tuple[float, ...], tuple]:
+        """(m, Q2, Q1) as floats for the saddle solver: the coefficients of
+        Q2, and of each Q1 entry and its first and second x-derivatives."""
         derivs = [(q, q.derivative(), q.derivative().derivative()) for q in self.q1]
-        return tuple(tuple(tuple(map(float, d.coeffs)) for d in ds) for ds in derivs)
+        q1 = tuple(tuple(tuple(map(float, d.coeffs)) for d in ds) for ds in derivs)
+        return float(self.m), tuple(map(float, self.q2.coeffs)), q1
 
 
 class TheoremConstants(NamedTuple):
@@ -156,7 +157,7 @@ def build_exponent(spec: RecurrenceSpec) -> SaddleFunction:
     return SaddleFunction(tuple(map(ExactPolynomial, q1)), ExactPolynomial(q2), m)
 
 
-OracleModel = tuple[int, int, int, int, int]
+OracleModel = tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -165,8 +166,8 @@ class FamilyDescriptor:
 
     Row `spec.start_index + n` of the spec equals
     `spec.start_poly * n! * [z^n] exp(f)`.  `oracle_model` is the partition
-    model (r, m, s, row_offset, col_offset) the enumeration oracle checks
-    the triangle against, or None when the family has none.
+    model (r, m, s) the enumeration oracle checks the triangle against, or
+    None when the family has none.
     """
 
     name: str
@@ -175,6 +176,13 @@ class FamilyDescriptor:
     saddle: SaddleFunction
     oeis_refs: tuple[str, ...] = ()
     oracle_model: Optional[OracleModel] = None
+
+    @property
+    def label(self) -> str:
+        """The name and parameters in order, e.g. "dowling(m=2)", or the bare
+        name when there are none."""
+        inner = ",".join(f"{key}={value}" for key, value in self.parameters.items())
+        return f"{self.name}({inner})" if inner else self.name
 
     def constants(self) -> TheoremConstants:
         return theorem_constants(self.saddle)
@@ -233,7 +241,7 @@ def validate_nonnegativity(rows: Sequence[TriangleRow]) -> NonnegativityReport:
     first_negative = None
     zero_sums = []
     for row in rows:
-        nums, _ = row.poly.scaled
+        nums = row.poly.numerators
         if first_negative is None and min(nums, default=0) < 0:
             first_negative = (row.n, next(k for k, q in enumerate(nums) if q < 0))
         if not sum(nums):
@@ -317,21 +325,21 @@ FAMILIES: dict[str, Family] = {
         spec=lambda: _wang(1, 0),
         listed={},
         oeis=lambda: ("A048993",),
-        model=lambda: (0, 1, 1, 0, 0),
+        model=lambda: (0, 1, 1),
     ),
     "whitney": Family(
         params={"m": 1, "c": None},
         spec=_wang,
         listed={"m": 2, "c": 1},
         oeis=lambda m, c: ("A039755", "A039756") if (m, c) == (2, 1) else (),
-        model=lambda m, c: (c, m, 1, 0, 0) if c >= 0 else None,
+        model=lambda m, c: (c, m, 1) if c >= 0 else None,
     ),
     "translated_whitney": Family(
         params={"m": 1},
         spec=lambda m: _wang(m, 0),
         listed={"m": 2},
         oeis=lambda m: _ids(_TRANSLATED_WHITNEY_IDS, m),
-        model=lambda m: (0, m, 1, 0, 0),
+        model=lambda m: (0, m, 1),
     ),
     "dowling": Family(
         params={"m": 1},
@@ -339,7 +347,7 @@ FAMILIES: dict[str, Family] = {
         listed={"m": 2},
         oeis=lambda m: _ids(_DOWLING_ROWSUM_IDS, m)
         + (("A039755",) if m == 2 else ()),
-        model=lambda m: (1, m, 1, 0, 0),
+        model=lambda m: (1, m, 1),
     ),
     "r_stirling": Family(
         params={"r": 0},
@@ -348,9 +356,7 @@ FAMILIES: dict[str, Family] = {
         ),
         listed={"r": 2},
         oeis=lambda r: _ids(_R_STIRLING_IDS, r),
-        # row r + n counts partitions of n non-distinguished elements; the
-        # x power includes the r forced blocks
-        model=lambda r: (r, 1, 1, r, r),
+        model=lambda r: (r, 1, 1),
     ),
     "sheffer": Family(
         params={"d": 1, "a": 0},
@@ -363,7 +369,7 @@ FAMILIES: dict[str, Family] = {
         spec=lambda m: _wang(m, m - 1),
         listed={"m": 2},
         oeis=lambda m: _ids(_SHEFFER_IDS, (m, m - 1)),
-        model=lambda m: (m - 1, m, 1, 0, 0),
+        model=lambda m: (m - 1, m, 1),
     ),
     "galton": Family(
         params={"m": 1, "c": None},
@@ -377,7 +383,7 @@ FAMILIES: dict[str, Family] = {
             gamma=ZERO, m=1, lags=(LagTerm(s=s, kappa=X, binom_weight=True),)
         ),
         listed={"s": 2},
-        model=lambda s: (0, 1, s, 0, 0),
+        model=lambda s: (0, 1, s),
     ),
     "r_whitney_assoc": Family(
         params={"m": 1, "r": 0, "s": 1},
@@ -387,13 +393,13 @@ FAMILIES: dict[str, Family] = {
             lags=(LagTerm(s=s, kappa=monomial(1, m ** (s - 1)), binom_weight=True),),
         ),
         listed={"m": 2, "r": 1, "s": 2},
-        model=lambda m, r, s: (r, m, s, 0, 0),
+        model=lambda m, r, s: (r, m, s),
     ),
     "type_b": Family(
         params={"m": 1, "c": 1},
         spec=_wang,
         listed={"m": 2, "c": 1},
-        model=lambda m, c: (c, m, 1, 0, 0),
+        model=lambda m, c: (c, m, 1),
     ),
 }
 
@@ -415,8 +421,8 @@ def family_parameters(name: str) -> tuple[str, ...]:
 def catalog(name: str, **params) -> FamilyDescriptor:
     """Build the named family descriptor from its FAMILIES record.
 
-    The label is the name followed by the parameters in record order, e.g.
-    "dowling(m=2)"; the exponent comes from `build_exponent(spec)`.
+    The parameters keep record order; the exponent comes from
+    `build_exponent(spec)`.
     """
     family = _family(name)
     extra = set(params) - set(family.params)
@@ -428,10 +434,7 @@ def catalog(name: str, **params) -> FamilyDescriptor:
         key: _require_int(params, key, minimum)
         for key, minimum in family.params.items()
     }
-    inner = ",".join(f"{key}={value}" for key, value in values.items())
-    spec = replace(
-        family.spec(**values), label=f"{name}({inner})" if values else name
-    )
+    spec = family.spec(**values)
     return FamilyDescriptor(
         name=name,
         parameters=values,

@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 from .algebra import ExactPolynomial
 from .errors import ParameterError, SizeGuardError
 from .families import FamilyDescriptor
+from .recurrence import generate
 
 MAX_ELEMENTS = 14
 
@@ -116,15 +117,15 @@ def verify_family(
 ) -> OracleReport:
     """Check the recurrence triangle against enumeration for rows <= n_max.
 
-    `polys` are the spec's rows from its start index on (as from
-    `generate`); they are generated here when not given or when they stop
-    short of `n_max`.  Families without a registered combinatorial model (galton,
-    sheffer, whitney with negative c) come back skipped-with-notice rather
-    than failing.
+    Row `start_index` holds no plain element and equals `start_poly`, so
+    row start_index + n counts the model's partitions of n plain elements,
+    shifted up by deg start_poly columns.  `polys` are the spec's rows from
+    its start index on (as from `generate`); they are generated here when
+    not given or when they stop short of `n_max`.  Families without a
+    registered combinatorial model (galton, sheffer, whitney with negative
+    c) come back skipped-with-notice rather than failing.
     """
-    from .recurrence import generate
-
-    label = descriptor.spec.label or descriptor.name
+    label = descriptor.label
     model = descriptor.oracle_model
     if model is None:
         return OracleReport(
@@ -134,13 +135,13 @@ def verify_family(
             skipped=True,
             notice="no combinatorial model registered",
         )
-    r, m, s, row_offset, col_offset = model
+    r, m, s = model
     start = descriptor.spec.start_index
+    col_offset = descriptor.spec.start_poly.degree
     if polys is None or start + len(polys) <= n_max:
         polys = generate(descriptor.spec, n_max) if n_max >= start else []
     for row in range(start, n_max + 1):
-        n_elements = row - row_offset
-        counts = count_partitions(PartitionConstraint(n=n_elements, r=r, m=m, s=s))
+        counts = count_partitions(PartitionConstraint(n=row - start, r=r, m=m, s=s))
         poly = polys[row - start]
         top = max([poly.degree] + [k + col_offset for k in counts])
         for k in range(top + 1):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -78,7 +78,6 @@ class RecurrenceSpec:
     lags: tuple[LagTerm, ...] = ()
     start_index: int = 0
     start_poly: ExactPolynomial = ONE
-    label: str = field(default="", compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "m", as_fraction(self.m))

@@ -20,6 +20,7 @@ line:column of the offending token.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
@@ -132,6 +133,15 @@ class _Parser:
 
     # value parsers ----------------------------------------------------
 
+    def number(self, tok: _Token) -> int:
+        """The value of a number token; a literal past Python's int-to-str
+        digit limit is rejected at the token."""
+        try:
+            return int(tok.text)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            self.fail(tok, f"number has {len(tok.text)} digits; the limit is {limit}")
+
     def rational(self) -> tuple[Fraction, _Token]:
         first = self.peek()
         sign = 1
@@ -141,18 +151,19 @@ class _Parser:
         elif first.kind == "+":
             self.next()
         num_tok = self.expect("number", "a number")
-        value = Fraction(sign * int(num_tok.text))
+        value = Fraction(sign * self.number(num_tok))
         if self.peek().kind == "/":
             self.next()
             den_tok = self.expect("number", "a denominator")
-            if int(den_tok.text) == 0:
+            den = self.number(den_tok)
+            if den == 0:
                 self.fail(den_tok, "zero denominator")
-            value /= int(den_tok.text)
+            value /= den
         return value, first
 
     def integer(self, what: str, minimum: int) -> tuple[int, _Token]:
         tok = self.expect("number", f"{what} (a nonnegative integer)")
-        value = int(tok.text)
+        value = self.number(tok)
         if value < minimum:
             self.fail(tok, f"{what} must be >= {minimum}, got {value}")
         return value, tok

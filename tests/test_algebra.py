@@ -128,9 +128,10 @@ def _ref_mul(a, b):
 @given(rows_with_reference())
 def test_row_type_is_canonical(pair):
     p, ref = pair
-    nums, den = p.scaled
+    nums, den = p.numerators, p.denominator
+    # reduced when built: no comparison has run on p yet
+    assert math.gcd(*nums, den) == 1
     assert tuple(Fraction(q, den) for q in nums) == ref
-    assert math.gcd(*p.numerators, p.denominator) == 1
     assert p.coeffs == ref
     assert p.denominator == math.lcm(1, *(c.denominator for c in ref))
     assert p.degree == len(ref) - 1

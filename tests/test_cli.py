@@ -314,6 +314,22 @@ def test_parse_error_exits_2(capsys):
     assert payload["error"]["column"] == 14
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="no int-to-str digit limit",
+)
+def test_overlong_literal_exits_2(capsys):
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    code, out, err = run_cli(
+        capsys, "triangle", "--inline", f"gamma: {digits}; m: 1;", "--max-n", "2"
+    )
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    payload = json.loads(err)["error"]
+    assert payload["type"] == "ParseError"
+    assert (payload["line"], payload["column"]) == (1, 8)
+
+
 def test_usage_error_for_conflicting_sources(capsys):
     code, _, err = run_cli(
         capsys, "triangle", "--family", "stirling2", "--inline", "gamma: x; m: 1;",

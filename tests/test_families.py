@@ -326,3 +326,11 @@ def test_build_exponent_reproduces_random_specs(spec):
 def test_build_exponent_rejects_unit_weight_lags(spec):
     with pytest.raises(UnsupportedShapeError):
         build_exponent(spec)
+
+
+def test_label_is_built_from_name_and_parameters():
+    assert catalog("dowling", m=2).label == "dowling(m=2)"
+    assert catalog("whitney", m=2, c=-1).label == "whitney(m=2,c=-1)"
+    assert catalog("stirling2").label == "stirling2"
+    spec = catalog("dowling", m=2).spec
+    assert _custom(spec).label == "custom"

@@ -168,6 +168,16 @@ def test_verify_family_ok():
         assert report.ok and not report.skipped, report
 
 
+@pytest.mark.parametrize("r", range(4))
+def test_r_stirling_offsets_come_from_the_spec(r):
+    # row r holds no plain element and equals x^r: the oracle's row and
+    # column offsets are the start index and the start degree, both r
+    descriptor = catalog("r_stirling", r=r)
+    assert descriptor.oracle_model == (r, 1, 1)
+    report = verify_family(descriptor, r + 7)
+    assert report.ok and not report.skipped, report
+
+
 def test_verify_family_skips_unmodelled_shapes():
     for name, params in [
         ("galton", dict(m=2, c=-1)),

@@ -1,8 +1,12 @@
 """Parser and formatter for the recurrence text format."""
 
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_families import _specs
 
 from polyrec.algebra import ExactPolynomial, ONE, X
 from polyrec.errors import ParseError
@@ -168,3 +172,36 @@ def test_exact_positions_for_canonical_failures():
         with pytest.raises(ParseError) as info:
             load(text)
         assert (info.value.line, info.value.column) == (line, column), text
+
+
+# 0 means no limit; before 3.10.7 there is none
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no int-to-str digit limit")
+@pytest.mark.parametrize(
+    "template",
+    [
+        "gamma: {}; m: 1;",
+        "gamma: x; m: 1/{};",
+        "gamma: x^{}; m: 1;",
+        "gamma: x; m: 1; lag: {{s: {}, coeff: x}};",
+        "gamma: x; m: 1; start: {{index: {}}};",
+        "family: dowling(m={});",
+    ],
+    ids=["coefficient", "denominator", "exponent", "lag-depth", "start-index", "parameter"],
+)
+def test_overlong_number_is_a_parse_error_at_its_token(template):
+    digits = "1" * (DIGIT_LIMIT + 1)
+    text = template.format(digits)
+    with pytest.raises(ParseError) as info:
+        load(text)
+    assert (info.value.line, info.value.column) == (1, text.index(digits) + 1)
+    assert f"the limit is {DIGIT_LIMIT}" in str(info.value)
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.one_of(_specs(), _specs(unit_weight=True)))
+def test_format_then_parse_round_trips_random_specs(spec):
+    # binomial and unit-weight lags; shifted starts come without lags
+    assert parse(format_spec(spec)) == spec
