@@ -15,6 +15,8 @@ The pipeline, end to end:
                 verify / families
 """
 
+from types import ModuleType as _ModuleType
+
 from .algebra import (
     ONE,
     X,
@@ -41,7 +43,6 @@ from .distribution import (
     normality,
     pmf,
     standard_normal_cdf,
-    variance_formula_gap,
 )
 from .errors import (
     InvalidDistributionError,
@@ -87,69 +88,9 @@ from .speclang import FamilyRequest, SpecSource, format_spec, load, parse
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ComparisonRecord",
-    "ExactPolynomial",
-    "FamilyDescriptor",
-    "FamilyRequest",
-    "InvalidDistributionError",
-    "InvalidIndexError",
-    "LagTerm",
-    "MeanIdentityReport",
-    "NonnegativityReport",
-    "NonzeroConstantTermError",
-    "NormalityReport",
-    "ONE",
-    "OracleReport",
-    "PMFTable",
-    "ParameterError",
-    "ParseError",
-    "Partials",
-    "PartitionConstraint",
-    "PolyrecError",
-    "RecurrenceSpec",
-    "SaddleFailureError",
-    "SaddleFunction",
-    "SaddleOverflowError",
-    "SaddleReport",
-    "SizeGuardError",
-    "SpecSource",
-    "TheoremConstants",
-    "TriangleRow",
-    "UnitMassError",
-    "UnknownFamilyError",
-    "UnsupportedShapeError",
-    "X",
-    "ZERO",
-    "ZeroMassError",
-    "ZeroVarianceError",
-    "advance",
-    "build_exponent",
-    "catalog",
-    "catalog_names",
-    "clt_scan",
-    "compare_exact",
-    "count_partitions",
-    "egf_rows",
-    "f_partials",
-    "family_parameters",
-    "format_spec",
-    "generate",
-    "load",
-    "mean_identity_check",
-    "monomial",
-    "normality",
-    "parse",
-    "pmf",
-    "saddle_report",
-    "series_exp",
-    "solve_saddle",
-    "standard_normal_cdf",
-    "theorem_constants",
-    "triangle",
-    "triangle_linear",
-    "validate_nonnegativity",
-    "variance_formula_gap",
-    "verify_egf_identity",
-    "verify_family",
-]
+# every public name bound above, less the submodules
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -38,13 +38,12 @@ from .errors import (
 from .families import (
     FAMILIES,
     FamilyDescriptor,
-    build_exponent,
     catalog,
     validate_nonnegativity,
     verify_egf_identity,
 )
 from .oracle import verify_family
-from .recurrence import RecurrenceSpec, TriangleRow, generate, triangle
+from .recurrence import TriangleRow, generate, triangle
 from .speclang import SpecSource, load
 
 
@@ -59,8 +58,9 @@ def _parse_ns(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _resolve(args) -> tuple[RecurrenceSpec, Optional[FamilyDescriptor], str]:
-    """Turn the chosen spec source into (spec, descriptor or None, label)."""
+def _resolve(args) -> FamilyDescriptor:
+    """Turn the chosen spec source into a descriptor; a custom spec is the
+    descriptor named "custom"."""
     if args.family is not None:
         text = args.family if "(" in args.family else args.family + "()"
         source = SpecSource(f"family: {text};", "<family>")
@@ -71,18 +71,8 @@ def _resolve(args) -> tuple[RecurrenceSpec, Optional[FamilyDescriptor], str]:
         source = SpecSource(args.inline, "<inline>")
     loaded = load(source)
     if isinstance(loaded, FamilyDescriptor):
-        return loaded.spec, loaded, loaded.label
-    return loaded, None, "custom"
-
-
-def _descriptor_for(spec: RecurrenceSpec, descriptor: Optional[FamilyDescriptor],
-                    label: str) -> FamilyDescriptor:
-    """Descriptor with a saddle function, building one for custom specs."""
-    if descriptor is not None:
-        return descriptor
-    return FamilyDescriptor(
-        name=label, parameters={}, spec=spec, saddle=build_exponent(spec)
-    )
+        return loaded
+    return FamilyDescriptor(name="custom", parameters={}, spec=loaded)
 
 
 def _emit(args, pieces: Iterable[str]) -> None:
@@ -158,8 +148,7 @@ def _json_rows(rows: Iterable[tuple[int, list[str]]]) -> Iterator[str]:
 
 
 def _cmd_triangle(args) -> int:
-    spec, _, _ = _resolve(args)
-    rows = triangle(spec, args.max_n)
+    rows = triangle(_resolve(args).spec, args.max_n)
     # the rows are written as they are converted to text, so any conversion
     # failure must surface before the first byte is written
     _check_texts(row.poly for row in rows)
@@ -186,8 +175,7 @@ def _pmf_payload(table: dist.PMFTable) -> dict:
 
 
 def _cmd_pmf(args) -> int:
-    spec, _, _ = _resolve(args)
-    (table,) = dist._row_pmfs(spec, [args.n])
+    (table,) = dist._row_pmfs(_resolve(args).spec, [args.n])
     if args.format == "json":
         _emit(args, _json(_pmf_payload(table)))
         return 0
@@ -200,7 +188,7 @@ def _cmd_pmf(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    spec, _, _ = _resolve(args)
+    spec = _resolve(args).spec
     if args.ns is not None and args.n is not None:
         raise ParameterError("give either --n or --ns, not both")
     if args.ns is None and args.n is None:
@@ -237,9 +225,7 @@ _CLT_FIELDS = (
 
 
 def _cmd_clt(args) -> int:
-    spec, descriptor, label = _resolve(args)
-    descriptor = _descriptor_for(spec, descriptor, label)
-    reports = dist.clt_scan(descriptor, args.ns)
+    reports = dist.clt_scan(_resolve(args), args.ns)
     if args.format == "json":
         payload = [
             {"n": r.n, **{f: _fmt_float(getattr(r, f)) for f in _CLT_FIELDS}}
@@ -278,8 +264,9 @@ _COMPARE_FIELDS = (
 
 
 def _cmd_asymptotics(args) -> int:
-    spec, descriptor, label = _resolve(args)
-    descriptor = _descriptor_for(spec, descriptor, label)
+    descriptor = _resolve(args)
+    descriptor.saddle  # a spec without a closed form fails before any work
+    spec = descriptor.spec
     ns = sorted(set(args.ns))
     # one generation for every n; an n below start + 3 makes the first
     # compare_exact raise its ParameterError before any row is needed
@@ -325,14 +312,15 @@ def _cmd_asymptotics(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    spec, descriptor, label = _resolve(args)
+    descriptor = _resolve(args)
+    spec = descriptor.spec
     checks = []
     polys = None
 
     try:
-        desc = _descriptor_for(spec, descriptor, label)
+        descriptor.saddle  # the shape check, before any row is generated
         polys = generate(spec, args.max_n + spec.start_index)
-        mismatch = verify_egf_identity(desc, args.max_n, polys)
+        mismatch = verify_egf_identity(descriptor, args.max_n, polys)
         if mismatch is None:
             checks.append(("egf_identity", True, f"rows 0..{args.max_n} match"))
         else:
@@ -343,7 +331,7 @@ def _cmd_verify(args) -> int:
     except UnsupportedShapeError as err:
         checks.append(("egf_identity", True, f"skipped: {err}"))
 
-    if descriptor is not None:
+    if descriptor.name in FAMILIES:
         report = verify_family(descriptor, 8, polys)
         detail = f"skipped: {report.notice}" if report.skipped else str(report)
         checks.append(("enumeration", report.ok, detail))
@@ -370,7 +358,7 @@ def _cmd_verify(args) -> int:
 
     if args.format == "json":
         payload = {
-            "family": label,
+            "family": descriptor.label,
             "ok": ok_all,
             "checks": [
                 {"name": name, "ok": ok, "detail": detail}

@@ -198,10 +198,10 @@ def clt_scan(
     descriptor: FamilyDescriptor, ns: Sequence[int]
 ) -> list[NormalityReport]:
     """Normality reports for several row indices of one family."""
+    d = descriptor.constants().d
     for n in ns:
         if n < 2:
             raise ParameterError(f"n must be >= 2, got {n}")
-    d = descriptor.constants().d
     return [normality(table, d) for table in _row_pmfs(descriptor.spec, ns)]
 
 
@@ -251,20 +251,3 @@ def mean_identity_check(descriptor: FamilyDescriptor, n_max: int) -> MeanIdentit
             return MeanIdentityReport(label, n_max, False, (n, mean, formula))
     return MeanIdentityReport(label, n_max, True)
 
-
-def variance_formula_gap(descriptor: FamilyDescriptor, n: int) -> Fraction:
-    """Gap between the published ratio formula for the variance and the
-    exact variance.
-
-    The formula (T_{n+2}(1) - T_{n+1}(1)^2) / (m^2 T_n(1)) - 1/m mixes a
-    second-order ratio with the square of an unnormalized total, and does
-    not reproduce the exact variance; this helper returns formula - exact
-    so the discrepancy can be inspected numerically rather than asserted.
-    """
-    _ratio_shape(descriptor)
-    m = descriptor.spec.m
-    polys = generate(descriptor.spec, n + 2)
-    totals = [p(Fraction(1)) for p in polys]
-    claimed = (totals[n + 2] - totals[n + 1] ** 2) / (m * m * totals[n]) - 1 / m
-    exact = pmf(polys[n], n).variance
-    return claimed - exact

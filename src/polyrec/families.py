@@ -2,9 +2,10 @@
 
 Each family is one record in FAMILIES: its parameters, recurrence, OEIS
 cross-references and enumeration model.  A descriptor bundles the recurrence
-data, the closed-form exponent of the exponential generating function (built
-from the recurrence by `build_exponent`), the OEIS ids, and the constants
-(d, alpha_d) that decide whether the n/log n normal limit applies.
+data, the OEIS ids, and, built from the recurrence by `build_exponent` on
+first read, the closed-form exponent of the exponential generating function
+and the constants (d, alpha_d) that decide whether the n/log n normal limit
+applies.
 
 The exponent is always stored in the split form
 
@@ -162,18 +163,17 @@ OracleModel = tuple[int, int, int]
 
 @dataclass(frozen=True)
 class FamilyDescriptor:
-    """A named family: recurrence, EGF exponent, and metadata.
+    """A named family: recurrence and metadata.
 
     Row `spec.start_index + n` of the spec equals
-    `spec.start_poly * n! * [z^n] exp(f)`.  `oracle_model` is the partition
-    model (r, m, s) the enumeration oracle checks the triangle against, or
-    None when the family has none.
+    `spec.start_poly * n! * [z^n] exp(f)`, where f is `saddle`.
+    `oracle_model` is the partition model (r, m, s) the enumeration oracle
+    checks the triangle against, or None when the family has none.
     """
 
     name: str
     parameters: dict
     spec: RecurrenceSpec
-    saddle: SaddleFunction
     oeis_refs: tuple[str, ...] = ()
     oracle_model: Optional[OracleModel] = None
 
@@ -183,6 +183,12 @@ class FamilyDescriptor:
         name when there are none."""
         inner = ",".join(f"{key}={value}" for key, value in self.parameters.items())
         return f"{self.name}({inner})" if inner else self.name
+
+    @functools.cached_property
+    def saddle(self) -> SaddleFunction:
+        """The EGF exponent f, built from `spec` on first read; raises
+        UnsupportedShapeError when the spec has no closed form."""
+        return build_exponent(self.spec)
 
     def constants(self) -> TheoremConstants:
         return theorem_constants(self.saddle)
@@ -421,8 +427,7 @@ def family_parameters(name: str) -> tuple[str, ...]:
 def catalog(name: str, **params) -> FamilyDescriptor:
     """Build the named family descriptor from its FAMILIES record.
 
-    The parameters keep record order; the exponent comes from
-    `build_exponent(spec)`.
+    The parameters keep record order.
     """
     family = _family(name)
     extra = set(params) - set(family.params)
@@ -434,12 +439,10 @@ def catalog(name: str, **params) -> FamilyDescriptor:
         key: _require_int(params, key, minimum)
         for key, minimum in family.params.items()
     }
-    spec = family.spec(**values)
     return FamilyDescriptor(
         name=name,
         parameters=values,
-        spec=spec,
-        saddle=build_exponent(spec),
+        spec=family.spec(**values),
         oeis_refs=family.oeis(**values),
         oracle_model=family.model(**values),
     )

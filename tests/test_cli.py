@@ -297,6 +297,32 @@ def test_custom_spec_with_closed_form(capsys, text):
     assert float(record["log_total_rel_err"]) < 1e-4
 
 
+NO_CLOSED_FORM = "gamma: x; m: 1; lag: {s: 2, coeff: 1};"
+
+
+def test_custom_spec_without_closed_form(capsys):
+    # a unit-weight lag: verify skips the series check, the commands that
+    # need the exponent refuse before any row is generated
+    code, out, err = run_cli(
+        capsys, "verify", "--inline", NO_CLOSED_FORM, "--max-n", "6"
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        "check,status,detail\n"
+        "egf_identity,pass,skipped: only binomially weighted lags have a "
+        "closed-form exponent\n"
+        "enumeration,pass,skipped: custom spec has no model\n"
+        "nonnegativity,pass,all entries >= 0\n"
+    )
+    for command, ns in [
+        ("clt", "10"), ("clt", "10,1"), ("asymptotics", "10"), ("asymptotics", "2")
+    ]:
+        code, out, err = run_cli(capsys, command, "--inline", NO_CLOSED_FORM, "--ns", ns)
+        assert (code, out) == (2, ""), (command, ns)
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"]["type"] == "UnsupportedShapeError"
+
+
 def test_verify_catches_negative_rows(capsys):
     code, out, _ = run_cli(capsys, "verify", "--inline", "gamma: x - 3; m: 1;")
     assert code == 1

@@ -12,7 +12,6 @@ from polyrec.distribution import (
     normality,
     pmf,
     standard_normal_cdf,
-    variance_formula_gap,
 )
 from polyrec.errors import (
     InvalidDistributionError,
@@ -98,14 +97,6 @@ def test_mean_identity_shape_guard():
         mean_identity_check(catalog("sheffer", d=2, a=1), 5)
     with pytest.raises(UnsupportedShapeError):
         mean_identity_check(catalog("assoc_stirling", s=2), 5)
-
-
-def test_variance_formula_disagrees():
-    # the companion variance expression does not match the exact variance;
-    # keep the discrepancy visible rather than asserting it away
-    assert variance_formula_gap(catalog("stirling2"), 5) == Fraction(-2101659, 2704)
-    for n in range(2, 8):
-        assert variance_formula_gap(catalog("stirling2"), n) != 0
 
 
 def test_standard_normal_cdf():

@@ -1,5 +1,6 @@
 """Catalog descriptors: EGF identities, exponent construction, constants."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyrec import families
 from polyrec.algebra import ONE, X, ZERO, ExactPolynomial, _exp_scale, monomial
 from polyrec.errors import (
     InvalidIndexError,
@@ -70,17 +72,24 @@ def test_egf_rows_skip_a_unit_start_polynomial(monkeypatch):
     assert egf_rows(descriptor, 10) == want
 
 
-def test_verify_egf_identity_reports_the_spec_row():
+def test_verify_egf_identity_reports_the_spec_row(monkeypatch):
     # r_stirling(r=3) with the exponent of stirling2: EGF row 0 (spec row 3)
     # agrees, EGF row 1 is x^4 against the spec's x^4 + 3x^3
+    stirling = build_exponent(catalog("stirling2").spec)
+    monkeypatch.setattr(families, "build_exponent", lambda spec: stirling)
     shifted = catalog("r_stirling", r=3)
-    wrong = FamilyDescriptor(
-        "wrong", {}, shifted.spec, build_exponent(catalog("stirling2").spec)
-    )
     polys = generate(shifted.spec, 8)
     mismatch = (4, polys[1], monomial(4))
-    assert verify_egf_identity(wrong, 5) == mismatch
-    assert verify_egf_identity(wrong, 5, polys) == mismatch
+    assert verify_egf_identity(shifted, 5) == mismatch
+    assert verify_egf_identity(shifted, 5, polys) == mismatch
+
+
+def test_the_exponent_follows_the_spec():
+    # a descriptor given another family's spec checks against that spec's
+    # own exponent, not one left over from the family it was copied from
+    moved = dataclasses.replace(catalog("stirling2"), spec=catalog("dowling", m=2).spec)
+    assert moved.saddle == build_exponent(moved.spec)
+    assert verify_egf_identity(moved, 10) is None
 
 
 def test_egf_rows_order_bounds():
@@ -310,9 +319,7 @@ def _specs(draw, unit_weight=False):
 
 
 def _custom(spec):
-    return FamilyDescriptor(
-        name="custom", parameters={}, spec=spec, saddle=build_exponent(spec)
-    )
+    return FamilyDescriptor(name="custom", parameters={}, spec=spec)
 
 
 @settings(max_examples=40, deadline=None)

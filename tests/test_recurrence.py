@@ -241,6 +241,23 @@ def test_triangle_linear_matches_sheffer():
         assert poly_rows == linear_rows
 
 
+_SMALL_FRACTIONS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    u=_SMALL_FRACTIONS,
+    a=_SMALL_FRACTIONS,
+    b=st.fractions(min_value=Fraction(1, 6), max_value=5, max_denominator=6),
+    upto=st.integers(0, 12),
+)
+def test_triangle_linear_is_the_spec_gamma_a_plus_u_x(u, a, b, upto):
+    # T(n,k) = u T(n-1,k-1) + (a + b k) T(n-1,k) is the recurrence with
+    # gamma = a + u x and m = b, read coefficient by coefficient
+    spec = RecurrenceSpec(gamma=ExactPolynomial((a, u)), m=b)
+    assert triangle_linear(u, a, b, upto) == triangle(spec, upto)
+
+
 def test_triangle_linear_stirling():
     rows = triangle_linear(u=1, a=0, b=1, upto=6)
     assert rows[4].coeffs == (0, 1, 7, 6, 1)
