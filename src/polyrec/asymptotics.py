@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
+from . import recurrence
 from .algebra import ExactPolynomial
 from .distribution import pmf
 from .errors import (
@@ -34,7 +35,6 @@ from .errors import (
     ZeroVarianceError,
 )
 from .families import FamilyDescriptor, SaddleFunction, theorem_constants
-from .recurrence import generate
 
 _LOG_SCALE_THRESHOLD = 300.0
 _FLOAT_LOG_MAX = 709.0  # log of the largest finite double, minus headroom
@@ -288,7 +288,7 @@ def compare_exact(
     through log P_n(1) = log c + log n'! + log [z^{n'}] e^{f(z,1)}.  A row
     with zero variance or with P_n(1) = 1 has no relative error to report
     and raises ZeroVarianceError or UnitMassError.  `poly`, when given, is
-    the spec's row P_n (as from `generate`); otherwise it is generated here.
+    the spec's row P_n; otherwise it is drawn from the row source here.
     """
     start = descriptor.spec.start_index
     prefactor = descriptor.spec.start_poly
@@ -297,7 +297,7 @@ def compare_exact(
         raise ParameterError(f"n must be >= {start + 3}, got {n}")
     report = saddle_report(descriptor.saddle, series_n)
     if poly is None:
-        poly = generate(descriptor.spec, n)[-1]
+        poly = next(r.poly for r in recurrence.rows(descriptor.spec, n) if r.n == n)
     table = pmf(poly, n)
     exact_mean = float(table.mean)
     exact_variance = float(table.variance)

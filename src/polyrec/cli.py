@@ -29,7 +29,9 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from . import asymptotics as asym
 from . import distribution as dist
+from . import recurrence
 from .errors import (
+    InvalidIndexError,
     ParameterError,
     ParseError,
     PolyrecError,
@@ -43,7 +45,7 @@ from .families import (
     verify_egf_identity,
 )
 from .oracle import verify_family
-from .recurrence import TriangleRow, generate, triangle
+from .recurrence import triangle
 from .speclang import SpecSource, load
 
 
@@ -266,16 +268,12 @@ _COMPARE_FIELDS = (
 def _cmd_asymptotics(args) -> int:
     descriptor = _resolve(args)
     descriptor.saddle  # a spec without a closed form fails before any work
-    spec = descriptor.spec
-    ns = sorted(set(args.ns))
-    # one generation for every n; an n below start + 3 makes the first
-    # compare_exact raise its ParameterError before any row is needed
-    start = spec.start_index
-    polys = generate(spec, ns[-1]) if ns and ns[0] >= start + 3 else None
-    records = [
-        asym.compare_exact(descriptor, n, polys[n - start] if polys else None)
-        for n in ns
-    ]
+    ns = set(args.ns)
+    if ns and min(ns) < descriptor.spec.start_index + 3:
+        asym.compare_exact(descriptor, min(ns))  # raises before any row is drawn
+    # one pass over the rows serves every n
+    rows = recurrence.rows(descriptor.spec, max(ns)) if ns else ()
+    records = [asym.compare_exact(descriptor, r.n, r.poly) for r in rows if r.n in ns]
     if args.format == "json":
         payload = [
             {
@@ -314,13 +312,15 @@ def _cmd_asymptotics(args) -> int:
 def _cmd_verify(args) -> int:
     descriptor = _resolve(args)
     spec = descriptor.spec
+    start = spec.start_index
     checks = []
-    polys = None
 
+    # one row list for every check: EGF row j is spec row start + j, so the
+    # EGF check reads rows through max_n + start, the others a prefix
     try:
         descriptor.saddle  # the shape check, before any row is generated
-        polys = generate(spec, args.max_n + spec.start_index)
-        mismatch = verify_egf_identity(descriptor, args.max_n, polys)
+        rows = triangle(spec, args.max_n + start)
+        mismatch = verify_egf_identity(descriptor, args.max_n, rows)
         if mismatch is None:
             checks.append(("egf_identity", True, f"rows 0..{args.max_n} match"))
         else:
@@ -330,22 +330,20 @@ def _cmd_verify(args) -> int:
             )
     except UnsupportedShapeError as err:
         checks.append(("egf_identity", True, f"skipped: {err}"))
+        rows = triangle(spec, args.max_n)
 
     if descriptor.name in FAMILIES:
-        report = verify_family(descriptor, 8, polys)
+        report = verify_family(descriptor, 8, rows)
         detail = f"skipped: {report.notice}" if report.skipped else str(report)
         checks.append(("enumeration", report.ok, detail))
     else:
         checks.append(("enumeration", True, "skipped: custom spec has no model"))
 
-    # reuse the EGF check's rows (they reach max_n + start index); below the
-    # start index, generate raises the usual InvalidIndexError
-    start = spec.start_index
-    if polys is None or args.max_n < start:
-        polys = generate(spec, args.max_n)
-    rows = polys[: args.max_n - start + 1]
-    scan = validate_nonnegativity([TriangleRow(n, p) for n, p in enumerate(rows, start)])
-    if scan.all_nonnegative:
+    # the EGF check's rows reach past max_n, so refuse a max_n below the start
+    if args.max_n < start:
+        raise InvalidIndexError(f"upper index {args.max_n} is below start index {start}")
+    scan = validate_nonnegativity(row for row in rows if row.n <= args.max_n)
+    if scan.ok:
         detail = "all entries >= 0"
         if scan.zero_sum_rows:
             detail += f"; zero-mass rows {list(scan.zero_sum_rows)}"

@@ -22,8 +22,10 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from typing import Iterator, Optional, Sequence
 
+from . import recurrence
 from .algebra import ExactPolynomial, ONE
 from .errors import (
     InvalidDistributionError,
@@ -33,7 +35,7 @@ from .errors import (
     ZeroVarianceError,
 )
 from .families import FamilyDescriptor
-from .recurrence import RecurrenceSpec, generate
+from .recurrence import RecurrenceSpec
 
 
 def standard_normal_cdf(t: float) -> float:
@@ -177,21 +179,19 @@ def normality(table: PMFTable, d: int) -> NormalityReport:
 
 
 def _row_pmfs(spec: RecurrenceSpec, ns: Sequence[int]) -> Iterator[PMFTable]:
-    """PMFs of the distinct rows ns in ascending order, from one generation.
+    """PMFs of the distinct rows ns in ascending order, from one row pass.
 
     A row below the start index has no mass: ZeroMassError, raised before
-    anything is generated.  Each table is built as it is drawn, so a
+    any row is drawn.  Each table is built as its row is drawn, so a
     caller's own check on one row runs before the next row's PMF.
     """
-    ns = sorted(set(ns))
-    if not ns:
-        return
-    start = spec.start_index
-    if ns[0] < start:
-        raise ZeroMassError(f"row {ns[0]} precedes the first row {start}")
-    polys = generate(spec, ns[-1])
-    for n in ns:
-        yield pmf(polys[n - start], n)
+    wanted, start = set(ns), spec.start_index
+    if wanted and min(wanted) < start:
+        raise ZeroMassError(f"row {min(wanted)} precedes the first row {start}")
+    rows = recurrence.rows(spec, max(wanted)) if wanted else ()
+    for row in rows:
+        if row.n in wanted:
+            yield pmf(row.poly, row.n)
 
 
 def clt_scan(
@@ -242,12 +242,10 @@ def mean_identity_check(descriptor: FamilyDescriptor, n_max: int) -> MeanIdentit
     c = _ratio_shape(descriptor)
     m = descriptor.spec.m
     label = descriptor.label
-    polys = generate(descriptor.spec, n_max + 1)
-    totals = [p(Fraction(1)) for p in polys]
-    for n in range(n_max + 1):
-        mean = pmf(polys[n], n).mean
-        formula = totals[n + 1] / (m * totals[n]) - (1 + c) / m
+    for row, after in pairwise(recurrence.rows(descriptor.spec, n_max + 1)):
+        mean = pmf(row.poly, row.n).mean
+        formula = after.row_sum() / (m * row.row_sum()) - (1 + c) / m
         if mean != formula:
-            return MeanIdentityReport(label, n_max, False, (n, mean, formula))
+            return MeanIdentityReport(label, n_max, False, (row.n, mean, formula))
     return MeanIdentityReport(label, n_max, True)
 

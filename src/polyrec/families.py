@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional
 
+from . import recurrence
 from .algebra import (
     ONE,
     X,
@@ -43,7 +44,7 @@ from .errors import (
     UnknownFamilyError,
     UnsupportedShapeError,
 )
-from .recurrence import LagTerm, RecurrenceSpec, TriangleRow, generate
+from .recurrence import LagTerm, RecurrenceSpec, TriangleRow
 
 
 @dataclass(frozen=True)
@@ -172,7 +173,7 @@ class FamilyDescriptor:
     """
 
     name: str
-    parameters: dict
+    parameters: dict = field(hash=False)
     spec: RecurrenceSpec
     oeis_refs: tuple[str, ...] = ()
     oracle_model: Optional[OracleModel] = None
@@ -208,36 +209,31 @@ def egf_rows(descriptor: FamilyDescriptor, order: int) -> list[ExactPolynomial]:
 def verify_egf_identity(
     descriptor: FamilyDescriptor,
     order: int,
-    polys: Optional[Sequence[ExactPolynomial]] = None,
+    rows: Optional[Iterable[TriangleRow]] = None,
 ) -> Optional[tuple[int, ExactPolynomial, ExactPolynomial]]:
     """Cross-check the recurrence against the EGF exponent.
 
-    `polys`, when given, are the spec's rows from its start index through
-    at least `order + start_index` (as from `generate`); otherwise they
-    are generated here.  Returns None when EGF rows 0..order all match
-    exactly, else the first (row, from_recurrence, from_egf) mismatch.
+    `rows`, when given, are the spec's triangle rows from its start index
+    through at least `order + start_index` (as from `triangle`), else they
+    are drawn here.  Returns None when EGF rows 0..order all match exactly,
+    else the first (row, from_recurrence, from_egf) mismatch.
     """
-    start = descriptor.spec.start_index
-    if polys is None:
-        polys = generate(descriptor.spec, order + start)
-    for n, want in enumerate(egf_rows(descriptor, order)):
-        if polys[n] != want:
-            return (n + start, polys[n], want)
+    if rows is None:
+        rows = recurrence.rows(descriptor.spec, order + descriptor.spec.start_index)
+    for row, want in zip(rows, egf_rows(descriptor, order)):
+        if row.poly != want:
+            return (row.n, row.poly, want)
     return None
 
 
 @dataclass(frozen=True)
 class NonnegativityReport:
-    all_nonnegative: bool
+    ok: bool
     first_negative: Optional[tuple[int, int]]
     zero_sum_rows: tuple[int, ...]
 
-    @property
-    def ok(self) -> bool:
-        return self.all_nonnegative
 
-
-def validate_nonnegativity(rows: Sequence[TriangleRow]) -> NonnegativityReport:
+def validate_nonnegativity(rows: Iterable[TriangleRow]) -> NonnegativityReport:
     """Scan triangle rows for negative entries and zero row sums.
 
     Zero-sum rows are legal (they occur for block-size-restricted families

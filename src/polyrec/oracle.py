@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import ExactPolynomial
+from . import recurrence
 from .errors import ParameterError, SizeGuardError
 from .families import FamilyDescriptor
-from .recurrence import generate
+from .recurrence import TriangleRow
 
 MAX_ELEMENTS = 14
 
@@ -113,15 +113,15 @@ class OracleReport:
 def verify_family(
     descriptor: FamilyDescriptor,
     n_max: int,
-    polys: Optional[Sequence[ExactPolynomial]] = None,
+    rows: Optional[Sequence[TriangleRow]] = None,
 ) -> OracleReport:
     """Check the recurrence triangle against enumeration for rows <= n_max.
 
     Row `start_index` holds no plain element and equals `start_poly`, so
     row start_index + n counts the model's partitions of n plain elements,
-    shifted up by deg start_poly columns.  `polys` are the spec's rows from
-    its start index on (as from `generate`); they are generated here when
-    not given or when they stop short of `n_max`.  Families without a
+    shifted up by deg start_poly columns.  `rows` are the spec's triangle
+    rows from its start index on (as from `triangle`); they are drawn here
+    when not given or when they stop short of `n_max`.  Families without a
     registered combinatorial model (galton, sheffer, whitney with negative
     c) come back skipped-with-notice rather than failing.
     """
@@ -138,11 +138,12 @@ def verify_family(
     r, m, s = model
     start = descriptor.spec.start_index
     col_offset = descriptor.spec.start_poly.degree
-    if polys is None or start + len(polys) <= n_max:
-        polys = generate(descriptor.spec, n_max) if n_max >= start else []
-    for row in range(start, n_max + 1):
-        counts = count_partitions(PartitionConstraint(n=row - start, r=r, m=m, s=s))
-        poly = polys[row - start]
+    if not rows or rows[-1].n < n_max:
+        rows = recurrence.rows(descriptor.spec, n_max) if n_max >= start else ()
+    for n, poly in rows:
+        if n > n_max:
+            break
+        counts = count_partitions(PartitionConstraint(n=n - start, r=r, m=m, s=s))
         top = max([poly.degree] + [k + col_offset for k in counts])
         for k in range(top + 1):
             want = counts.get(k - col_offset, 0)
@@ -152,6 +153,6 @@ def verify_family(
                     family=label,
                     n_max=n_max,
                     ok=False,
-                    first_mismatch=(row, k, int(got), want),
+                    first_mismatch=(n, k, int(got), want),
                 )
     return OracleReport(family=label, n_max=n_max, ok=True)

@@ -15,11 +15,12 @@ Q_n = d0 D^(n - start) P_n have integer coefficients and obey
 
     Q_n = (D gamma) Q_{n-1} + (D m) x Q'_{n-1} + sum w(n, s) (D^s kappa) Q_{n-s},
 
-so `advance` works coefficient-wise on plain `int` lists and `generate`
-hands each row over as the pair (Q_n, d0 D^(n - start)) without touching a
-coefficient (the denominator is 1 when the data are integers, as for every
-catalog family).  The module also builds coefficient triangles, both from
-the polynomial recurrence and directly from the linear entrywise recurrence
+so `advance` works coefficient-wise on plain `int` lists.  `rows`, the one
+row source, keeps only the last `max_lag` of them and hands each row over
+as the pair (Q_n, d0 D^(n - start)) without touching a coefficient (the
+denominator is 1 when the data are integers, as for every catalog family);
+`generate` and `triangle` are lists over it.  The module also builds
+coefficient triangles directly from the linear entrywise recurrence
 
     T_{n,k} = u T_{n-1,k-1} + (a + b k) T_{n-1,k},   T_{0,0} = 1.
 """
@@ -28,9 +29,10 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import ONE, ExactPolynomial, Scalar, add_product, as_fraction, scaled_ints
 from .errors import InvalidIndexError
@@ -159,24 +161,6 @@ def advance(spec: RecurrenceSpec, history: Sequence[Row], n: int) -> Row:
     return out
 
 
-def generate(spec: RecurrenceSpec, upto: int) -> list[ExactPolynomial]:
-    """All polynomials P_n for n = start_index .. upto (inclusive)."""
-    if upto < spec.start_index:
-        raise InvalidIndexError(
-            f"upper index {upto} is below start index {spec.start_index}"
-        )
-    rows = [spec.start_poly.numerators]
-    window = spec.max_lag
-    for n in range(spec.start_index + 1, upto + 1):
-        rows.append(advance(spec, rows[-1 : -window - 1 : -1], n))
-    out = []
-    d, denominator = spec.scaled.denominator, spec.start_poly.denominator
-    for row in rows:
-        out.append(ExactPolynomial.from_scaled(row, denominator))
-        denominator *= d
-    return out
-
-
 class TriangleRow(NamedTuple):
     """Row n of a coefficient triangle: its entries are the coefficients of
     `poly`, trailing zeros stripped (the zero polynomial gives none)."""
@@ -192,12 +176,34 @@ class TriangleRow(NamedTuple):
         return self.poly(1)
 
 
+def rows(spec: RecurrenceSpec, upto: int) -> Iterator[TriangleRow]:
+    """Rows n = start_index .. upto in order, each built as it is drawn.
+
+    Only the last `max_lag` int rows are kept, as the history `advance`
+    reads, so drawing row n holds a window of rows, not the triangle.  An
+    `upto` below the start index raises when the first row is drawn.
+    """
+    if upto < spec.start_index:
+        raise InvalidIndexError(
+            f"upper index {upto} is below start index {spec.start_index}"
+        )
+    history = deque([spec.start_poly.numerators], maxlen=spec.max_lag)
+    d, denominator = spec.scaled.denominator, spec.start_poly.denominator
+    yield TriangleRow(spec.start_index, spec.start_poly)
+    for n in range(spec.start_index + 1, upto + 1):
+        history.appendleft(advance(spec, history, n))
+        denominator *= d
+        yield TriangleRow(n, ExactPolynomial.from_scaled(history[0], denominator))
+
+
+def generate(spec: RecurrenceSpec, upto: int) -> list[ExactPolynomial]:
+    """All polynomials P_n for n = start_index .. upto (inclusive)."""
+    return [row.poly for row in rows(spec, upto)]
+
+
 def triangle(spec: RecurrenceSpec, upto: int) -> list[TriangleRow]:
     """Coefficient triangle of the polynomial sequence."""
-    return [
-        TriangleRow(n, p)
-        for n, p in enumerate(generate(spec, upto), start=spec.start_index)
-    ]
+    return list(rows(spec, upto))
 
 
 def triangle_linear(

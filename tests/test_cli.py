@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from polyrec import cli, distribution, families, recurrence
+from polyrec import cli, recurrence
 from polyrec.cli import main
 from polyrec.families import catalog
 from polyrec.recurrence import triangle
@@ -445,22 +445,23 @@ def test_moments_table(capsys):
         # rows 1..30 once; the enumeration oracle reads rows 1..8 of them
         (("verify", "--family", "dowling(m=2)", "--max-n", "30"), 30),
         (("asymptotics", "--family", "stirling2", "--ns", "10,30,20"), 30),
+        (("pmf", "--family", "stirling2", "--n", "30"), 30),
+        (("clt", "--family", "stirling2", "--ns", "10,30,20"), 30),
     ],
 )
 def test_rows_are_generated_once(capsys, monkeypatch, argv, rows):
+    # every command draws its rows from the one row source, once
     generated, advanced = [], []
 
-    def counting_generate(spec, upto):
+    def counting_rows(spec, upto, source=recurrence.rows):
         generated.append(upto)
-        return recurrence.generate(spec, upto)
+        return source(spec, upto)
 
     def counting_advance(spec, history, n, advance=recurrence.advance):
         advanced.append(n)
         return advance(spec, history, n)
 
-    monkeypatch.setattr(cli, "generate", counting_generate)
-    monkeypatch.setattr(distribution, "generate", counting_generate)
-    monkeypatch.setattr(families, "generate", counting_generate)
+    monkeypatch.setattr(recurrence, "rows", counting_rows)
     monkeypatch.setattr(recurrence, "advance", counting_advance)
     code, _, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""

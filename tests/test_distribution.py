@@ -1,12 +1,14 @@
 """Exact PMFs, moment identities, and normal-law diagnostics."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from polyrec.algebra import ExactPolynomial, ONE
 from polyrec.distribution import (
+    _row_pmfs,
     clt_scan,
     mean_identity_check,
     normality,
@@ -155,3 +157,23 @@ def test_clt_scan_rejects_n_one():
 def test_clt_scan_rejects_rows_below_the_start():
     with pytest.raises(ZeroMassError, match="row 2 precedes the first row 3"):
         clt_scan(catalog("r_stirling", r=3), [2])
+
+
+def test_one_row_holds_a_window_not_the_triangle():
+    # drawing row 400 keeps the last rows the recurrence reads, so its
+    # peak stays far below what the whole triangle through 400 retains
+    spec = catalog("stirling2").spec
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        polys = generate(spec, 400)
+        retained = tracemalloc.get_traced_memory()[0] - base
+        del polys
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        (table,) = _row_pmfs(spec, [400])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert table.n == 400 and table.total == generate(spec, 400)[400](1)
+    assert peak < retained / 4, (peak, retained)

@@ -78,10 +78,10 @@ def test_verify_egf_identity_reports_the_spec_row(monkeypatch):
     stirling = build_exponent(catalog("stirling2").spec)
     monkeypatch.setattr(families, "build_exponent", lambda spec: stirling)
     shifted = catalog("r_stirling", r=3)
-    polys = generate(shifted.spec, 8)
-    mismatch = (4, polys[1], monomial(4))
+    rows = triangle(shifted.spec, 8)
+    mismatch = (4, rows[1].poly, monomial(4))
     assert verify_egf_identity(shifted, 5) == mismatch
-    assert verify_egf_identity(shifted, 5, polys) == mismatch
+    assert verify_egf_identity(shifted, 5, rows) == mismatch
 
 
 def test_the_exponent_follows_the_spec():
@@ -266,6 +266,15 @@ def test_sheffer_scales_stirling_frobenius():
                 [Fraction(m) ** k * p_w.coefficient(k) for k in range(p_w.degree + 1)]
             )
             assert p_s == rescaled
+
+
+def test_equal_descriptors_hash_equal():
+    # the parameters dict takes no part in the hash, so descriptors can be
+    # set members and dict keys
+    first, again = catalog("dowling", m=2), catalog("dowling", m=2)
+    assert first == again and hash(first) == hash(again)
+    assert hash(catalog("stirling2")) == hash(catalog("stirling2"))
+    assert len({first, again, catalog("stirling2"), catalog("dowling", m=3)}) == 3
 
 
 def test_catalog_names_and_parameters():

@@ -16,7 +16,7 @@ from polyrec.oracle import (
     count_partitions,
     verify_family,
 )
-from polyrec.recurrence import generate
+from polyrec.recurrence import generate, triangle
 
 BELL = [
     1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975,
@@ -204,11 +204,11 @@ def test_verify_family_reports_mismatch():
 
 def test_verify_family_reads_the_given_rows():
     descriptor = catalog("stirling2")
-    rows = generate(descriptor.spec, 7)
+    rows = triangle(descriptor.spec, 7)
     assert verify_family(descriptor, 5, rows).ok
-    doubled = rows[:3] + [rows[3] * 2] + rows[4:]
+    doubled = rows[:3] + [rows[3]._replace(poly=rows[3].poly * 2)] + rows[4:]
     report = verify_family(descriptor, 5, doubled)
     assert not report.ok
     assert report.first_mismatch == (3, 1, 2, 1)
-    # rows that stop short of n_max are generated afresh
+    # rows that stop short of n_max are drawn afresh
     assert verify_family(descriptor, 5, doubled[:4]).ok

@@ -129,9 +129,22 @@ RATIONAL_SPEC = RecurrenceSpec(
 
 
 def test_advance_matches_generate():
-    for spec in (catalog("dowling", m=3).spec, RATIONAL_SPEC):
+    for spec in (
+        catalog("dowling", m=3).spec,
+        RATIONAL_SPEC,
+        catalog("r_whitney_assoc", m=2, r=1, s=2).spec,  # a depth-2 lag
+        catalog("r_stirling", r=2).spec,  # rows start at n = 2
+    ):
         start = spec.start_index
-        rows = scaled_rows(spec, generate(spec, start + 8))
+        polys = generate(spec, start + 8)
+        # the row source keeps a window of max_lag rows; the triangle and
+        # generate are lists over it, and match the reference recurrence
+        drawn = list(recurrence.rows(spec, start + 8))
+        assert drawn == triangle(spec, start + 8)
+        assert [row.n for row in drawn] == list(range(start, start + 9))
+        assert [row.poly for row in drawn] == polys
+        assert polys == reference_generate(spec, start + 8)
+        rows = scaled_rows(spec, polys)
         for i in range(1, len(rows)):
             assert advance(spec, rows[i - 1 :: -1], start + i) == rows[i]
 
