@@ -20,7 +20,6 @@ of silently producing inf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -210,8 +209,7 @@ def solve_saddle(sf: SaddleFunction, n: int, x: float = 1.0) -> float:
     return rho
 
 
-@dataclass(frozen=True)
-class SaddleReport:
+class SaddleReport(NamedTuple):
     """Saddle-point predictions for one row index n (evaluated at x = 1)."""
 
     n: int
@@ -259,8 +257,7 @@ def log_fraction(q: Fraction) -> float:
     return math.log(q.numerator) - math.log(q.denominator)
 
 
-@dataclass(frozen=True)
-class ComparisonRecord:
+class ComparisonRecord(NamedTuple):
     """Exact row statistics against the saddle-point predictions."""
 
     n: int

@@ -214,55 +214,19 @@ def _cmd_moments(args) -> int:
     return 0
 
 
-_CLT_FIELDS = (
-    "ks_plain",
-    "ks_continuity",
-    "standardized_third",
-    "standardized_fourth",
-    "center",
-    "scale",
-    "ks_plain_limit",
-    "ks_continuity_limit",
-)
-
-
 def _cmd_clt(args) -> int:
     reports = dist.clt_scan(_resolve(args), args.ns)
+    # the columns after n are the record's own fields, in its order
+    fields = dist.NormalityReport._fields[1:]
     if args.format == "json":
         payload = [
-            {"n": r.n, **{f: _fmt_float(getattr(r, f)) for f in _CLT_FIELDS}}
-            for r in reports
+            {"n": r.n, **dict(zip(fields, map(_fmt_float, r[1:])))} for r in reports
         ]
         _emit(args, _json(payload))
         return 0
-    rows = [
-        [str(r.n)] + [_fmt_float(getattr(r, f)) for f in _CLT_FIELDS] for r in reports
-    ]
-    _emit(args, _csv(("n",) + _CLT_FIELDS, rows))
+    rows = [[str(r.n)] + [_fmt_float(v) for v in r[1:]] for r in reports]
+    _emit(args, _csv(("n",) + fields, rows))
     return 0
-
-
-_REPORT_FIELDS = (
-    "rho",
-    "rho_prime",
-    "predicted_mean",
-    "predicted_variance",
-    "b_value",
-    "coeff_estimate_log",
-    "leading_mean",
-    "leading_variance",
-)
-_COMPARE_FIELDS = (
-    "exact_mean",
-    "predicted_mean",
-    "mean_rel_err",
-    "exact_variance",
-    "predicted_variance",
-    "variance_rel_err",
-    "exact_log_total",
-    "estimate_log_total",
-    "log_total_rel_err",
-)
 
 
 def _cmd_asymptotics(args) -> int:
@@ -274,17 +238,19 @@ def _cmd_asymptotics(args) -> int:
     # one pass over the rows serves every n
     rows = recurrence.rows(descriptor.spec, max(ns)) if ns else ()
     records = [asym.compare_exact(descriptor, r.n, r.poly) for r in rows if r.n in ns]
+    # the columns after n are the records' own fields, in their order; a
+    # comparison's last field is the saddle report itself
+    report_fields = asym.SaddleReport._fields[1:]
+    compare_fields = asym.ComparisonRecord._fields[1:-1]
     if args.format == "json":
         payload = [
             {
                 "n": rec.n,
                 "report": {
                     "n": rec.report.n,
-                    **{
-                        f: _fmt_float(getattr(rec.report, f)) for f in _REPORT_FIELDS
-                    },
+                    **dict(zip(report_fields, map(_fmt_float, rec.report[1:]))),
                 },
-                **{f: _fmt_float(getattr(rec, f)) for f in _COMPARE_FIELDS},
+                **dict(zip(compare_fields, map(_fmt_float, rec[1:-1]))),
             }
             for rec in records
         ]
@@ -293,18 +259,11 @@ def _cmd_asymptotics(args) -> int:
     # flat CSV: the report's own predictions get a prefix so the header is
     # unambiguous (the bare columns carry the offset-adjusted values the
     # comparison actually used)
-    header = (
-        ("n",)
-        + tuple("saddle_" + f for f in _REPORT_FIELDS)
-        + _COMPARE_FIELDS
-    )
-    rows = []
-    for rec in records:
-        rows.append(
-            [str(rec.n)]
-            + [_fmt_float(getattr(rec.report, f)) for f in _REPORT_FIELDS]
-            + [_fmt_float(getattr(rec, f)) for f in _COMPARE_FIELDS]
-        )
+    header = ("n",) + tuple("saddle_" + f for f in report_fields) + compare_fields
+    rows = [
+        [str(rec.n)] + [_fmt_float(v) for v in rec.report[1:] + rec[1:-1]]
+        for rec in records
+    ]
     _emit(args, _csv(header, rows))
     return 0
 

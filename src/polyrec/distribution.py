@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import recurrence
 from .algebra import ExactPolynomial, ONE
@@ -110,8 +110,7 @@ def pmf(p: ExactPolynomial, n: int) -> PMFTable:
     return PMFTable(n, weights, s0, mean, m2, skew, kurt)
 
 
-@dataclass(frozen=True)
-class NormalityReport:
+class NormalityReport(NamedTuple):
     """Distance of one exact PMF to the standard normal law.
 
     ks_plain / ks_continuity self-standardize with the exact mean and
@@ -205,8 +204,7 @@ def clt_scan(
     return [normality(table, d) for table in _row_pmfs(descriptor.spec, ns)]
 
 
-@dataclass(frozen=True)
-class MeanIdentityReport:
+class MeanIdentityReport(NamedTuple):
     """Exact check of the ratio formula E X_n = T_{n+1}(1)/(m T_n(1)) - (1+c)/m."""
 
     family: str

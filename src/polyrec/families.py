@@ -226,8 +226,7 @@ def verify_egf_identity(
     return None
 
 
-@dataclass(frozen=True)
-class NonnegativityReport:
+class NonnegativityReport(NamedTuple):
     ok: bool
     first_negative: Optional[tuple[int, int]]
     zero_sum_rows: tuple[int, ...]

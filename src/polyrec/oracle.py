@@ -20,7 +20,7 @@ independent witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import recurrence
 from .errors import ParameterError, SizeGuardError
@@ -90,8 +90,7 @@ def count_partitions(constraint: PartitionConstraint) -> dict[int, int]:
     return counts
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     """Outcome of checking one family's triangle against enumeration."""
 
     family: str

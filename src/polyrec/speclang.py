@@ -21,9 +21,8 @@ line:column of the offending token.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .algebra import ONE, ExactPolynomial
 from .errors import ParseError
@@ -37,27 +36,24 @@ _M_POSITIVITY = (
 )
 
 
-@dataclass(frozen=True)
-class SpecSource:
+class SpecSource(NamedTuple):
     """Raw spec text plus where it came from (for error rendering)."""
 
     text: str
     origin: str = "<inline>"
 
 
-@dataclass(frozen=True)
-class FamilyRequest:
+class FamilyRequest(NamedTuple):
     """A parsed catalog invocation, not yet built."""
 
     name: str
-    params: dict[str, Union[int, Fraction]] = field(default_factory=dict)
+    params: dict[str, Union[int, Fraction]]
 
     def build(self) -> FamilyDescriptor:
         return catalog(self.name, **self.params)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident", "number", or the symbol itself
     text: str
     line: int
@@ -80,9 +76,9 @@ def _tokenize(src: SpecSource) -> list[_Token]:
             column += 1
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # str.isdigit also admits '²' and '٣'
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(_Token("number", text[i:j], line, column))
             column += j - i

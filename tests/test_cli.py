@@ -82,6 +82,14 @@ GOLDEN_DIGESTS = {
         "6ed879fee1286bbca03a854bcc009d26d617d0ec50b9bd30a2cd1f6e292fb837",
     ("triangle", "--family", "r_stirling(r=3)", "--max-n", "20", "--format", "json"):
         "700060140b4f77eafaa8d872b3b5d2589d5bc0036a65fc4cd537cd82e63bfcd1",
+    # recorded while the result records were dataclasses: the enumeration
+    # detail is str(OracleReport), and sheffer has no model (skipped, exit 0)
+    ("verify", "--family", "dowling(m=2)", "--max-n", "30", "--format", "csv"):
+        "8e28ddb633133fdfc55b2bbbd824a804c320bfd99edb6079320c90adfcb3fe03",
+    ("verify", "--family", "dowling(m=2)", "--max-n", "30", "--format", "json"):
+        "ac4cba1ceac54471c059058310efc6fbda3a4eed4032300c37d1f482f8cb0204",
+    ("verify", "--family", "sheffer(d=2,a=1)", "--max-n", "10", "--format", "csv"):
+        "34bedf6478aaaffc65c817e8aca7a1e9417ff4a93766dfef3e394fe928e7a602",
 }
 
 

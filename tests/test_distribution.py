@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from polyrec import distribution
 from polyrec.algebra import ExactPolynomial, ONE
 from polyrec.distribution import (
     _row_pmfs,
@@ -81,8 +82,19 @@ def test_mean_is_log_derivative_at_one():
 def test_mean_identity_stirling_row_three():
     report = mean_identity_check(catalog("stirling2"), 3)
     assert report.ok and report.first_mismatch is None
+    assert str(report) == "stirling2: mean identity holds exactly for n <= 3"
     # B_4 / B_3 - 1 = 15/5 - 1 = 2, the pmf mean of row 3
     assert pmf(generate(catalog("stirling2").spec, 3)[3], 3).mean == 2
+
+
+def test_mean_identity_reports_mismatch(monkeypatch):
+    # squaring each row before its pmf doubles the mean: row 1 is x, so the
+    # pmf mean of x^2 is 2 where the formula gives 1
+    monkeypatch.setattr(distribution, "pmf", lambda poly, n: pmf(poly * poly, n))
+    report = mean_identity_check(catalog("stirling2"), 3)
+    assert not report.ok
+    assert report.first_mismatch == (1, 2, 1)
+    assert str(report) == "stirling2: mean identity fails at n=1: pmf 2, formula 1"
 
 
 def test_mean_identity_families():

@@ -187,6 +187,8 @@ def test_verify_family_skips_unmodelled_shapes():
         report = verify_family(catalog(name, **params), 6)
         assert report.skipped and report.ok
         assert report.notice
+    report = verify_family(catalog("galton", m=2, c=-1), 6)
+    assert str(report) == "galton(m=2,c=-1): skipped (no combinatorial model registered)"
 
 
 def test_verify_family_reports_mismatch():
@@ -200,15 +202,19 @@ def test_verify_family_reports_mismatch():
     assert report.first_mismatch is not None
     n, k, got, want = report.first_mismatch
     assert got != want
+    assert str(report) == "stirling2: mismatch at (n=2, k=1): triangle 2, oracle 1"
 
 
 def test_verify_family_reads_the_given_rows():
     descriptor = catalog("stirling2")
     rows = triangle(descriptor.spec, 7)
-    assert verify_family(descriptor, 5, rows).ok
+    report = verify_family(descriptor, 5, rows)
+    assert report.ok
+    assert str(report) == "stirling2: rows up to 5 match enumeration"
     doubled = rows[:3] + [rows[3]._replace(poly=rows[3].poly * 2)] + rows[4:]
     report = verify_family(descriptor, 5, doubled)
     assert not report.ok
     assert report.first_mismatch == (3, 1, 2, 1)
+    assert str(report) == "stirling2: mismatch at (n=3, k=1): triangle 2, oracle 1"
     # rows that stop short of n_max are drawn afresh
     assert verify_family(descriptor, 5, doubled[:4]).ok

@@ -167,11 +167,17 @@ def test_exact_positions_for_canonical_failures():
         ("family: klein();", 1, 9),
         ("gamma: x m: 1;", 1, 10),
         ("gamma: 1/0; m: 1;", 1, 10),
+        # number tokens are ASCII digits only; str.isdigit admits superscript
+        # two and Arabic-Indic three
+        ("gamma: x + \u00b2; m: 1;", 1, 12),
+        ("gamma: x + \u0663; m: 1;", 1, 12),
     ]
     for text, line, column in cases:
         with pytest.raises(ParseError) as info:
             load(text)
         assert (info.value.line, info.value.column) == (line, column), text
+        if not text.isascii():
+            assert f"unexpected character {text[column - 1]!r}" in str(info.value)
 
 
 # 0 means no limit; before 3.10.7 there is none
