@@ -275,21 +275,25 @@ def _cmd_verify(args) -> int:
     checks = []
 
     # one row list for every check: EGF row j is spec row start + j, so the
-    # EGF check reads rows through max_n + start, the others a prefix
+    # EGF check reads rows through max_n + start, the enumeration through
+    # 8 and the nonnegativity scan through max_n
     try:
         descriptor.saddle  # the shape check, before any row is generated
-        rows = triangle(spec, args.max_n + start)
-        mismatch = verify_egf_identity(descriptor, args.max_n, rows)
-        if mismatch is None:
-            checks.append(("egf_identity", True, f"rows 0..{args.max_n} match"))
-        else:
-            n, got, want = mismatch
-            checks.append(
-                ("egf_identity", False, f"row {n}: recurrence {got}, series {want}")
-            )
+        skipped, upto = None, args.max_n + start
     except UnsupportedShapeError as err:
-        checks.append(("egf_identity", True, f"skipped: {err}"))
-        rows = triangle(spec, args.max_n)
+        skipped, upto = err, args.max_n
+    if upto >= start and descriptor.oracle_model is not None:
+        upto = max(upto, 8)
+    rows = triangle(spec, upto)
+    if skipped is not None:
+        checks.append(("egf_identity", True, f"skipped: {skipped}"))
+    elif (mismatch := verify_egf_identity(descriptor, args.max_n, rows)) is None:
+        checks.append(("egf_identity", True, f"rows 0..{args.max_n} match"))
+    else:
+        n, got, want = mismatch
+        checks.append(
+            ("egf_identity", False, f"row {n}: recurrence {got}, series {want}")
+        )
 
     if descriptor.name in FAMILIES:
         report = verify_family(descriptor, 8, rows)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import pairwise
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -43,18 +43,13 @@ def standard_normal_cdf(t: float) -> float:
     return 0.5 * (1.0 + math.erf(t / math.sqrt(2.0)))
 
 
-@dataclass(frozen=True)
-class PMFTable:
+class PMFTable(
+    namedtuple("PMFTable", "n weights total mean variance skewness excess_kurtosis")
+):
     """Exact distribution of X_n extracted from one row polynomial:
     P(X_n = k) = weights[k] / total, with int weights."""
 
-    n: int
-    weights: tuple[int, ...]
-    total: int
-    mean: Fraction
-    variance: Fraction
-    skewness: float
-    excess_kurtosis: float
+    # no __slots__: the cached `probs` lives in the instance dict
 
     @functools.cached_property
     def probs(self) -> dict[int, Fraction]:

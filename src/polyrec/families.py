@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -47,28 +47,27 @@ from .errors import (
 from .recurrence import LagTerm, RecurrenceSpec, TriangleRow
 
 
-@dataclass(frozen=True)
-class SaddleFunction:
+class SaddleFunction(namedtuple("SaddleFunction", "q1 q2 m")):
     """Exponent f(z,x) = Q1(z,x) + Q2(x e^{m z}) of a family's EGF.
 
-    `q1` holds the z-power coefficients of Q1 (entry p multiplies z^p);
-    `q2` is univariate in u = x e^{m z} and never has a constant term.
+    `q1` holds the z-power coefficients of Q1 (entry p multiplies z^p), kept
+    as a tuple without trailing zero entries; `q2` is univariate in
+    u = x e^{m z} and never has a constant term; `m` is kept as a Fraction.
     """
 
-    q1: tuple[ExactPolynomial, ...]
-    q2: ExactPolynomial
-    m: Fraction
+    # no __slots__: the cached `floats` lives in the instance dict
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        q1 = list(self.q1)
+    def __new__(cls, q1, q2, m):
+        q1 = list(q1)
         while q1 and q1[-1].is_zero:
             q1.pop()
-        object.__setattr__(self, "q1", tuple(q1))
-        object.__setattr__(self, "m", as_fraction(self.m))
-        if self.m <= 0:
+        m = as_fraction(m)
+        if m <= 0:
             raise ValueError("m must be > 0")
-        if self.q2.coefficient(0) != 0:
+        if q2.coefficient(0) != 0:
             raise ValueError("Q2 must have zero constant term")
+        return super().__new__(cls, tuple(q1), q2, m)
 
     def egf_coefficients(self, order: int) -> list[ExactPolynomial]:
         """G_p = p! [z^p] f(z, x) for p = 0..order, that is
@@ -162,21 +161,27 @@ def build_exponent(spec: RecurrenceSpec) -> SaddleFunction:
 OracleModel = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class FamilyDescriptor:
+class FamilyDescriptor(
+    namedtuple(
+        "FamilyDescriptor",
+        "name parameters spec oeis_refs oracle_model",
+        defaults=((), None),
+    )
+):
     """A named family: recurrence and metadata.
 
     Row `spec.start_index + n` of the spec equals
     `spec.start_poly * n! * [z^n] exp(f)`, where f is `saddle`.
+    `parameters` maps each parameter name to its value, in order.
     `oracle_model` is the partition model (r, m, s) the enumeration oracle
     checks the triangle against, or None when the family has none.
     """
 
-    name: str
-    parameters: dict = field(hash=False)
-    spec: RecurrenceSpec
-    oeis_refs: tuple[str, ...] = ()
-    oracle_model: Optional[OracleModel] = None
+    # no __slots__: the cached `saddle` lives in the instance dict
+
+    def __hash__(self) -> int:
+        # leave out the parameters: a dict has no hash
+        return hash((self.name, self.spec, self.oeis_refs, self.oracle_model))
 
     @property
     def label(self) -> str:

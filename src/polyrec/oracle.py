@@ -19,7 +19,7 @@ independent witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple, Optional, Sequence
 
 from . import recurrence
@@ -30,22 +30,19 @@ from .recurrence import TriangleRow
 MAX_ELEMENTS = 14
 
 
-@dataclass(frozen=True)
-class PartitionConstraint:
+class PartitionConstraint(namedtuple("PartitionConstraint", "n r m s")):
     """Enumeration parameters: n non-distinguished elements, r distinguished
     elements (pairwise separated), m colors, minimum non-distinguished block
-    size s."""
+    size s; all ints."""
 
-    n: int
-    r: int = 0
-    m: int = 1
-    s: int = 1
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        for name, minimum in (("n", 0), ("r", 0), ("m", 1), ("s", 1)):
-            value = getattr(self, name)
+    def __new__(cls, n, r=0, m=1, s=1):
+        for name, value, minimum in zip("nrms", (n, r, m, s), (0, 0, 1, 1)):
             if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
                 raise ParameterError(f"{name} must be an integer >= {minimum}")
+        return super().__new__(cls, n, r, m, s)
 
 
 def count_partitions(constraint: PartitionConstraint) -> dict[int, int]:

@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
@@ -40,22 +39,22 @@ from .errors import InvalidIndexError
 Row = list[int]
 
 
-@dataclass(frozen=True)
-class LagTerm:
+class LagTerm(namedtuple("LagTerm", "s kappa binom_weight")):
     """One lagged term of the recurrence.
 
-    `s` is the lag depth (>= 1), `kappa` the x-dependent factor with any
-    constant scaling pre-folded in, and `binom_weight` selects the
-    n-dependent factor C(n-1, s-1) instead of 1.
+    `s` is the lag depth (an int >= 1), `kappa` the x-dependent factor (an
+    ExactPolynomial) with any constant scaling pre-folded in, and
+    `binom_weight` selects the n-dependent factor C(n-1, s-1) instead of 1.
     """
 
-    s: int
-    kappa: ExactPolynomial
-    binom_weight: bool = False
+    __slots__ = ()
+    # `_replace` builds through `_make`: send it through the checks too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        if self.s < 1:
+    def __new__(cls, s, kappa, binom_weight=False):
+        if s < 1:
             raise ValueError("lag depth s must be >= 1")
+        return super().__new__(cls, s, kappa, binom_weight)
 
     def weight(self, n: int) -> int:
         return math.comb(n - 1, self.s - 1) if self.binom_weight else 1
@@ -71,29 +70,28 @@ class ScaledData(NamedTuple):
     lags: tuple[tuple[LagTerm, tuple[int, ...]], ...]
 
 
-@dataclass(frozen=True)
-class RecurrenceSpec:
-    """Full data of one recurrence instance."""
+class RecurrenceSpec(
+    namedtuple("RecurrenceSpec", "gamma m lags start_index start_poly")
+):
+    """Full data of one recurrence instance; `m` is kept as a Fraction."""
 
-    gamma: ExactPolynomial
-    m: Fraction
-    lags: tuple[LagTerm, ...] = ()
-    start_index: int = 0
-    start_poly: ExactPolynomial = ONE
+    # no __slots__: the cached `scaled` lives in the instance dict
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        object.__setattr__(self, "m", as_fraction(self.m))
+    def __new__(cls, gamma, m, lags=(), start_index=0, start_poly=ONE):
+        m = as_fraction(m)
         # keep lag order canonical so equality is order-insensitive
-        object.__setattr__(self, "lags", tuple(sorted(self.lags, key=lambda t: t.s)))
-        if self.m <= 0:
+        lags = tuple(sorted(lags, key=lambda t: t.s))
+        if m <= 0:
             raise ValueError("m must be > 0 (positive derivative weight)")
-        if self.start_poly.is_zero:
+        if start_poly.is_zero:
             raise ValueError("start polynomial must be nonzero")
-        if self.start_index < 0:
+        if start_index < 0:
             raise ValueError("start index must be >= 0")
-        depths = [lag.s for lag in self.lags]
+        depths = [lag.s for lag in lags]
         if len(set(depths)) != len(depths):
             raise ValueError("lag depths must be distinct")
+        return super().__new__(cls, gamma, m, lags, start_index, start_poly)
 
     @property
     def max_lag(self) -> int:

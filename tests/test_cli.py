@@ -446,19 +446,10 @@ def test_moments_table(capsys):
     assert "2,2/5" in lines[1]
 
 
-@pytest.mark.parametrize(
-    "argv,rows",
-    [
-        (("moments", "--family", "stirling2", "--ns", "10,30,20"), 30),
-        # rows 1..30 once; the enumeration oracle reads rows 1..8 of them
-        (("verify", "--family", "dowling(m=2)", "--max-n", "30"), 30),
-        (("asymptotics", "--family", "stirling2", "--ns", "10,30,20"), 30),
-        (("pmf", "--family", "stirling2", "--n", "30"), 30),
-        (("clt", "--family", "stirling2", "--ns", "10,30,20"), 30),
-    ],
-)
-def test_rows_are_generated_once(capsys, monkeypatch, argv, rows):
-    # every command draws its rows from the one row source, once
+@pytest.fixture
+def drawn(monkeypatch):
+    """The `upto` of every `recurrence.rows` call and the n of every
+    `recurrence.advance` call, in order."""
     generated, advanced = [], []
 
     def counting_rows(spec, upto, source=recurrence.rows):
@@ -471,10 +462,71 @@ def test_rows_are_generated_once(capsys, monkeypatch, argv, rows):
 
     monkeypatch.setattr(recurrence, "rows", counting_rows)
     monkeypatch.setattr(recurrence, "advance", counting_advance)
+    return generated, advanced
+
+
+@pytest.mark.parametrize(
+    "argv,rows",
+    [
+        (("moments", "--family", "stirling2", "--ns", "10,30,20"), 30),
+        # rows 1..30 once; the enumeration oracle reads rows 1..8 of them
+        (("verify", "--family", "dowling(m=2)", "--max-n", "30"), 30),
+        (("asymptotics", "--family", "stirling2", "--ns", "10,30,20"), 30),
+        (("pmf", "--family", "stirling2", "--n", "30"), 30),
+        (("clt", "--family", "stirling2", "--ns", "10,30,20"), 30),
+    ],
+)
+def test_rows_are_generated_once(capsys, drawn, argv, rows):
+    # every command draws its rows from the one row source, once
+    generated, advanced = drawn
     code, _, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
     assert generated == [30]
     assert len(advanced) == rows
+
+
+@pytest.mark.parametrize(
+    "argv,upto",
+    [
+        # the enumeration reads rows 1..8: one list reaches both checks
+        (("verify", "--family", "dowling(m=2)", "--max-n", "5"), 8),
+        (("verify", "--family", "dowling(m=2)", "--max-n", "0"), 8),
+        # no partition model, no enumeration rows
+        (("verify", "--family", "sheffer(d=2,a=1)", "--max-n", "5"), 5),
+        (("verify", "--inline", "gamma: x; m: 1;", "--max-n", "3"), 3),
+    ],
+)
+def test_verify_draws_rows_once(capsys, drawn, argv, upto):
+    generated, advanced = drawn
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert generated == [upto]
+    assert advanced == list(range(1, upto + 1))
+
+
+SHIFTED_CLOSED_FORM = "gamma: x + 1; m: 2; start: {index: 2, poly: 3x^2};"
+
+
+@pytest.mark.parametrize(
+    "text,max_n,upper",
+    [
+        # with a closed form the EGF check names row max_n + start first
+        (SHIFTED_CLOSED_FORM, "-2", 0),
+        (SHIFTED_CLOSED_FORM, "1", 1),
+        (NO_CLOSED_FORM + " start: {index: 2, poly: 1};", "-1", -1),
+        (NO_CLOSED_FORM + " start: {index: 2, poly: 1};", "1", 1),
+    ],
+)
+def test_verify_refuses_rows_below_the_start(capsys, text, max_n, upper):
+    code, out, err = run_cli(capsys, "verify", "--inline", text, "--max-n", max_n)
+    assert out == ""
+    assert json.loads(err) == {
+        "error": {
+            "type": "InvalidIndexError",
+            "message": f"upper index {upper} is below start index 2",
+        }
+    }
+    assert code == 2
 
 
 def test_asymptotics_json_fields(capsys):

@@ -1,6 +1,5 @@
 """Catalog descriptors: EGF identities, exponent construction, constants."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -87,9 +86,23 @@ def test_verify_egf_identity_reports_the_spec_row(monkeypatch):
 def test_the_exponent_follows_the_spec():
     # a descriptor given another family's spec checks against that spec's
     # own exponent, not one left over from the family it was copied from
-    moved = dataclasses.replace(catalog("stirling2"), spec=catalog("dowling", m=2).spec)
+    moved = catalog("stirling2")._replace(spec=catalog("dowling", m=2).spec)
     assert moved.saddle == build_exponent(moved.spec)
     assert verify_egf_identity(moved, 10) is None
+
+
+def test_replace_rebuilds_the_exponent():
+    # the cached exponent belongs to the old spec; `_replace` starts afresh
+    stirling = catalog("stirling2")
+    old = stirling.saddle
+    dowling_spec = catalog("dowling", m=2).spec
+    moved = stirling._replace(spec=dowling_spec)
+    assert moved.saddle == build_exponent(dowling_spec) != old
+    assert stirling.saddle is old
+    # the exponent's own `_replace` trims and checks as its constructor does
+    assert old._replace(q1=old.q1 + (ZERO, ZERO)) == old
+    with pytest.raises(ValueError, match="m must be > 0"):
+        old._replace(m=0)
 
 
 def test_egf_rows_order_bounds():

@@ -1,7 +1,6 @@
 """The partition-counting oracle against brute-force enumeration and the
 recurrence engine."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -152,6 +151,13 @@ def test_constraint_validation():
         count_partitions(PartitionConstraint(n=13, r=2))
 
 
+def test_replace_checks_the_constraint():
+    # `_replace` goes through the constructor's checks
+    with pytest.raises(ParameterError, match="r must be an integer >= 0"):
+        PartitionConstraint(3)._replace(r=-1)
+    assert PartitionConstraint(3)._replace(s=2) == PartitionConstraint(n=3, s=2)
+
+
 def test_verify_family_ok():
     for name, params, n_max in [
         ("stirling2", {}, 9),
@@ -194,9 +200,7 @@ def test_verify_family_skips_unmodelled_shapes():
 def test_verify_family_reports_mismatch():
     # sabotage the spec so row 1 disagrees with the partition model
     descriptor = catalog("stirling2")
-    broken = dataclasses.replace(
-        descriptor, spec=dataclasses.replace(descriptor.spec, m=Fraction(2))
-    )
+    broken = descriptor._replace(spec=descriptor.spec._replace(m=Fraction(2)))
     report = verify_family(broken, 5)
     assert not report.ok and not report.skipped
     assert report.first_mismatch is not None

@@ -1,4 +1,8 @@
-"""The package namespace."""
+"""The package namespace and what importing it costs."""
+
+import os
+import subprocess
+import sys
 
 import polyrec
 
@@ -75,3 +79,35 @@ def test_public_names():
     assert len(PUBLIC_NAMES) == 63
     assert polyrec.__all__ == PUBLIC_NAMES
 
+
+SUBMODULES = [
+    "algebra",
+    "asymptotics",
+    "cli",
+    "distribution",
+    "errors",
+    "families",
+    "oracle",
+    "recurrence",
+    "speclang",
+]
+
+
+def test_cli_start_up_imports():
+    # a fresh `import polyrec.cli` loads every polyrec module (the bench
+    # tracer looks its targets up in sys.modules) and none of the heavy
+    # introspection modules that `dataclasses` pulls in
+    src = os.path.dirname(os.path.dirname(polyrec.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, polyrec.cli; print(*sorted(sys.modules))"
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    ).stdout.split()
+    assert "dataclasses" not in loaded
+    assert "inspect" not in loaded
+    ours = [name for name in loaded if name.startswith("polyrec.")]
+    assert ours == ["polyrec." + name for name in SUBMODULES]

@@ -238,6 +238,23 @@ def test_spec_validation():
         LagTerm(0, X, True)
 
 
+def test_replace_checks_and_normalises():
+    # `_replace` goes through the constructor: the same checks and the same
+    # canonical form as a spec built directly
+    a, b = LagTerm(1, X), LagTerm(2, ONE, True)
+    spec = RecurrenceSpec(gamma=X, m=1, lags=(a, b))
+    with pytest.raises(ValueError, match="m must be > 0"):
+        spec._replace(m=Fraction(0))
+    swapped = spec._replace(lags=(b, a))
+    assert swapped == spec and swapped.lags == (a, b)
+    assert type(swapped) is RecurrenceSpec
+    assert isinstance(spec._replace(m=2).m, Fraction)
+    with pytest.raises(ValueError, match="lag depth s must be >= 1"):
+        LagTerm(2, X)._replace(s=0)
+    gamma, m, lags, start_index, start_poly = spec
+    assert (gamma, m, lags, start_index, start_poly) == (X, 1, (a, b), 0, ONE)
+
+
 def test_lag_weight():
     binom = LagTerm(3, X, binom_weight=True)
     plain = LagTerm(3, X, binom_weight=False)
