@@ -217,13 +217,23 @@ def scaled_ints(poly: ExactPolynomial, factor: int) -> tuple[int, ...]:
 def add_product(
     out: list[int], a: Sequence[int], b: Sequence[int], scale: int = 1
 ) -> None:
-    """out += scale * a * b for int coefficient lists (lowest power first);
-    out must be long enough.  The one convolution kernel of the package."""
+    """out += scale * a * b for coefficient lists (lowest power first); out
+    must be long enough.  The one convolution kernel of the package.
+
+    `scale` and `a` are ints; `b` and `out` may hold any numbers that add
+    and multiply with ints (`recurrence.scaled_rows` steps `Decimal` rows
+    through here).  A unit factor adds b without multiplying, which saves
+    one multiply, or one int-to-number conversion, per entry.
+    """
     for i, ai in enumerate(a):
         if ai:
             f = scale * ai
-            for j, bj in enumerate(b, i):
-                out[j] += f * bj
+            if f == 1:
+                for j, bj in enumerate(b, i):
+                    out[j] += bj
+            else:
+                for j, bj in enumerate(b, i):
+                    out[j] += f * bj
 
 
 def _exp_scale(g: Sequence[ExactPolynomial]) -> int:

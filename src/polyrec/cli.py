@@ -21,6 +21,7 @@ after argument parsing prints a one-line JSON object to stderr.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import math
 import sys
@@ -119,23 +120,55 @@ def _row_texts(poly) -> list[str]:
     return texts
 
 
-def _check_texts(polys) -> None:
+def _check_texts(polys) -> int:
     """Raise the ValueError that `_row_texts` would raise on the first
-    coefficient past Python's int-to-str digit limit, if any.
+    coefficient past Python's int-to-str digit limit, if any; otherwise
+    return the length of the longest row.
 
     Only rows holding a numerator or denominator with enough bits to reach
     the limit are converted, so the check is cheap when nothing is near it.
     """
     # the limit arrived in 3.10.7; 0 means none
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit:
-        return
     # log2(10) > 3.321928, so an int of at most safe_bits bits is below
     # 10**limit and has at most `limit` digits
     safe_bits = limit * 3321928 // 1000000
+    width = 0
     for poly in polys:
-        if max(map(int.bit_length, (poly.denominator, *poly.numerators))) > safe_bits:
+        width = max(width, len(poly.numerators))
+        if limit and max(map(int.bit_length, (poly.denominator, *poly.numerators))) > safe_bits:
             _row_texts(poly)
+    return width
+
+
+# exact Decimal arithmetic: a result that would need rounding raises
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.InvalidOperation, decimal.Overflow, decimal.Inexact, decimal.Rounded],
+)
+
+
+def _decimal_texts(spec, upto: int) -> Iterator[tuple[int, list[str]]]:
+    """(n, entry texts) for each row of an integer-data spec.
+
+    The rows are stepped on `Decimal`s, whose text is linear in the digit
+    count where `str(int)` is quadratic; every value is an integer with
+    exponent 0, so `str` prints its digits, and a negative zero prints as 0.
+    """
+    source = recurrence.scaled_rows(
+        spec, upto, [decimal.Decimal(q) for q in spec.start_poly.numerators]
+    )
+    while True:
+        # entered per row, not around the loop: a context entered inside a
+        # generator stays in force while the generator is suspended
+        with decimal.localcontext(_EXACT):
+            row = next(source, None)
+        if row is None:
+            return
+        n, q = row
+        yield n, ["0" if t == "-0" else t for t in map(str, q)]
 
 
 def _json_rows(rows: Iterable[tuple[int, list[str]]]) -> Iterator[str]:
@@ -150,15 +183,25 @@ def _json_rows(rows: Iterable[tuple[int, list[str]]]) -> Iterator[str]:
 
 
 def _cmd_triangle(args) -> int:
-    rows = triangle(_resolve(args).spec, args.max_n)
-    # the rows are written as they are converted to text, so any conversion
-    # failure must surface before the first byte is written
-    _check_texts(row.poly for row in rows)
-    texts = ((row.n, _row_texts(row.poly)) for row in rows)
+    """Write the triangle's rows as they are converted to text.
+
+    Any conversion failure must surface before the first byte is written,
+    so a first pass checks every row against the digit limit.  An integer
+    triangle is never held: the first pass draws `int` rows, and a second
+    pass prints exact `Decimal` rows.  A rational triangle is held between
+    the check and the text.
+    """
+    spec = _resolve(args).spec
+    if spec.scaled.denominator == spec.start_poly.denominator == 1:
+        width = _check_texts(row.poly for row in recurrence.rows(spec, args.max_n))
+        texts = _decimal_texts(spec, args.max_n)
+    else:
+        rows = triangle(spec, args.max_n)
+        width = _check_texts(row.poly for row in rows)
+        texts = ((row.n, _row_texts(row.poly)) for row in rows)
     if args.format == "json":
         _emit(args, _json_rows(texts))
         return 0
-    width = max(len(row.poly.numerators) for row in rows)
     header = ["n"] + [f"c{k}" for k in range(width)]
     lines = ([str(n)] + t + ["0"] * (width - len(t)) for n, t in texts)
     _emit(args, _csv(header, lines))

@@ -15,9 +15,11 @@ Q_n = d0 D^(n - start) P_n have integer coefficients and obey
 
     Q_n = (D gamma) Q_{n-1} + (D m) x Q'_{n-1} + sum w(n, s) (D^s kappa) Q_{n-s},
 
-so `advance` works coefficient-wise on plain `int` lists.  `rows`, the one
-row source, keeps only the last `max_lag` of them and hands each row over
-as the pair (Q_n, d0 D^(n - start)) without touching a coefficient (the
+so `advance` works coefficient-wise on plain `int` lists.  `scaled_rows`
+steps them, keeping only the last `max_lag`, and also runs on `Decimal`
+rows, whose text is linear in the digits, for printing an integer
+triangle.  `rows`, the one row source, wraps it and hands each row over as
+the pair (Q_n, d0 D^(n - start)) without touching a coefficient (the
 denominator is 1 when the data are integers, as for every catalog family);
 `generate` and `triangle` are lists over it.  The module also builds
 coefficient triangles directly from the linear entrywise recurrence
@@ -116,8 +118,9 @@ class RecurrenceSpec(
 def advance(spec: RecurrenceSpec, history: Sequence[Row], n: int) -> Row:
     """Compute the scaled row Q_n = d0 D^(n - start) P_n from recent ones.
 
-    `history[i]` must be Q_{n-1-i} as an int list, lowest power first, with
-    no trailing zeros; the result has the same form.  Entries for indices
+    `history[i]` must be Q_{n-1-i} as a list of ints (or of exact numbers
+    that mix with ints, as in `scaled_rows`), lowest power first, with no
+    trailing zeros; the result has the same form.  Entries for indices
     below the start index may be anything (they are ignored, those rows are
     zero by convention), but every index in [start_index, n-1] that a term
     needs must be present.
@@ -174,24 +177,42 @@ class TriangleRow(NamedTuple):
         return self.poly(1)
 
 
-def rows(spec: RecurrenceSpec, upto: int) -> Iterator[TriangleRow]:
-    """Rows n = start_index .. upto in order, each built as it is drawn.
+def scaled_rows(
+    spec: RecurrenceSpec, upto: int, first: Sequence
+) -> Iterator[tuple[int, Sequence]]:
+    """The raw scaled rows (n, Q_n) for n = start_index .. upto, in order.
 
-    Only the last `max_lag` int rows are kept, as the history `advance`
-    reads, so drawing row n holds a window of rows, not the triangle.  An
-    `upto` below the start index raises when the first row is drawn.
+    `first` is the start row Q_start = d0 P_start, lowest power first and
+    without trailing zeros, in whatever number type the rows should hold:
+    `int` for `rows`, `decimal.Decimal` for the text of an integer triangle
+    (the caller then supplies an exact context for each draw).  Only the
+    last `max_lag` rows are kept, as the history `advance` reads, and this
+    is the one loop that calls `advance`.  An `upto` below the start index
+    raises when the first row is drawn.
     """
     if upto < spec.start_index:
         raise InvalidIndexError(
             f"upper index {upto} is below start index {spec.start_index}"
         )
-    history = deque([spec.start_poly.numerators], maxlen=spec.max_lag)
-    d, denominator = spec.scaled.denominator, spec.start_poly.denominator
-    yield TriangleRow(spec.start_index, spec.start_poly)
+    history = deque([first], maxlen=spec.max_lag)
+    yield spec.start_index, first
     for n in range(spec.start_index + 1, upto + 1):
         history.appendleft(advance(spec, history, n))
+        yield n, history[0]
+
+
+def rows(spec: RecurrenceSpec, upto: int) -> Iterator[TriangleRow]:
+    """Rows n = start_index .. upto in order, each built as it is drawn.
+
+    The `int` rows of `scaled_rows`, each handed over with its denominator
+    d0 D^(n - start), so drawing row n holds a window of rows, not the
+    triangle.  An `upto` below the start index raises when the first row is
+    drawn.
+    """
+    d, denominator = spec.scaled.denominator, spec.start_poly.denominator
+    for n, q in scaled_rows(spec, upto, spec.start_poly.numerators):
+        yield TriangleRow(n, ExactPolynomial.from_scaled(q, denominator))
         denominator *= d
-        yield TriangleRow(n, ExactPolynomial.from_scaled(history[0], denominator))
 
 
 def generate(spec: RecurrenceSpec, upto: int) -> list[ExactPolynomial]:

@@ -5,8 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from polyrec.algebra import ExactPolynomial, X
+from polyrec.algebra import ExactPolynomial, X, monomial
 from polyrec.asymptotics import (
     compare_exact,
     f_partials,
@@ -14,9 +16,14 @@ from polyrec.asymptotics import (
     saddle_report,
     solve_saddle,
 )
-from polyrec.errors import ParameterError, SaddleFailureError, SaddleOverflowError
-from polyrec.families import build_exponent, catalog
-from polyrec.recurrence import RecurrenceSpec, generate
+from polyrec.errors import (
+    ParameterError,
+    PolyrecError,
+    SaddleFailureError,
+    SaddleOverflowError,
+)
+from polyrec.families import FamilyDescriptor, build_exponent, catalog, theorem_constants
+from polyrec.recurrence import LagTerm, RecurrenceSpec, generate
 
 
 STIRLING = catalog("stirling2").saddle
@@ -197,3 +204,52 @@ def test_compare_exact_r_stirling_offset():
     assert record.mean_rel_err < 0.2
     assert record.variance_rel_err < 0.2
     assert record.log_total_rel_err < 0.01
+
+
+_NONNEGATIVE = st.fractions(min_value=0, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _admissible(draw):
+    """A spec the saddle route admits: binomially weighted lags, a monomial
+    start c x^r with c > 0, nonnegative data, and deg Q2 >= 1 (so its
+    leading coefficient alpha_d is positive)."""
+    depths = draw(st.lists(st.integers(1, 4), max_size=3, unique=True))
+    lags = tuple(
+        LagTerm(s, ExactPolynomial(draw(st.lists(_NONNEGATIVE, max_size=3))), True)
+        for s in depths
+    )
+    spec = RecurrenceSpec(
+        gamma=ExactPolynomial(draw(st.lists(_NONNEGATIVE, max_size=3))),
+        m=draw(st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=4)),
+        lags=lags,
+        start_index=0 if lags else draw(st.integers(0, 3)),
+        start_poly=monomial(
+            draw(st.integers(0, 2)),
+            draw(st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=4)),
+        ),
+    )
+    descriptor = FamilyDescriptor(name="custom", parameters={}, spec=spec)
+    assume(theorem_constants(descriptor.saddle).hypothesis_ok)
+    return descriptor
+
+
+@settings(max_examples=100, deadline=None)
+@given(_admissible())
+def test_saddle_meets_its_tolerance_on_random_specs(descriptor):
+    sf = descriptor.saddle
+    for n in (10, 100, 1000, 10000):
+        rho = solve_saddle(sf, n)
+        p = f_partials(sf, rho, 1.0)
+        assert abs(rho * p.f_z - n) <= max(1e-9 * n, 1e-12)
+        assert rho * p.f_z + rho * rho * p.f_zz > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(_admissible(), st.integers(1, 80))
+def test_compare_exact_raises_only_documented_errors(descriptor, n):
+    # no accuracy bound: only that a failure is one of the package's errors
+    try:
+        compare_exact(descriptor, n)
+    except PolyrecError:
+        pass

@@ -1,5 +1,7 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
+import contextlib
+import decimal
 import functools
 import hashlib
 import io
@@ -7,12 +9,15 @@ import json
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polyrec import cli, recurrence
+from polyrec.algebra import ExactPolynomial
 from polyrec.cli import main
 from polyrec.families import catalog
-from polyrec.recurrence import triangle
-from polyrec.speclang import load
+from polyrec.recurrence import LagTerm, RecurrenceSpec, triangle
+from polyrec.speclang import format_spec, load
 
 
 def run_cli(capsys, *argv):
@@ -51,6 +56,8 @@ def test_triangle_json_round_trips(capsys):
 
 
 SHIFTED_RATIONAL = "gamma: x + 1/2; m: 2/3; start: {index: 2, poly: 3/4x^2};"
+SIGNED_BINOMIAL = "gamma: x - 3; m: 2; lag: {s: 2, coeff: -x + 1, binom: true};"
+INLINE_IDS = {SHIFTED_RATIONAL: "inline", SIGNED_BINOMIAL: "signed-binomial"}
 
 # sha256 of stdout, recorded while rows were still Fraction tuples
 GOLDEN_DIGESTS = {
@@ -90,13 +97,23 @@ GOLDEN_DIGESTS = {
         "ac4cba1ceac54471c059058310efc6fbda3a4eed4032300c37d1f482f8cb0204",
     ("verify", "--family", "sheffer(d=2,a=1)", "--max-n", "10", "--format", "csv"):
         "34bedf6478aaaffc65c817e8aca7a1e9417ff4a93766dfef3e394fe928e7a602",
+    # recorded while integer triangles were printed with str(int): signed
+    # entries, and galton(m=1,c=-1) has zero entries amid negative ones
+    ("triangle", "--inline", SIGNED_BINOMIAL, "--max-n", "40", "--format", "csv"):
+        "dcc065d6007499fdc2b460a88fff227072bb470de20d9cbb1e89724147c7eefa",
+    ("triangle", "--inline", SIGNED_BINOMIAL, "--max-n", "40", "--format", "json"):
+        "f573ec5b88717c036f8e5d876ce433d3334df2de8ca96a540b320030205b3c6d",
+    ("triangle", "--family", "galton(m=1,c=-1)", "--max-n", "60", "--format", "csv"):
+        "895bf153f5240328939fab046a706ab7e062acc7f08fad3e8eef8c57fd5fd7eb",
+    ("triangle", "--family", "galton(m=1,c=-1)", "--max-n", "60", "--format", "json"):
+        "a3834f4184b7d6c1e52048155d421dfc5c752680e828c0ac76a8404660af0c3e",
 }
 
 
 @pytest.mark.parametrize(
     "argv",
     list(GOLDEN_DIGESTS),
-    ids=[f"{a[0]}-{a[2] if a[1] == '--family' else 'inline'}-{a[-1]}" for a in GOLDEN_DIGESTS],
+    ids=[f"{a[0]}-{a[2] if a[1] == '--family' else INLINE_IDS[a[2]]}-{a[-1]}" for a in GOLDEN_DIGESTS],
 )
 def test_output_matches_golden_digest(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -234,6 +251,72 @@ def test_no_digit_limit_prints_everything(capsys):
         sys.set_int_max_str_digits(limit)
     assert code == 0 and err == ""
     assert out.splitlines()[2].split(",")[1:3] == ["18" + "0" * 4299, "36" + "0" * 4299]
+
+
+# column 0 of row n >= 1 is 0 * -1: a Decimal row holds -0 there
+NEGATIVE_START = "gamma: x; m: 1; start: {index: 0, poly: -1};"
+
+_INTS = st.lists(st.integers(-4, 4), max_size=3).map(ExactPolynomial)
+
+
+@st.composite
+def _integer_specs(draw):
+    depths = draw(st.lists(st.integers(1, 3), max_size=2, unique=True))
+    return RecurrenceSpec(
+        gamma=draw(_INTS),
+        m=draw(st.integers(1, 3)),
+        lags=tuple(LagTerm(s, draw(_INTS), draw(st.booleans())) for s in depths),
+        start_index=draw(st.integers(0, 3)),
+        start_poly=ExactPolynomial(draw(st.lists(st.integers(-4, 4), max_size=4).filter(any))),
+    )
+
+
+class ContextRecordingStdout(io.StringIO):
+    """A stdout that notes the decimal context in force at every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.contexts = set()
+
+    def write(self, text):
+        self.contexts.add(repr(decimal.getcontext()))
+        return super().write(text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_integer_specs(), st.integers(0, 16))
+@example(load(NEGATIVE_START), 3)
+def test_integer_triangle_text_is_the_int_rows(spec, rows):
+    # the int rows are the witness for the text the Decimal rows print
+    max_n = spec.start_index + rows
+    want = [(row.n, list(map(str, row.poly.numerators))) for row in triangle(spec, max_n)]
+    argv = ["triangle", "--inline", format_spec(spec), "--max-n", str(max_n)]
+    caller = repr(decimal.getcontext())
+    for fmt in ("csv", "json"):
+        stdout = ContextRecordingStdout()
+        with contextlib.redirect_stdout(stdout):
+            assert main(argv + ["--format", fmt]) == 0
+        assert stdout.contexts == {caller}
+        if fmt == "json":
+            got = [(r["n"], r["coeffs"]) for r in json.loads(stdout.getvalue())["rows"]]
+            assert got == want
+            continue
+        header, *lines = stdout.getvalue().splitlines()
+        width = len(header.split(",")) - 1
+        got = [line.split(",") for line in lines]
+        assert got == [[str(n)] + t + ["0"] * (width - len(t)) for n, t in want]
+        assert "-0" not in {entry for line in got for entry in line}
+    assert repr(decimal.getcontext()) == caller
+
+
+def test_negative_zero_prints_as_zero(capsys):
+    spec = load(NEGATIVE_START)
+    with decimal.localcontext(cli._EXACT):
+        raw = [q for _, q in recurrence.scaled_rows(spec, 2, [decimal.Decimal(-1)])]
+    assert [list(map(str, q)) for q in raw] == [["-1"], ["-0", "-1"], ["-0", "-1", "-1"]]
+    code, out, err = run_cli(capsys, "triangle", "--inline", NEGATIVE_START, "--max-n", "2")
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["n,c0,c1,c2", "0,-1,0,0", "1,0,-1,0", "2,0,-1,-1"]
 
 
 def test_pmf_json_probs(capsys):
