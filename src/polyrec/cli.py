@@ -3,7 +3,9 @@
 Subcommands: triangle, pmf, moments, clt, asymptotics, verify, families.
 The input is one recurrence, named by --family "name(k=v,...)", by --spec
 FILE, or by --inline "TEXT" (the spec language).  Output is CSV (default)
-or JSON (--format json) to stdout or --out PATH.
+or JSON (--format json) to stdout or --out PATH.  This module parses the
+arguments, resolves the spec and renders the library's records as text; it
+holds no check logic (`verify` is `oracle.verify`).
 
 Serialization rules: exact rationals are rendered as strings ("p/q" or a
 plain decimal string) because triangle entries outgrow every fixed-width
@@ -31,21 +33,9 @@ from typing import Iterable, Iterator, Optional, Sequence
 from . import asymptotics as asym
 from . import distribution as dist
 from . import recurrence
-from .errors import (
-    InvalidIndexError,
-    ParameterError,
-    ParseError,
-    PolyrecError,
-    UnsupportedShapeError,
-)
-from .families import (
-    FAMILIES,
-    FamilyDescriptor,
-    catalog,
-    validate_nonnegativity,
-    verify_egf_identity,
-)
-from .oracle import verify_family
+from .errors import ParameterError, ParseError, PolyrecError
+from .families import FAMILIES, FamilyDescriptor, catalog
+from .oracle import verify
 from .recurrence import triangle
 from .speclang import SpecSource, load
 
@@ -101,8 +91,14 @@ def _csv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> Iterator[str]:
         yield "\n" + ",".join(row)
 
 
-def _json(payload) -> list[str]:
-    return [json.dumps(payload, indent=2)]
+def _render(args, header: Sequence[str], rows: Iterable[Sequence[str]], payload) -> None:
+    """Write `payload()` as JSON, or `header` and `rows` as CSV, as --format
+    asks; only the form asked for is built, and it is built whole before
+    `_emit` writes its first byte."""
+    if args.format == "json":
+        _emit(args, [json.dumps(payload(), indent=2)])
+    else:
+        _emit(args, _csv(header, list(rows)))
 
 
 # command bodies ---------------------------------------------------------
@@ -172,8 +168,8 @@ def _decimal_texts(spec, upto: int) -> Iterator[tuple[int, list[str]]]:
 
 
 def _json_rows(rows: Iterable[tuple[int, list[str]]]) -> Iterator[str]:
-    """The text of _json({"rows": [{"n": n, "coeffs": texts}, ...]}) for a
-    non-empty `rows`, one row per piece."""
+    """The JSON text of {"rows": [{"n": n, "coeffs": texts}, ...]} for a
+    non-empty `rows`, one row per piece, indented as `_render` indents."""
     sep = '{\n  "rows": [\n'
     for n, texts in rows:
         block = json.dumps({"n": n, "coeffs": texts}, indent=2)
@@ -201,17 +197,15 @@ def _cmd_triangle(args) -> int:
         texts = ((row.n, _row_texts(row.poly)) for row in rows)
     if args.format == "json":
         _emit(args, _json_rows(texts))
-        return 0
-    header = ["n"] + [f"c{k}" for k in range(width)]
-    lines = ([str(n)] + t + ["0"] * (width - len(t)) for n, t in texts)
-    _emit(args, _csv(header, lines))
+    else:
+        header = ["n"] + [f"c{k}" for k in range(width)]
+        _emit(args, _csv(header, ([str(n)] + t + ["0"] * (width - len(t)) for n, t in texts)))
     return 0
 
 
-def _pmf_payload(table: dist.PMFTable) -> dict:
+def _moments(table: dist.PMFTable) -> dict:
+    """The exact mean and variance and the two shape moments, as text."""
     return {
-        "n": table.n,
-        "probs": {str(k): str(table.probs[k]) for k in sorted(table.probs)},
         "mean": str(table.mean),
         "variance": str(table.variance),
         "skewness": _fmt_float(table.skewness),
@@ -219,16 +213,20 @@ def _pmf_payload(table: dist.PMFTable) -> dict:
     }
 
 
+def _pmf_payload(table: dist.PMFTable) -> dict:
+    probs = {str(k): str(table.probs[k]) for k in sorted(table.probs)}
+    return {"n": table.n, "probs": probs, **_moments(table)}
+
+
+def _floats(record) -> dict:
+    """A record whose first field is n and whose other fields are floats."""
+    return {"n": record.n, **dict(zip(record._fields[1:], map(_fmt_float, record[1:])))}
+
+
 def _cmd_pmf(args) -> int:
     (table,) = dist._row_pmfs(_resolve(args).spec, [args.n])
-    if args.format == "json":
-        _emit(args, _json(_pmf_payload(table)))
-        return 0
-    rows = [
-        [str(k), str(table.probs[k]), _fmt_float(float(table.probs[k]))]
-        for k in sorted(table.probs)
-    ]
-    _emit(args, _csv(["k", "prob", "prob_float"], rows))
+    lines = ([str(k), str(p), _fmt_float(float(p))] for k, p in sorted(table.probs.items()))
+    _render(args, ("k", "prob", "prob_float"), lines, lambda: _pmf_payload(table))
     return 0
 
 
@@ -240,35 +238,17 @@ def _cmd_moments(args) -> int:
         raise ParameterError("moments needs --n or --ns")
     ns = args.ns if args.ns is not None else [args.n]
     tables = list(dist._row_pmfs(spec, ns))
-    if args.format == "json":
-        _emit(args, _json([_pmf_payload(t) for t in tables]))
-        return 0
-    rows = [
-        [
-            str(t.n),
-            str(t.mean),
-            str(t.variance),
-            _fmt_float(t.skewness),
-            _fmt_float(t.excess_kurtosis),
-        ]
-        for t in tables
-    ]
-    _emit(args, _csv(["n", "mean", "variance", "skewness", "excess_kurtosis"], rows))
+    lines = ([str(t.n), *_moments(t).values()] for t in tables)
+    header = ("n", "mean", "variance", "skewness", "excess_kurtosis")
+    _render(args, header, lines, lambda: [_pmf_payload(t) for t in tables])
     return 0
 
 
 def _cmd_clt(args) -> int:
     reports = dist.clt_scan(_resolve(args), args.ns)
-    # the columns after n are the record's own fields, in its order
-    fields = dist.NormalityReport._fields[1:]
-    if args.format == "json":
-        payload = [
-            {"n": r.n, **dict(zip(fields, map(_fmt_float, r[1:])))} for r in reports
-        ]
-        _emit(args, _json(payload))
-        return 0
-    rows = [[str(r.n)] + [_fmt_float(v) for v in r[1:]] for r in reports]
-    _emit(args, _csv(("n",) + fields, rows))
+    # the columns are the record's own fields, in its order
+    lines = ([str(r.n)] + [_fmt_float(v) for v in r[1:]] for r in reports)
+    _render(args, dist.NormalityReport._fields, lines, lambda: [_floats(r) for r in reports])
     return 0
 
 
@@ -282,130 +262,69 @@ def _cmd_asymptotics(args) -> int:
     rows = recurrence.rows(descriptor.spec, max(ns)) if ns else ()
     records = [asym.compare_exact(descriptor, r.n, r.poly) for r in rows if r.n in ns]
     # the columns after n are the records' own fields, in their order; a
-    # comparison's last field is the saddle report itself
-    report_fields = asym.SaddleReport._fields[1:]
+    # comparison's last field is the saddle report itself.  The flat CSV
+    # prefixes the report's own predictions, so the header is unambiguous
+    # (the bare columns carry the offset-adjusted values the comparison used)
     compare_fields = asym.ComparisonRecord._fields[1:-1]
-    if args.format == "json":
-        payload = [
+    report_fields = tuple("saddle_" + f for f in asym.SaddleReport._fields[1:])
+    header = ("n",) + report_fields + compare_fields
+    lines = (
+        [str(rec.n)] + [_fmt_float(v) for v in rec.report[1:] + rec[1:-1]]
+        for rec in records
+    )
+
+    def payload():
+        return [
             {
                 "n": rec.n,
-                "report": {
-                    "n": rec.report.n,
-                    **dict(zip(report_fields, map(_fmt_float, rec.report[1:]))),
-                },
+                "report": _floats(rec.report),
                 **dict(zip(compare_fields, map(_fmt_float, rec[1:-1]))),
             }
             for rec in records
         ]
-        _emit(args, _json(payload))
-        return 0
-    # flat CSV: the report's own predictions get a prefix so the header is
-    # unambiguous (the bare columns carry the offset-adjusted values the
-    # comparison actually used)
-    header = ("n",) + tuple("saddle_" + f for f in report_fields) + compare_fields
-    rows = [
-        [str(rec.n)] + [_fmt_float(v) for v in rec.report[1:] + rec[1:-1]]
-        for rec in records
-    ]
-    _emit(args, _csv(header, rows))
+
+    _render(args, header, lines, payload)
     return 0
 
 
 def _cmd_verify(args) -> int:
     descriptor = _resolve(args)
-    spec = descriptor.spec
-    start = spec.start_index
-    checks = []
+    checks = verify(descriptor, args.max_n)
+    ok = all(check.ok for check in checks)
+    lines = (
+        [name, "pass" if passed else "fail", detail.replace(",", ";")]
+        for name, passed, detail in checks
+    )
 
-    # one row list for every check: EGF row j is spec row start + j, so the
-    # EGF check reads rows through max_n + start, the enumeration through
-    # 8 and the nonnegativity scan through max_n
-    try:
-        descriptor.saddle  # the shape check, before any row is generated
-        skipped, upto = None, args.max_n + start
-    except UnsupportedShapeError as err:
-        skipped, upto = err, args.max_n
-    if upto >= start and descriptor.oracle_model is not None:
-        upto = max(upto, 8)
-    rows = triangle(spec, upto)
-    if skipped is not None:
-        checks.append(("egf_identity", True, f"skipped: {skipped}"))
-    elif (mismatch := verify_egf_identity(descriptor, args.max_n, rows)) is None:
-        checks.append(("egf_identity", True, f"rows 0..{args.max_n} match"))
-    else:
-        n, got, want = mismatch
-        checks.append(
-            ("egf_identity", False, f"row {n}: recurrence {got}, series {want}")
-        )
+    def payload():
+        return {"family": descriptor.label, "ok": ok, "checks": [c._asdict() for c in checks]}
 
-    if descriptor.name in FAMILIES:
-        report = verify_family(descriptor, 8, rows)
-        detail = f"skipped: {report.notice}" if report.skipped else str(report)
-        checks.append(("enumeration", report.ok, detail))
-    else:
-        checks.append(("enumeration", True, "skipped: custom spec has no model"))
-
-    # the EGF check's rows reach past max_n, so refuse a max_n below the start
-    if args.max_n < start:
-        raise InvalidIndexError(f"upper index {args.max_n} is below start index {start}")
-    scan = validate_nonnegativity(row for row in rows if row.n <= args.max_n)
-    if scan.ok:
-        detail = "all entries >= 0"
-        if scan.zero_sum_rows:
-            detail += f"; zero-mass rows {list(scan.zero_sum_rows)}"
-        checks.append(("nonnegativity", True, detail))
-    else:
-        checks.append(
-            ("nonnegativity", False, f"negative entry at (n,k)={scan.first_negative}")
-        )
-    ok_all = all(ok for _, ok, _ in checks)
-
-    if args.format == "json":
-        payload = {
-            "family": descriptor.label,
-            "ok": ok_all,
-            "checks": [
-                {"name": name, "ok": ok, "detail": detail}
-                for name, ok, detail in checks
-            ],
-        }
-        _emit(args, _json(payload))
-    else:
-        rows = [
-            [name, "pass" if ok else "fail", detail.replace(",", ";")]
-            for name, ok, detail in checks
-        ]
-        _emit(args, _csv(["check", "status", "detail"], rows))
-    return 0 if ok_all else 1
+    _render(args, ("check", "status", "detail"), lines, payload)
+    return 0 if ok else 1
 
 
 def _cmd_families(args) -> int:
     entries = [
-        {
-            "name": name,
-            "parameters": list(family.params),
-            "oeis": list(catalog(name, **family.listed).oeis_refs),
-        }
+        (name, list(family.params), list(catalog(name, **family.listed).oeis_refs))
         for name, family in FAMILIES.items()
     ]
-    if args.format == "json":
-        _emit(args, _json(entries))
-        return 0
-    rows = [
-        [e["name"], " ".join(e["parameters"]), " ".join(e["oeis"])] for e in entries
-    ]
-    _emit(args, _csv(["name", "parameters", "oeis"], rows))
+    lines = ([name, " ".join(params), " ".join(oeis)] for name, params, oeis in entries)
+    header = ("name", "parameters", "oeis")
+    _render(args, header, lines, lambda: [dict(zip(header, entry)) for entry in entries])
     return 0
 
 
 # wiring ------------------------------------------------------------------
 
 
-def _add_source_flags(sub, required: bool = True):
-    group = sub.add_mutually_exclusive_group(required=required)
+def _add_command(sub, name: str, help_text: str) -> argparse.ArgumentParser:
+    """A subcommand that reads its recurrence from one of three sources."""
+    p = sub.add_parser(name, help=help_text)
+    group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--family", help='catalog family, e.g. "dowling(m=2)"')
     group.add_argument("--spec", help="path to a spec file")
     group.add_argument("--inline", help="spec text given directly")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,34 +335,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("triangle", help="emit coefficient rows")
-    _add_source_flags(p)
+    p = _add_command(sub, "triangle", "emit coefficient rows")
     p.add_argument("--max-n", type=int, required=True, help="last row index")
 
-    p = sub.add_parser("pmf", help="exact distribution of one row")
-    _add_source_flags(p)
+    p = _add_command(sub, "pmf", "exact distribution of one row")
     p.add_argument("--n", type=int, required=True, help="row index")
 
-    p = sub.add_parser("moments", help="exact mean/variance and shape moments")
-    _add_source_flags(p)
+    p = _add_command(sub, "moments", "exact mean/variance and shape moments")
     p.add_argument("--n", type=int, help="single row index")
     p.add_argument("--ns", type=_parse_ns, help="comma-separated row indices")
 
-    p = sub.add_parser("clt", help="distance-to-normal diagnostics")
-    _add_source_flags(p)
+    p = _add_command(sub, "clt", "distance-to-normal diagnostics")
     p.add_argument("--ns", type=_parse_ns, required=True)
 
-    p = sub.add_parser("asymptotics", help="saddle-point predictions vs exact")
-    _add_source_flags(p)
+    p = _add_command(sub, "asymptotics", "saddle-point predictions vs exact")
     p.add_argument("--ns", type=_parse_ns, required=True)
 
-    p = sub.add_parser("verify", help="EGF identity, enumeration, nonnegativity")
-    _add_source_flags(p)
+    p = _add_command(sub, "verify", "EGF identity, enumeration, nonnegativity")
     p.add_argument("--max-n", type=int, default=30, help="rows to check (default 30)")
 
-    p = sub.add_parser("families", help="list the catalog")
+    sub.add_parser("families", help="list the catalog")
 
-    for name, sp in sub.choices.items():
+    for sp in sub.choices.values():
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", help="write output to this path instead of stdout")
     return parser

@@ -15,6 +15,9 @@ s) and merges equal profiles after each element; its cost is polynomial in
 n rather than the number of partitions.  This module shares no code with
 the recurrence engine beyond exact integers, which is the point: it is the
 independent witness.
+
+`verify` gathers the three checks of `polyrec verify`: the EGF identity,
+this enumeration and the nonnegativity scan, all on one row list.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from collections import namedtuple
 from typing import NamedTuple, Optional, Sequence
 
 from . import recurrence
-from .errors import ParameterError, SizeGuardError
-from .families import FamilyDescriptor
+from .errors import InvalidIndexError, ParameterError, SizeGuardError, UnsupportedShapeError
+from .families import FAMILIES, FamilyDescriptor, validate_nonnegativity, verify_egf_identity
 from .recurrence import TriangleRow
 
 MAX_ELEMENTS = 14
@@ -119,23 +122,23 @@ def verify_family(
     rows from its start index on (as from `triangle`); they are drawn here
     when not given or when they stop short of `n_max`.  Families without a
     registered combinatorial model (galton, sheffer, whitney with negative
-    c) come back skipped-with-notice rather than failing.
+    c), or with no row up to `n_max`, come back skipped-with-notice rather
+    than failing.
     """
     label = descriptor.label
     model = descriptor.oracle_model
-    if model is None:
-        return OracleReport(
-            family=label,
-            n_max=n_max,
-            ok=True,
-            skipped=True,
-            notice="no combinatorial model registered",
-        )
-    r, m, s = model
     start = descriptor.spec.start_index
+    if model is None or n_max < start:
+        notice = (
+            "no combinatorial model registered"
+            if model is None
+            else f"no row up to {n_max}: the first row is {start}"
+        )
+        return OracleReport(label, n_max, ok=True, skipped=True, notice=notice)
+    r, m, s = model
     col_offset = descriptor.spec.start_poly.degree
     if not rows or rows[-1].n < n_max:
-        rows = recurrence.rows(descriptor.spec, n_max) if n_max >= start else ()
+        rows = recurrence.rows(descriptor.spec, n_max)
     for n, poly in rows:
         if n > n_max:
             break
@@ -152,3 +155,66 @@ def verify_family(
                     first_mismatch=(n, k, int(got), want),
                 )
     return OracleReport(family=label, n_max=n_max, ok=True)
+
+
+class Check(NamedTuple):
+    """One check of `verify`: its name, whether it passed, and what it saw."""
+
+    name: str
+    ok: bool
+    detail: str
+
+
+def verify(descriptor: FamilyDescriptor, max_n: int) -> tuple[Check, ...]:
+    """The egf_identity, enumeration and nonnegativity checks, in that order.
+
+    The EGF identity covers EGF rows 0..max_n, the enumeration rows up to
+    8 (fewer where the guard stops it sooner) and the nonnegativity scan
+    rows up to max_n.  A spec with no closed-form exponent skips the EGF
+    check, and one with no partition model or no row in reach skips the
+    enumeration; a skipped check passes.  A `max_n` below the start index
+    raises InvalidIndexError, after the checks.
+    """
+    spec = descriptor.spec
+    start = spec.start_index
+    model = descriptor.oracle_model
+    # row n holds r + n - start elements: enumerate no deeper than the guard
+    depth = 8 if model is None else min(8, start + MAX_ELEMENTS - model[0])
+
+    # one row list for every check: EGF row j is spec row start + j, so the
+    # EGF check reads rows through max_n + start, the enumeration through
+    # depth and the nonnegativity scan through max_n
+    try:
+        descriptor.saddle  # the shape check, before any row is generated
+        skipped, upto = None, max_n + start
+    except UnsupportedShapeError as err:
+        skipped, upto = err, max_n
+    if upto >= start and model is not None:
+        upto = max(upto, depth)
+    rows = recurrence.triangle(spec, upto)
+    if skipped is not None:
+        egf = Check("egf_identity", True, f"skipped: {skipped}")
+    elif (mismatch := verify_egf_identity(descriptor, max_n, rows)) is None:
+        egf = Check("egf_identity", True, f"rows 0..{max_n} match")
+    else:
+        n, got, want = mismatch
+        egf = Check("egf_identity", False, f"row {n}: recurrence {got}, series {want}")
+
+    if descriptor.name in FAMILIES:
+        report = verify_family(descriptor, depth, rows)
+        detail = f"skipped: {report.notice}" if report.skipped else str(report)
+        enumeration = Check("enumeration", report.ok, detail)
+    else:
+        enumeration = Check("enumeration", True, "skipped: custom spec has no model")
+
+    # the EGF check's rows reach past max_n, so refuse a max_n below the start
+    if max_n < start:
+        raise InvalidIndexError(f"upper index {max_n} is below start index {start}")
+    scan = validate_nonnegativity(row for row in rows if row.n <= max_n)
+    if not scan.ok:
+        detail = f"negative entry at (n,k)={scan.first_negative}"
+    elif scan.zero_sum_rows:
+        detail = f"all entries >= 0; zero-mass rows {list(scan.zero_sum_rows)}"
+    else:
+        detail = "all entries >= 0"
+    return egf, enumeration, Check("nonnegativity", scan.ok, detail)

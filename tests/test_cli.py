@@ -414,6 +414,27 @@ def test_custom_spec_without_closed_form(capsys):
         assert json.loads(err)["error"]["type"] == "UnsupportedShapeError"
 
 
+@pytest.mark.parametrize(
+    "family,detail",
+    [
+        ("whitney(m=2,c=7)", "whitney(m=2;c=7): rows up to 7 match enumeration"),
+        (
+            "r_whitney_assoc(m=2,r=8,s=2)",
+            "r_whitney_assoc(m=2;r=8;s=2): rows up to 6 match enumeration",
+        ),
+        ("whitney(m=1,c=14)", "whitney(m=1;c=14): rows up to 0 match enumeration"),
+        # the first row is 10, past the enumeration's row 8
+        ("r_stirling(r=10)", "skipped: no row up to 8: the first row is 10"),
+    ],
+)
+def test_verify_enumerates_only_inside_the_guard(capsys, family, detail):
+    # r distinguished elements leave room for 14 - r plain ones: the
+    # enumeration stops there instead of raising SizeGuardError
+    code, out, err = run_cli(capsys, "verify", "--family", family, "--max-n", "20")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2] == f"enumeration,pass,{detail}"
+
+
 def test_verify_catches_negative_rows(capsys):
     code, out, _ = run_cli(capsys, "verify", "--inline", "gamma: x - 3; m: 1;")
     assert code == 1

@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyrec import cli
 from polyrec.errors import ParameterError, SizeGuardError
 from polyrec.families import catalog
 from polyrec.oracle import (
     MAX_ELEMENTS,
+    Check,
     PartitionConstraint,
     count_partitions,
+    verify,
     verify_family,
 )
 from polyrec.recurrence import generate, triangle
@@ -222,3 +225,54 @@ def test_verify_family_reads_the_given_rows():
     assert str(report) == "stirling2: mismatch at (n=3, k=1): triangle 2, oracle 1"
     # rows that stop short of n_max are drawn afresh
     assert verify_family(descriptor, 5, doubled[:4]).ok
+
+
+@pytest.mark.parametrize(
+    "name,params,n_max,notice",
+    [
+        # row 10 is the first row, so rows up to 8 hold nothing to count
+        ("r_stirling", dict(r=10), 8, "no row up to 8: the first row is 10"),
+        # 20 distinguished elements: the guard leaves verify no row to check
+        ("whitney", dict(m=2, c=20), MAX_ELEMENTS - 20, "no row up to -6: the first row is 0"),
+    ],
+)
+def test_verify_family_skips_when_no_row_is_in_reach(name, params, n_max, notice):
+    descriptor = catalog(name, **params)
+    report = verify_family(descriptor, n_max)
+    assert report.ok and report.skipped
+    assert report.notice == notice
+    (_, enumeration, _) = verify(descriptor, 20)
+    assert enumeration == Check("enumeration", True, f"skipped: {notice}")
+
+
+# the instances of the frozen acceptance tests
+CATALOG_DEFAULTS = [
+    ("stirling2", {}),
+    ("whitney", dict(m=2, c=1)),
+    ("translated_whitney", dict(m=3)),
+    ("dowling", dict(m=2)),
+    ("r_stirling", dict(r=2)),
+    ("sheffer", dict(d=3, a=2)),
+    ("stirling_frobenius", dict(m=4)),
+    ("galton", dict(m=2, c=-1)),
+    ("assoc_stirling", dict(s=2)),
+    ("r_whitney_assoc", dict(m=2, r=1, s=3)),
+    ("type_b", dict(m=2, c=1)),
+]
+
+
+@pytest.mark.parametrize("name,params", CATALOG_DEFAULTS, ids=[n for n, _ in CATALOG_DEFAULTS])
+def test_verify_is_what_the_cli_renders(capsys, name, params):
+    descriptor = catalog(name, **params)
+    checks = verify(descriptor, 30)
+    assert all(isinstance(check, Check) for check in checks)
+    assert [check.name for check in checks] == ["egf_identity", "enumeration", "nonnegativity"]
+    failed = [check.name for check in checks if not check.ok]
+    # galton's entries are signed by design
+    assert failed == (["nonnegativity"] if name == "galton" else [])
+    code = cli.main(["verify", "--family", descriptor.label, "--max-n", "30"])
+    assert code == (1 if failed else 0)
+    assert capsys.readouterr().out == "check,status,detail\n" + "".join(
+        f"{check.name},{'pass' if check.ok else 'fail'},{check.detail.replace(',', ';')}\n"
+        for check in checks
+    )

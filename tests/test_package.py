@@ -7,6 +7,7 @@ import sys
 import polyrec
 
 PUBLIC_NAMES = [
+    "Check",
     "ComparisonRecord",
     "ExactPolynomial",
     "FamilyDescriptor",
@@ -68,6 +69,7 @@ PUBLIC_NAMES = [
     "triangle",
     "triangle_linear",
     "validate_nonnegativity",
+    "verify",
     "verify_egf_identity",
     "verify_family",
 ]
@@ -76,7 +78,7 @@ PUBLIC_NAMES = [
 def test_public_names():
     # an independent list: a helper imported into the package (a typing
     # name, say) would show up here as an extra public name
-    assert len(PUBLIC_NAMES) == 63
+    assert len(PUBLIC_NAMES) == 65
     assert polyrec.__all__ == PUBLIC_NAMES
 
 
