@@ -18,6 +18,7 @@ integer-k statistic is kept alongside.
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 from collections import namedtuple
@@ -41,6 +42,11 @@ from .recurrence import RecurrenceSpec
 def standard_normal_cdf(t: float) -> float:
     """Phi(t) via the error function; absolute error below 1e-12."""
     return 0.5 * (1.0 + math.erf(t / math.sqrt(2.0)))
+
+
+# 40 digits over the whole exponent range, for moments whose variance
+# underflows a float; a ratio past the float range converts to +-inf
+_WIDE = decimal.Context(prec=40, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
 class PMFTable(
@@ -99,9 +105,15 @@ def pmf(p: ExactPolynomial, n: int) -> PMFTable:
         c3 = s0 * s0 * s3 - 3 * s0 * s1 * s2 + 2 * s1**3
         c4 = s0**3 * s4 - 4 * s0 * s0 * s1 * s3 + 6 * s0 * s1 * s1 * s2 - 3 * s1**4
         sigma = math.sqrt(float(m2))
-        # int / int rounds correctly, so this is float(m3), float(m4)
-        skew = (c3 / s0**3) / sigma**3
-        kurt = (c4 / s0**4) / sigma**4 - 3.0
+        if sigma**4 > 0.0:
+            # int / int rounds correctly, so this is float(m3), float(m4)
+            skew = (c3 / s0**3) / sigma**3
+            kurt = (c4 / s0**4) / sigma**4 - 3.0
+        else:  # the variance underflows: ratios of the exact c2, c3, c4
+            with decimal.localcontext(_WIDE):
+                c2 = decimal.Decimal(c2)
+                skew = float(c3 / (c2 * c2.sqrt()))
+                kurt = float(c4 / (c2 * c2)) - 3.0
     return PMFTable(n, weights, s0, mean, m2, skew, kurt)
 
 
@@ -156,6 +168,11 @@ def normality(table: PMFTable, d: int) -> NormalityReport:
         raise ParameterError("limit normalization requires d >= 1")
     mu = float(table.mean)
     sigma = math.sqrt(float(table.variance))
+    if sigma == 0.0:
+        raise ZeroVarianceError(
+            f"row {table.n} has a variance below the float range: "
+            "its standard deviation underflows to 0.0"
+        )
     log_n = math.log(table.n)
     center = d * table.n / log_n
     scale = d * math.sqrt(table.n) / log_n

@@ -41,6 +41,7 @@ from .algebra import (
 from .errors import (
     InvalidIndexError,
     ParameterError,
+    SaddleOverflowError,
     UnknownFamilyError,
     UnsupportedShapeError,
 )
@@ -88,8 +89,13 @@ class SaddleFunction(namedtuple("SaddleFunction", "q1 q2 m")):
         """(m, Q2, Q1) as floats for the saddle solver: the coefficients of
         Q2, and of each Q1 entry and its first and second x-derivatives."""
         derivs = [(q, q.derivative(), q.derivative().derivative()) for q in self.q1]
-        q1 = tuple(tuple(tuple(map(float, d.coeffs)) for d in ds) for ds in derivs)
-        return float(self.m), tuple(map(float, self.q2.coeffs)), q1
+        try:
+            q1 = tuple(tuple(tuple(map(float, d.coeffs)) for d in ds) for ds in derivs)
+            return float(self.m), tuple(map(float, self.q2.coeffs)), q1
+        except OverflowError:
+            raise SaddleOverflowError(
+                "a coefficient of the EGF exponent is past the float range"
+            ) from None
 
 
 class TheoremConstants(NamedTuple):

@@ -12,6 +12,9 @@ Grammar, informally (every statement ends with a semicolon):
     term     := rational ["x" ["^" int]] | "x" ["^" int]
     rational := int ["/" int]
 
+An exponent is at most MAX_EXPONENT: a polynomial holds one coefficient
+per power up to its degree.
+
 "family" cannot be combined with the other keys.  Defaults: start index 0,
 start polynomial 1, no lags, binom false.  Coefficients are exact rationals;
 floating literals are rejected.  Every rejection carries the 1-based
@@ -30,6 +33,8 @@ from .families import FamilyDescriptor, catalog, catalog_names, family_parameter
 from .recurrence import LagTerm, RecurrenceSpec
 
 _SYMBOLS = ":;{}(),=^/+-"
+
+MAX_EXPONENT = 10_000
 
 _M_POSITIVITY = (
     "m must be > 0: the normal limit law requires a positive derivative weight"
@@ -61,44 +66,29 @@ class _Token(NamedTuple):
 
 
 def _tokenize(src: SpecSource) -> list[_Token]:
-    tokens = []
-    line, column = 1, 1
-    i = 0
     text = src.text
+    tokens = []
+    line, line_start, i = 1, 0, 0
     while i < len(text):
-        ch = text[i]
+        ch, j, kind = text[i], i + 1, None
         if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
-            continue
-        if ch.isspace():
-            column += 1
-            i += 1
-            continue
-        if "0" <= ch <= "9":  # str.isdigit also admits '²' and '٣'
-            j = i
+            line, line_start = line + 1, j
+        elif "0" <= ch <= "9":  # str.isdigit also admits '²' and '٣'
+            kind = "number"
             while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
-            tokens.append(_Token("number", text[i:j], line, column))
-            column += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+        elif ch.isalpha() or ch == "_":
+            kind = "ident"
             while j < len(text) and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(_Token("ident", text[i:j], line, column))
-            column += j - i
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(_Token(ch, ch, line, column))
-            column += 1
-            i += 1
-            continue
-        raise ParseError(src.origin, line, column, f"unexpected character {ch!r}")
-    tokens.append(_Token("<eof>", "", line, column))
+        elif ch in _SYMBOLS:
+            kind = ch
+        elif not ch.isspace():
+            raise ParseError(src.origin, line, i - line_start + 1, f"unexpected character {ch!r}")
+        if kind:
+            tokens.append(_Token(kind, text[i:j], line, i - line_start + 1))
+        i = j
+    tokens.append(_Token("<eof>", "", line, i - line_start + 1))
     return tokens
 
 
@@ -107,6 +97,7 @@ class _Parser:
         self.origin = src.origin
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.values: dict = {}  # statement key -> parsed value
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -138,16 +129,13 @@ class _Parser:
             limit = sys.get_int_max_str_digits()
             self.fail(tok, f"number has {len(tok.text)} digits; the limit is {limit}")
 
-    def rational(self) -> tuple[Fraction, _Token]:
-        first = self.peek()
-        sign = 1
-        if first.kind == "-":
+    def rational(self) -> Fraction:
+        sign = self.peek().kind
+        if sign in ("+", "-"):
             self.next()
-            sign = -1
-        elif first.kind == "+":
-            self.next()
-        num_tok = self.expect("number", "a number")
-        value = Fraction(sign * self.number(num_tok))
+        value = Fraction(self.number(self.expect("number", "a number")))
+        if sign == "-":
+            value = -value
         if self.peek().kind == "/":
             self.next()
             den_tok = self.expect("number", "a denominator")
@@ -155,29 +143,26 @@ class _Parser:
             if den == 0:
                 self.fail(den_tok, "zero denominator")
             value /= den
-        return value, first
+        return value
 
-    def integer(self, what: str, minimum: int) -> tuple[int, _Token]:
+    def integer(self, what: str, minimum: int, maximum: Optional[int] = None) -> int:
         tok = self.expect("number", f"{what} (a nonnegative integer)")
         value = self.number(tok)
         if value < minimum:
             self.fail(tok, f"{what} must be >= {minimum}, got {value}")
-        return value, tok
+        if maximum is not None and value > maximum:
+            self.fail(tok, f"{what} must be <= {maximum}, got {value}")
+        return value
 
     def polynomial(self) -> ExactPolynomial:
         coeffs: dict[int, Fraction] = {}
-        first = True
         while True:
-            tok = self.peek()
-            sign = Fraction(1)
-            if tok.kind in "+-":
+            sign = self.peek().kind
+            if sign in ("+", "-"):
                 self.next()
-                sign = Fraction(-1) if tok.kind == "-" else Fraction(1)
-            elif not first:
-                break
             term_tok = self.peek()
             if term_tok.kind == "number":
-                coeff, _ = self.rational()
+                coeff = self.rational()
             elif term_tok.kind == "ident":
                 coeff = Fraction(1)
             else:
@@ -191,10 +176,9 @@ class _Parser:
                 power = 1
                 if self.peek().kind == "^":
                     self.next()
-                    power, _ = self.integer("exponent", 0)
-            coeffs[power] = coeffs.get(power, Fraction(0)) + sign * coeff
-            first = False
-            if self.peek().kind not in "+-":
+                    power = self.integer("exponent", 0, MAX_EXPONENT)
+            coeffs[power] = coeffs.get(power, 0) + (-coeff if sign == "-" else coeff)
+            if self.peek().kind not in ("+", "-"):
                 break
         top = max(coeffs, default=0)
         return ExactPolynomial([coeffs.get(j, Fraction(0)) for j in range(top + 1)])
@@ -206,7 +190,8 @@ class _Parser:
         return tok.text == "true"
 
     def object_pairs(self, what: str, keys: dict) -> dict:
-        """Parse { key: value, ... } with per-key sub-parsers."""
+        """Parse { key: value, ... } with per-key sub-parsers, into
+        key -> (value, key token)."""
         self.expect("{", "'{'")
         seen: dict = {}
         while True:
@@ -221,114 +206,52 @@ class _Parser:
                 self.fail(key_tok, f"duplicate {what} field {key_tok.text!r}")
             self.expect(":", "':'")
             seen[key_tok.text] = (keys[key_tok.text](), key_tok)
-            tok = self.peek()
-            if tok.kind == ",":
-                self.next()
-                continue
-            self.expect("}", "',' or '}'")
-            break
-        return seen
+            if self.peek().kind != ",":
+                self.expect("}", "',' or '}'")
+                return seen
+            self.next()
 
-    # statements --------------------------------------------------------
+    # statements: each handler takes the key token and returns its value
 
-    def parse(self) -> Union[RecurrenceSpec, FamilyRequest]:
-        gamma: Optional[tuple[ExactPolynomial, _Token]] = None
-        m: Optional[tuple[Fraction, _Token]] = None
-        start: Optional[tuple[int, ExactPolynomial]] = None
-        lags: list[LagTerm] = []
-        lag_positions: dict[int, _Token] = {}
-        family: Optional[FamilyRequest] = None
-
+    def m_value(self, key: _Token) -> Fraction:
         tok = self.peek()
-        if tok.kind == "<eof>":
-            self.fail(tok, "empty specification: expected at least one statement")
-        while self.peek().kind != "<eof>":
-            key = self.expect("ident", "a statement key")
-            if family is not None or (
-                key.text == "family" and (gamma or m or start or lags)
-            ):
-                self.fail(key, "family cannot be combined with other statements")
-            self.expect(":", "':'")
-            if key.text == "gamma":
-                if gamma is not None:
-                    self.fail(key, "duplicate key 'gamma'")
-                gamma = (self.polynomial(), key)
-            elif key.text == "m":
-                if m is not None:
-                    self.fail(key, "duplicate key 'm'")
-                value, value_tok = self.rational()
-                if value <= 0:
-                    self.fail(value_tok, _M_POSITIVITY)
-                m = (value, key)
-            elif key.text == "lag":
-                fields = self.object_pairs(
-                    "lag",
-                    {
-                        "s": lambda: self.integer("lag depth s", 1)[0],
-                        "coeff": self.polynomial,
-                        "binom": self.boolean,
-                    },
-                )
-                if "s" not in fields:
-                    self.fail(key, "lag needs a depth field s")
-                if "coeff" not in fields:
-                    self.fail(key, "lag needs a coefficient field coeff")
-                s_value, s_tok = fields["s"]
-                if s_value in lag_positions:
-                    self.fail(s_tok, f"duplicate lag depth {s_value}")
-                lag_positions[s_value] = s_tok
-                lags.append(
-                    LagTerm(
-                        s=s_value,
-                        kappa=fields["coeff"][0],
-                        binom_weight=fields["binom"][0] if "binom" in fields else False,
-                    )
-                )
-            elif key.text == "start":
-                if start is not None:
-                    self.fail(key, "duplicate key 'start'")
-                fields = self.object_pairs(
-                    "start",
-                    {
-                        "index": lambda: self.integer("start index", 0)[0],
-                        "poly": self.polynomial,
-                    },
-                )
-                index = fields["index"][0] if "index" in fields else 0
-                poly = fields["poly"][0] if "poly" in fields else ONE
-                if poly.is_zero:
-                    self.fail(
-                        fields["poly"][1] if "poly" in fields else key,
-                        "start polynomial must be nonzero",
-                    )
-                start = (index, poly)
-            elif key.text == "family":
-                family = self.family_value()
-            else:
-                self.fail(
-                    key,
-                    f"unknown key {key.text!r} "
-                    "(expected gamma, m, lag, start, or family)",
-                )
-            self.expect(";", "';'")
+        value = self.rational()
+        if value <= 0:
+            self.fail(tok, _M_POSITIVITY)
+        return value
 
-        if family is not None:
-            return family
-        eof = self.peek()
-        if gamma is None:
-            self.fail(eof, "missing required key: gamma")
-        if m is None:
-            self.fail(eof, "missing required key: m")
-        index, poly = start if start is not None else (0, ONE)
-        return RecurrenceSpec(
-            gamma=gamma[0],
-            m=m[0],
-            lags=tuple(lags),
-            start_index=index,
-            start_poly=poly,
+    def lag_value(self, key: _Token) -> dict[int, LagTerm]:
+        """Every lag so far by depth, this one added."""
+        fields = self.object_pairs(
+            "lag",
+            {
+                "s": lambda: self.integer("lag depth s", 1),
+                "coeff": self.polynomial,
+                "binom": self.boolean,
+            },
         )
+        if "s" not in fields:
+            self.fail(key, "lag needs a depth field s")
+        if "coeff" not in fields:
+            self.fail(key, "lag needs a coefficient field coeff")
+        (s, s_tok), (kappa, _) = fields["s"], fields["coeff"]
+        lags = self.values.get("lag", {})
+        if s in lags:
+            self.fail(s_tok, f"duplicate lag depth {s}")
+        binom = fields["binom"][0] if "binom" in fields else False
+        return {**lags, s: LagTerm(s=s, kappa=kappa, binom_weight=binom)}
 
-    def family_value(self) -> FamilyRequest:
+    def start_value(self, key: _Token) -> tuple[int, ExactPolynomial]:
+        fields = self.object_pairs(
+            "start",
+            {"index": lambda: self.integer("start index", 0), "poly": self.polynomial},
+        )
+        poly, poly_tok = fields.get("poly", (ONE, key))
+        if poly.is_zero:
+            self.fail(poly_tok, "start polynomial must be nonzero")
+        return fields["index"][0] if "index" in fields else 0, poly
+
+    def family_value(self, key: _Token) -> FamilyRequest:
         name_tok = self.expect("ident", "a family name")
         if name_tok.text not in catalog_names():
             self.fail(
@@ -351,16 +274,56 @@ class _Parser:
                 if p_tok.text in params:
                     self.fail(p_tok, f"duplicate parameter {p_tok.text!r}")
                 self.expect("=", "'='")
-                value, _ = self.rational()
+                value = self.rational()
                 params[p_tok.text] = (
                     int(value) if value.denominator == 1 else value
                 )
-                if self.peek().kind == ",":
-                    self.next()
-                    continue
-                break
+                if self.peek().kind != ",":
+                    break
+                self.next()
         self.expect(")", "')'")
         return FamilyRequest(name=name_tok.text, params=params)
+
+    def parse(self) -> Union[RecurrenceSpec, FamilyRequest]:
+        handlers = {
+            "gamma": lambda key: self.polynomial(),
+            "m": self.m_value,
+            "lag": self.lag_value,
+            "start": self.start_value,
+            "family": self.family_value,
+        }
+        values = self.values
+        if self.peek().kind == "<eof>":
+            self.fail(self.peek(), "empty specification: expected at least one statement")
+        while self.peek().kind != "<eof>":
+            key = self.expect("ident", "a statement key")
+            if "family" in values or (key.text == "family" and values):
+                self.fail(key, "family cannot be combined with other statements")
+            self.expect(":", "':'")
+            if key.text not in handlers:
+                self.fail(
+                    key,
+                    f"unknown key {key.text!r} "
+                    "(expected gamma, m, lag, start, or family)",
+                )
+            if key.text in values and key.text != "lag":
+                self.fail(key, f"duplicate key {key.text!r}")
+            values[key.text] = handlers[key.text](key)
+            self.expect(";", "';'")
+
+        if "family" in values:
+            return values["family"]
+        for required in ("gamma", "m"):
+            if required not in values:
+                self.fail(self.peek(), f"missing required key: {required}")
+        index, poly = values.get("start", (0, ONE))
+        return RecurrenceSpec(
+            gamma=values["gamma"],
+            m=values["m"],
+            lags=tuple(values.get("lag", {}).values()),
+            start_index=index,
+            start_poly=poly,
+        )
 
 
 def parse(src: Union[SpecSource, str]) -> Union[RecurrenceSpec, FamilyRequest]:
@@ -379,7 +342,8 @@ def load(src: Union[SpecSource, str]) -> Union[RecurrenceSpec, FamilyDescriptor]
 
 
 def format_spec(obj: Union[RecurrenceSpec, FamilyRequest, FamilyDescriptor]) -> str:
-    """Canonical rendering; parse(format_spec(s)) reproduces s.
+    """Canonical rendering; parse(format_spec(s)) reproduces s when no
+    degree exceeds MAX_EXPONENT.
 
     Field order: gamma, m, lags (ascending depth), start (only when it is
     not the default).

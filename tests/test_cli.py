@@ -501,19 +501,38 @@ def test_rows_below_the_start_exit_3(capsys, command):
     }
 
 
+# row n is (x + N)^n plus lower terms: the variance of row n is about 1/N,
+# below the float range, and the EGF exponent's coefficient N is past it
+NINES = f"gamma: x + {'9' * 2200}; m: 1;"
+
+
 @pytest.mark.parametrize(
     "source,error",
     [
         (("--family", "assoc_stirling(s=2)"), "ZeroVarianceError"),
         (("--inline", "gamma: 1/8x + 3/8; m: 2;"), "UnitMassError"),
+        (("--inline", NINES), "SaddleOverflowError"),
     ],
 )
 def test_asymptotics_degenerate_row_exits_3(capsys, source, error):
-    # row 3 has zero variance, or total mass P_3(1) = 1: no relative error
+    # row 3 has zero variance, or total mass P_3(1) = 1: no relative error;
+    # or a float saddle function cannot hold the exponent
     code, out, err = run_cli(capsys, "asymptotics", *source, "--ns", "3")
     assert code == 3 and out == ""
     assert err.endswith("\n") and err.count("\n") == 1
     assert json.loads(err)["error"]["type"] == error
+
+
+def test_variance_below_the_float_range(capsys):
+    # the shape moments are past the float range: pmf works, the normal
+    # law's standardization fails
+    code, out, err = run_cli(capsys, "pmf", "--inline", NINES, "--n", "1")
+    assert code == 0 and err == ""
+    assert out.splitlines()[2].startswith("1,1/1000")
+    code, out, err = run_cli(capsys, "clt", "--inline", NINES, "--ns", "2")
+    assert code == 3 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"]["type"] == "ZeroVarianceError"
 
 
 def test_unexpected_exception_exits_4(capsys, monkeypatch):

@@ -56,6 +56,16 @@ def test_pmf_errors():
         pmf(generate(catalog("assoc_stirling", s=2).spec, 1)[1], 1)
 
 
+def test_moments_of_a_variance_below_the_float_range():
+    # variance about 1e-400: sigma**4 underflows, so the shape moments come
+    # from the exact central moments; skewness is about -1e200, the excess
+    # kurtosis about 1e400
+    table = pmf(ExactPolynomial([1, 10**400]), 1)
+    assert math.isclose(table.skewness, -1e200, rel_tol=1e-12)
+    assert table.excess_kurtosis == math.inf
+    assert pmf(ExactPolynomial([1, 10**2200]), 1).skewness == -math.inf
+
+
 def test_probabilities_sum_to_one_exactly():
     for name, params in [
         ("stirling2", {}),
@@ -128,6 +138,8 @@ def test_normality_requires_spread():
         normality(pmf(ExactPolynomial([0, 1]), 1), 1)
     with pytest.raises(ZeroVarianceError):
         normality(pmf(ExactPolynomial([0, 0, 1]), 2), 1)
+    with pytest.raises(ZeroVarianceError, match="underflows"):
+        normality(pmf(ExactPolynomial([1, 10**700]), 2), 1)
     with pytest.raises(ParameterError):
         normality(pmf(generate(catalog("stirling2").spec, 5)[5], 5), 0)
 

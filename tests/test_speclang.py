@@ -12,7 +12,14 @@ from polyrec.algebra import ExactPolynomial, ONE, X
 from polyrec.errors import ParseError
 from polyrec.families import catalog, catalog_names, family_parameters
 from polyrec.recurrence import LagTerm, RecurrenceSpec
-from polyrec.speclang import FamilyRequest, SpecSource, format_spec, load, parse
+from polyrec.speclang import (
+    MAX_EXPONENT,
+    FamilyRequest,
+    SpecSource,
+    format_spec,
+    load,
+    parse,
+)
 
 
 def test_parse_stirling():
@@ -180,6 +187,17 @@ def test_exact_positions_for_canonical_failures():
             assert f"unexpected character {text[column - 1]!r}" in str(info.value)
 
 
+def test_exponent_cap():
+    assert parse(f"gamma: x^{MAX_EXPONENT}; m: 1;").gamma.degree == MAX_EXPONENT == 10_000
+    # one coefficient slot per power: a larger exponent is refused at its
+    # token before anything is allocated
+    text = "gamma: x; m: 1; lag: {s: 2, coeff: 3x^10001};"
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert (info.value.line, info.value.column) == (1, text.index("^") + 2)
+    assert info.value.reason == "exponent must be <= 10000, got 10001"
+
+
 # 0 means no limit; before 3.10.7 there is none
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
@@ -211,3 +229,57 @@ def test_overlong_number_is_a_parse_error_at_its_token(template):
 def test_format_then_parse_round_trips_random_specs(spec):
     # binomial and unit-weight lags; shifted starts come without lags
     assert parse(format_spec(spec)) == spec
+
+
+
+# spec text for the fuzz: gamma and m statements, some lag, start or family
+# statements, in any order, each a valid statement; then up to three noise
+# pieces inserted anywhere
+_SMALL = st.integers(0, 12).map(str)
+_EXPONENT = st.one_of(_SMALL, st.integers(0, 2 * MAX_EXPONENT).map(str))
+_RATIONAL = st.one_of(_SMALL, st.builds("{}/{}".format, _SMALL, st.integers(1, 12)))
+_TERM = st.one_of(
+    _RATIONAL,
+    st.builds("{}x^{}".format, _RATIONAL, _EXPONENT),
+    st.builds("x^{}".format, _EXPONENT),
+    st.just("x"),
+)
+_SIGNED_TERM = st.builds("{}{}".format, st.sampled_from(["+", "-", " - "]), _TERM)
+_POLY = st.lists(_SIGNED_TERM, min_size=1, max_size=3).map("".join)
+_GAMMA = st.builds("gamma: {};".format, _POLY)
+_M = st.builds("m: {};".format, _RATIONAL)
+_STATEMENT = st.one_of(
+    st.builds("lag: {{s: {}, coeff: {}, binom: true}};".format, _SMALL, _POLY),
+    st.builds("start: {{index: {}, poly: {}}};".format, _SMALL, _POLY),
+    st.builds("family: galton(m={}, c=-{});".format, _SMALL, _RATIONAL),
+)
+_NOISE = st.one_of(
+    st.sampled_from(
+        ["gamma", "m", "lag", "x^", "binom", "true", *":;{}(),=^/+-", "\n", "\t", "\r"]
+    ),
+    st.sampled_from(["\u00b2", "\u0663"]),  # digits to str.isdigit, not to the parser
+    _EXPONENT,
+    st.text(max_size=2),
+)
+
+
+@st.composite
+def _spec_texts(draw):
+    statements = [draw(_GAMMA), draw(_M), *draw(st.lists(_STATEMENT, max_size=2))]
+    text = "\n".join(draw(st.permutations(statements)))
+    for at, piece in draw(st.lists(st.tuples(st.integers(0, 10**4), _NOISE), max_size=3)):
+        at %= len(text) + 1
+        text = text[:at] + piece + text[at:]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(_spec_texts())
+def test_parse_raises_only_parse_errors(text):
+    try:
+        parsed = parse(text)
+    except ParseError as err:
+        assert 1 <= err.line <= text.count("\n") + 1
+        assert err.column >= 1
+        return
+    assert parse(format_spec(parsed)) == parsed
