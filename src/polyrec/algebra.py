@@ -6,7 +6,7 @@ numerators over one `int` denominator.  The int kernels hand their rows
 over as such pairs without touching a coefficient: `recurrence.advance`
 scales row n by one common denominator d0 D^n, and `series_exp` scales row
 n by c^n for one integer c chosen from the denominators of its input; both
-step plain `int` lists through the one convolution `add_product`.  For
+build plain `int` lists through the one convolution `add_products`.  For
 integer data the denominator is 1.  A pair is brought to lowest terms when
 the row is built (integer rows skip the gcd), so the stored pair is the
 value and `==` and `hash` compare it directly; `coeffs`, the `Fraction`
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import NonzeroConstantTermError
 
@@ -113,12 +113,8 @@ class ExactPolynomial:
         if not isinstance(other, ExactPolynomial):
             return NotImplemented
         den = math.lcm(self._den, other._den)
-        out = [0] * max(len(self._nums), len(other._nums))
-        for p in (self, other):
-            f = den // p._den
-            for j, q in enumerate(p._nums):
-                out[j] += f * q
-        return ExactPolynomial.from_scaled(out, den)
+        terms = [((den // p._den,), p._nums, 1) for p in (self, other)]
+        return ExactPolynomial.from_scaled(add_products(terms), den)
 
     def __neg__(self) -> ExactPolynomial:
         return ExactPolynomial.from_scaled([-q for q in self._nums], self._den)
@@ -127,18 +123,12 @@ class ExactPolynomial:
         return self + (-other)
 
     def __mul__(self, other) -> ExactPolynomial:
-        if isinstance(other, ExactPolynomial):
-            if not self._nums or not other._nums:
-                return ZERO
-            out = [0] * (len(self._nums) + len(other._nums) - 1)
-            add_product(out, self._nums, other._nums)
-            return ExactPolynomial.from_scaled(out, self._den * other._den)
         if isinstance(other, (int, Fraction)):
-            t = as_fraction(other)
-            return ExactPolynomial.from_scaled(
-                [q * t.numerator for q in self._nums], self._den * t.denominator
-            )
-        return NotImplemented
+            other = ExactPolynomial((other,))
+        if not isinstance(other, ExactPolynomial):
+            return NotImplemented
+        out = add_products([(self._nums, other._nums, 1)])
+        return ExactPolynomial.from_scaled(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -214,26 +204,35 @@ def scaled_ints(poly: ExactPolynomial, factor: int) -> tuple[int, ...]:
     return tuple(q * k for q in poly.numerators)
 
 
-def add_product(
-    out: list[int], a: Sequence[int], b: Sequence[int], scale: int = 1
-) -> None:
-    """out += scale * a * b for coefficient lists (lowest power first); out
-    must be long enough.  The one convolution kernel of the package.
+def add_products(terms: Iterable[tuple], out: Optional[list] = None) -> list:
+    """out plus the sum of scale * a * b over the (a, b, scale) terms, as a
+    coefficient list (lowest power first) without trailing zeros: the one
+    convolution kernel of the package.
 
-    `scale` and `a` are ints; `b` and `out` may hold any numbers that add
-    and multiply with ints (`recurrence.scaled_rows` steps `Decimal` rows
-    through here).  A unit factor adds b without multiplying, which saves
-    one multiply, or one int-to-number conversion, per entry.
+    `out` (a new list when omitted) is extended to the longest product,
+    accumulated into, trimmed and returned; a term with an empty list or a
+    zero scale adds nothing.  `scale` and `a` are ints; `b` and `out` may
+    hold any numbers that add and multiply with ints (`recurrence` steps
+    `Decimal` rows through here).  A unit factor adds b without multiplying,
+    saving one multiply, or one int-to-number conversion, per entry.
     """
-    for i, ai in enumerate(a):
-        if ai:
-            f = scale * ai
-            if f == 1:
-                for j, bj in enumerate(b, i):
-                    out[j] += bj
-            else:
-                for j, bj in enumerate(b, i):
-                    out[j] += f * bj
+    terms = [(a, b, scale) for a, b, scale in terms if a and b and scale]
+    out = [] if out is None else out
+    size = max((len(a) + len(b) - 1 for a, b, _ in terms), default=0)
+    out += [0] * (size - len(out))
+    for a, b, scale in terms:
+        for i, ai in enumerate(a):
+            if ai:
+                f = scale * ai
+                if f == 1:
+                    for j, bj in enumerate(b, i):
+                        out[j] += bj
+                else:
+                    for j, bj in enumerate(b, i):
+                        out[j] += f * bj
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def _exp_scale(g: Sequence[ExactPolynomial]) -> int:
@@ -279,13 +278,7 @@ def series_exp(g: Sequence[ExactPolynomial]) -> list[ExactPolynomial]:
     rows: list[list[int]] = [[1]]
     pascal = [1]  # C(n, i) for i = 0..n
     for n in range(len(g) - 1):
-        # (h_{i+1}, U_{n-i}, C(n, i)) for i = 0..n
-        terms = [(a, b, w) for a, b, w in zip(h[1:], reversed(rows), pascal) if a and b]
-        out = [0] * max((len(a) + len(b) - 1 for a, b, _ in terms), default=0)
-        for a, b, w in terms:
-            add_product(out, a, b, w)
-        while out and not out[-1]:
-            out.pop()
-        rows.append(out)
+        # the terms (h_{i+1}, U_{n-i}, C(n, i)) for i = 0..n
+        rows.append(add_products(zip(h[1:], reversed(rows), pascal)))
         pascal = [1, *map(operator.add, pascal, pascal[1:]), 1]
     return [ExactPolynomial.from_scaled(row, c**n) for n, row in enumerate(rows)]

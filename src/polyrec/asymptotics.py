@@ -110,9 +110,13 @@ def f_partials(sf: SaddleFunction, z: float, x: float) -> Partials:
         v = _poly_at(c, x)
         dv = _poly_at(dc, x)
         ddv = _poly_at(ddc, x)
-        f += v * z**p
-        f_x += dv * z**p
-        f_xx += ddv * z**p
+        try:
+            zp = z**p
+        except OverflowError:
+            raise SaddleOverflowError(f"z^{p} exceeds double range at z={z!r}") from None
+        f += v * zp
+        f_x += dv * zp
+        f_xx += ddv * zp
         if p >= 1:
             f_z += p * v * z ** (p - 1)
             f_zx += p * dv * z ** (p - 1)

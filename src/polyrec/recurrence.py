@@ -15,14 +15,15 @@ Q_n = d0 D^(n - start) P_n have integer coefficients and obey
 
     Q_n = (D gamma) Q_{n-1} + (D m) x Q'_{n-1} + sum w(n, s) (D^s kappa) Q_{n-s},
 
-so `advance` works coefficient-wise on plain `int` lists.  `scaled_rows`
-steps them, keeping only the last `max_lag`, and also runs on `Decimal`
-rows, whose text is linear in the digits, for printing an integer
-triangle.  `rows`, the one row source, wraps it and hands each row over as
-the pair (Q_n, d0 D^(n - start)) without touching a coefficient (the
-denominator is 1 when the data are integers, as for every catalog family);
-`generate` and `triangle` are lists over it.  The module also builds
-coefficient triangles directly from the linear entrywise recurrence
+so `advance` is one call of the kernel `algebra.add_products` on plain
+`int` lists.  `scaled_rows` steps them, keeping only the last `max_lag`,
+and also runs on `Decimal` rows, whose text is linear in the digits, for
+printing an integer triangle.  `rows`, the one row source, wraps it and
+hands each row over as the pair (Q_n, d0 D^(n - start)) without touching a
+coefficient (the denominator is 1 when the data are integers, as for every
+catalog family); `generate` and `triangle` are lists over it.  The module
+also builds coefficient triangles directly from the linear entrywise
+recurrence
 
     T_{n,k} = u T_{n-1,k-1} + (a + b k) T_{n-1,k},   T_{0,0} = 1.
 """
@@ -35,7 +36,7 @@ from collections import deque, namedtuple
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
-from .algebra import ONE, ExactPolynomial, Scalar, add_product, as_fraction, scaled_ints
+from .algebra import ONE, ExactPolynomial, Scalar, add_products, as_fraction, scaled_ints
 from .errors import InvalidIndexError
 
 Row = list[int]
@@ -138,28 +139,12 @@ def advance(spec: RecurrenceSpec, history: Sequence[Row], n: int) -> Row:
             raise InvalidIndexError(f"history does not reach back to index {idx}")
         return history[pos]
 
-    data = spec.scaled
+    _, gamma, m, lags = spec.scaled
     prev = lookup(n - 1)
-    terms = []
-    for lag, kappa in data.lags:
-        tail = lookup(n - lag.s)
-        w = lag.weight(n)
-        if tail and w:
-            terms.append((kappa, tail, w))
-    size = max(
-        [len(prev) + max(len(data.gamma) - 1, 0)]
-        + [len(kappa) + len(tail) - 1 for kappa, tail, _ in terms]
-    )
-    out = [0] * size
-    m = data.m
-    for j, q in enumerate(prev):
-        out[j] = m * j * q
-    add_product(out, data.gamma, prev)
-    for kappa, tail, w in terms:
-        add_product(out, kappa, tail, w)
-    while out and not out[-1]:
-        out.pop()
-    return out
+    # the derivative term m j q_j is the prefill, gamma and each lag the terms
+    terms = [(gamma, prev, 1)]
+    terms += [(kappa, lookup(n - lag.s), lag.weight(n)) for lag, kappa in lags]
+    return add_products(terms, [m * j * q for j, q in enumerate(prev)])
 
 
 class TriangleRow(NamedTuple):

@@ -12,8 +12,9 @@ Grammar, informally (every statement ends with a semicolon):
     term     := rational ["x" ["^" int]] | "x" ["^" int]
     rational := int ["/" int]
 
-An exponent is at most MAX_EXPONENT: a polynomial holds one coefficient
-per power up to its degree.
+An exponent and a lag depth s are each at most MAX_EXPONENT: a polynomial
+holds one coefficient per power up to its degree, and the EGF exponent one
+z-power per lag depth.
 
 "family" cannot be combined with the other keys.  Defaults: start index 0,
 start polynomial 1, no lags, binom false.  Coefficients are exact rationals;
@@ -225,7 +226,7 @@ class _Parser:
         fields = self.object_pairs(
             "lag",
             {
-                "s": lambda: self.integer("lag depth s", 1),
+                "s": lambda: self.integer("lag depth s", 1, MAX_EXPONENT),
                 "coeff": self.polynomial,
                 "binom": self.boolean,
             },
@@ -343,14 +344,18 @@ def load(src: Union[SpecSource, str]) -> Union[RecurrenceSpec, FamilyDescriptor]
 
 def format_spec(obj: Union[RecurrenceSpec, FamilyRequest, FamilyDescriptor]) -> str:
     """Canonical rendering; parse(format_spec(s)) reproduces s when no
-    degree exceeds MAX_EXPONENT.
+    degree or lag depth exceeds MAX_EXPONENT.
 
-    Field order: gamma, m, lags (ascending depth), start (only when it is
-    not the default).
+    A catalog descriptor renders as its family invocation, any other (such
+    as the "custom" one of a spec) as its spec.  Field order: gamma, m, lags
+    (ascending depth), start (only when it is not the default).
     """
     if isinstance(obj, FamilyDescriptor):
-        params = {k: obj.parameters[k] for k in family_parameters(obj.name)}
-        obj = FamilyRequest(obj.name, params)
+        if obj.name in catalog_names():
+            params = {k: obj.parameters[k] for k in family_parameters(obj.name)}
+            obj = FamilyRequest(obj.name, params)
+        else:
+            obj = obj.spec
     if isinstance(obj, FamilyRequest):
         inner = ",".join(f"{k}={v}" for k, v in obj.params.items())
         return f"family: {obj.name}({inner});"

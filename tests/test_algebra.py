@@ -1,10 +1,11 @@
 """Exact polynomial arithmetic and the EGF-domain exponential."""
 
+import decimal
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyrec.algebra import (
@@ -13,12 +14,13 @@ from polyrec.algebra import (
     ZERO,
     ExactPolynomial,
     _exp_scale,
-    add_product,
+    add_products,
     as_fraction,
     format_terms,
     monomial,
     series_exp,
 )
+from polyrec.cli import _EXACT
 from polyrec.errors import NonzeroConstantTermError
 
 rationals = st.fractions(
@@ -172,12 +174,46 @@ def test_series_exp_of_empty_input():
     assert series_exp([ZERO]) == [ONE]
 
 
-def test_add_product():
-    out = [1, 0, 0, 0]
-    add_product(out, [1, 2], [0, 3, 1], 5)  # 1 + 5 (1 + 2x)(3x + x^2)
-    assert out == [1, 15, 35, 10]
-    add_product(out, [0, 0], [7, 7])  # zero entries of a add nothing
-    assert out == [1, 15, 35, 10]
+_digits = st.lists(st.integers(-3, 3), max_size=5)  # zeros are frequent
+_kernel_terms = st.lists(
+    st.tuples(_digits, _digits, st.sampled_from([0, 1, -1, 2, 7])), max_size=4
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _kernel_terms,
+    st.none() | _digits | st.lists(st.integers(-3, 3), min_size=6, max_size=10),
+    st.booleans(),
+)
+@example([([1, 2], [0, 3, 1], 5), ([0, 0], [7, 7], 1)], [1, 0, 0, 0], False)
+@example([], [4, 0, 0], False)
+def test_add_product(terms, out, as_decimal):
+    # the one convolution kernel against a naive double loop: the list is
+    # extended to the longest product, accumulated into and trimmed
+    want = list(out or [])
+    for a, b, scale in terms:
+        want += [0] * (len(a) + len(b) - 1 - len(want))
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                want[i + j] += scale * ai * bj
+    while want and not want[-1]:
+        want.pop()
+    if as_decimal:  # b and out may hold Decimals, stepped in an exact context
+        terms = [(a, list(map(decimal.Decimal, b)), scale) for a, b, scale in terms]
+        out = None if out is None else list(map(decimal.Decimal, out))
+    with decimal.localcontext(_EXACT):
+        got = add_products(iter(terms), out)
+    assert got == want
+    assert out is None or got is out
+
+
+def test_add_product_skips_zero_terms():
+    # a zero scale adds nothing at all: not even 0 to a Decimal -0
+    out = [decimal.Decimal("-0"), 5]
+    with decimal.localcontext(_EXACT):
+        assert add_products([([1], [decimal.Decimal(7)], 0), ([], [1], 3)], out) is out
+    assert list(map(str, out)) == ["-0", "5"]
 
 
 def test_exp_scale():

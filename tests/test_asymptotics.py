@@ -174,6 +174,11 @@ def test_overflow_paths():
     scaled = f_partials(STIRLING, 400.0, 1.0)
     assert math.isclose(scaled.f, math.exp(400.0) - 1, rel_tol=1e-9)
     assert math.isclose(scaled.f_zz, math.exp(400.0), rel_tol=1e-9)
+    # a deep lag's Q1 holds z^299, past the double range above z = 10.8
+    deep = catalog("assoc_stirling", s=300).saddle
+    assert math.isfinite(f_partials(deep, 7.0, 1.0).f_z)
+    with pytest.raises(SaddleOverflowError):
+        f_partials(deep, 20.0, 1.0)
 
 
 def test_log_fraction_handles_huge_rationals():

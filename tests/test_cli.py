@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -256,19 +257,26 @@ def test_no_digit_limit_prints_everything(capsys):
 # column 0 of row n >= 1 is 0 * -1: a Decimal row holds -0 there
 NEGATIVE_START = "gamma: x; m: 1; start: {index: 0, poly: -1};"
 
-_INTS = st.lists(st.integers(-4, 4), max_size=3).map(ExactPolynomial)
-
-
 @st.composite
-def _integer_specs(draw):
+def _triangle_specs(draw, coeffs, rates):
+    poly = st.lists(coeffs, max_size=3).map(ExactPolynomial)
     depths = draw(st.lists(st.integers(1, 3), max_size=2, unique=True))
     return RecurrenceSpec(
-        gamma=draw(_INTS),
-        m=draw(st.integers(1, 3)),
-        lags=tuple(LagTerm(s, draw(_INTS), draw(st.booleans())) for s in depths),
+        gamma=draw(poly),
+        m=draw(rates),
+        lags=tuple(LagTerm(s, draw(poly), draw(st.booleans())) for s in depths),
         start_index=draw(st.integers(0, 3)),
-        start_poly=ExactPolynomial(draw(st.lists(st.integers(-4, 4), max_size=4).filter(any))),
+        start_poly=ExactPolynomial(draw(st.lists(coeffs, max_size=4).filter(any))),
     )
+
+
+# integer data print through Decimal rows, rational data through the held
+# int rows; both must print str(Fraction) of each coefficient
+_INTEGER_SPECS = _triangle_specs(st.integers(-4, 4), st.integers(1, 3))
+_RATIONAL_SPECS = _triangle_specs(
+    st.fractions(-4, 4, max_denominator=4),
+    st.fractions(Fraction(1, 4), 3, max_denominator=4),
+)
 
 
 class ContextRecordingStdout(io.StringIO):
@@ -283,13 +291,13 @@ class ContextRecordingStdout(io.StringIO):
         return super().write(text)
 
 
-@settings(max_examples=60, deadline=None)
-@given(_integer_specs(), st.integers(0, 16))
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(_INTEGER_SPECS, _RATIONAL_SPECS), st.integers(0, 16))
 @example(load(NEGATIVE_START), 3)
 def test_integer_triangle_text_is_the_int_rows(spec, rows):
-    # the int rows are the witness for the text the Decimal rows print
+    # the rows of recurrence.triangle are the witness for the text printed
     max_n = spec.start_index + rows
-    want = [(row.n, list(map(str, row.poly.numerators))) for row in triangle(spec, max_n)]
+    want = [(row.n, list(map(str, row.coeffs))) for row in triangle(spec, max_n)]
     argv = ["triangle", "--inline", format_spec(spec), "--max-n", str(max_n)]
     caller = repr(decimal.getcontext())
     for fmt in ("csv", "json"):
@@ -512,11 +520,14 @@ NINES = f"gamma: x + {'9' * 2200}; m: 1;"
         (("--family", "assoc_stirling(s=2)"), "ZeroVarianceError"),
         (("--inline", "gamma: 1/8x + 3/8; m: 2;"), "UnitMassError"),
         (("--inline", NINES), "SaddleOverflowError"),
+        (("--family", "assoc_stirling(s=300)"), "SaddleFailureError"),
+        (("--family", "assoc_stirling(s=400)"), "SaddleOverflowError"),
     ],
 )
 def test_asymptotics_degenerate_row_exits_3(capsys, source, error):
     # row 3 has zero variance, or total mass P_3(1) = 1: no relative error;
-    # or a float saddle function cannot hold the exponent
+    # or a float saddle function cannot hold the exponent, or the z^(s-1)
+    # of a deep lag at the bracket's probes
     code, out, err = run_cli(capsys, "asymptotics", *source, "--ns", "3")
     assert code == 3 and out == ""
     assert err.endswith("\n") and err.count("\n") == 1

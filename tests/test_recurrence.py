@@ -150,21 +150,23 @@ def test_advance_matches_generate():
 
 
 def test_advance_runs_on_the_shared_kernel(monkeypatch):
-    # advance's convolutions are algebra.add_product's, the kernel
+    # advance's convolutions run through algebra.add_products, the kernel
     # series_exp uses too; recording its calls leaves the rows unchanged
-    assert recurrence.add_product is algebra.add_product
+    assert recurrence.add_products is algebra.add_products
     calls = []
 
-    def recording(out, a, b, scale=1):
-        calls.append(scale)
-        algebra.add_product(out, a, b, scale)
+    def recording(terms, out=None):
+        terms = list(terms)
+        calls.append([scale for _, _, scale in terms])
+        return algebra.add_products(terms, out)
 
     spec = catalog("dowling", m=3).spec
     rows = scaled_rows(spec, generate(spec, 8))
-    monkeypatch.setattr(recurrence, "add_product", recording)
+    monkeypatch.setattr(recurrence, "add_products", recording)
     for i in range(1, len(rows)):
         assert advance(spec, rows[i - 1 :: -1], i) == rows[i]
-    assert calls
+    # one call per row, with gamma's unit-scale term (dowling has no lags)
+    assert calls == [[1]] * (len(rows) - 1)
 
 
 def test_scaled_data():

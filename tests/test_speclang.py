@@ -10,7 +10,7 @@ from test_families import _specs
 
 from polyrec.algebra import ExactPolynomial, ONE, X
 from polyrec.errors import ParseError
-from polyrec.families import catalog, catalog_names, family_parameters
+from polyrec.families import FamilyDescriptor, catalog, catalog_names, family_parameters
 from polyrec.recurrence import LagTerm, RecurrenceSpec
 from polyrec.speclang import (
     MAX_EXPONENT,
@@ -101,6 +101,10 @@ def test_format_canonical_examples():
     )
     shifted = parse("gamma: x; m: 2; start: {index: 1, poly: x};")
     assert format_spec(shifted) == "gamma: x; m: 2; start: {index: 1, poly: x};"
+    # the command line's descriptor of a spec is named "custom", which is no
+    # catalog family: it renders as its spec
+    custom = FamilyDescriptor(name="custom", parameters={}, spec=shifted)
+    assert parse(format_spec(custom)) == shifted
 
 
 def test_positions_are_one_based():
@@ -196,6 +200,15 @@ def test_exponent_cap():
         parse(text)
     assert (info.value.line, info.value.column) == (1, text.index("^") + 2)
     assert info.value.reason == "exponent must be <= 10000, got 10001"
+    # the EGF exponent holds one z-power per lag depth: the depth has the
+    # same cap
+    spec = parse(f"gamma: x; m: 1; lag: {{s: {MAX_EXPONENT}, coeff: x}};")
+    assert spec.max_lag == MAX_EXPONENT
+    text = "gamma: x; m: 1; lag: {coeff: x, s: 10001, binom: true};"
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert (info.value.line, info.value.column) == (1, text.index("10001") + 1)
+    assert info.value.reason == "lag depth s must be <= 10000, got 10001"
 
 
 # 0 means no limit; before 3.10.7 there is none
