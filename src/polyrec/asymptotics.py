@@ -163,7 +163,7 @@ def solve_saddle(sf: SaddleFunction, n: int, x: float = 1.0) -> float:
     m = sf.floats[0]
     d = constants.d
 
-    lo, s_lo = 0.0, -float(n)
+    lo = 0.0
     hi = 2.0 * math.log(max(n, 2)) / (m * d) + 4.0
     for _ in range(200):
         if _saddle_residual(sf, hi, x, n) > 0:
@@ -182,7 +182,7 @@ def solve_saddle(sf: SaddleFunction, n: int, x: float = 1.0) -> float:
             lo = hi = mid
             break
         if s_mid < 0:
-            lo, s_lo = mid, s_mid
+            lo = mid
         else:
             hi = mid
 
@@ -288,18 +288,21 @@ def compare_exact(
     and leaves the variance alone, and the coefficient estimate is matched
     through log P_n(1) = log c + log n'! + log [z^{n'}] e^{f(z,1)}.  A row
     with zero variance or with P_n(1) = 1 has no relative error to report
-    and raises ZeroVarianceError or UnitMassError.  `poly`, when given, is
-    the spec's row P_n; otherwise it is drawn from the row source here.
+    and raises ZeroVarianceError or UnitMassError; a row with no mass raises
+    ZeroMassError before the saddle is solved.  `poly`, when given, is the
+    spec's row P_n; otherwise it is drawn from the row source here.
     """
     start = descriptor.spec.start_index
     prefactor = descriptor.spec.start_poly
     series_n = n - start
     if series_n < 3:
         raise ParameterError(f"n must be >= {start + 3}, got {n}")
-    report = saddle_report(descriptor.saddle, series_n)
+    if not theorem_constants(descriptor.saddle).hypothesis_ok:
+        solve_saddle(descriptor.saddle, series_n)  # the spec's failure before the row's
     if poly is None:
         poly = next(r.poly for r in recurrence.rows(descriptor.spec, n) if r.n == n)
     table = pmf(poly, n)
+    report = saddle_report(descriptor.saddle, series_n)
     exact_mean = float(table.mean)
     exact_variance = float(table.variance)
     if exact_variance == 0:

@@ -69,20 +69,16 @@ def _resolve(args) -> FamilyDescriptor:
 
 
 def _emit(args, pieces: Iterable[str]) -> None:
-    """Write the text pieces to --out or stdout as they arrive, then a
-    newline unless the text already ends with one.
+    """Write the text pieces to --out or stdout as they arrive, then the
+    final newline: no text ends with one (CSV lines start with theirs).
 
     Anything that can fail must be computed before this is called: the
     --out file is opened, and stdout written to, as soon as it starts.
     """
-    last = ""
     sink = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
     with sink as handle:
-        for piece in pieces:
-            handle.write(piece)
-            last = piece or last
-        if not last.endswith("\n"):
-            handle.write("\n")
+        handle.writelines(pieces)
+        handle.write("\n")
 
 
 def _csv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> Iterator[str]:
@@ -106,11 +102,9 @@ def _render(args, header: Sequence[str], rows: Iterable[Sequence[str]], payload)
 
 def _row_texts(poly) -> list[str]:
     """The row's coefficients as text, each byte-identical to str(Fraction)."""
-    nums, den = poly.numerators, poly.denominator
-    if den == 1:
-        return list(map(str, nums))
+    den = poly.denominator
     texts = []
-    for q in nums:
+    for q in poly.numerators:
         g = math.gcd(q, den)
         texts.append(str(q // g) if g == den else f"{q // g}/{den // g}")
     return texts
@@ -317,9 +311,11 @@ def _cmd_families(args) -> int:
 # wiring ------------------------------------------------------------------
 
 
-def _add_command(sub, name: str, help_text: str) -> argparse.ArgumentParser:
-    """A subcommand that reads its recurrence from one of three sources."""
+def _add_command(sub, name: str, help_text: str, run) -> argparse.ArgumentParser:
+    """A subcommand that reads its recurrence from one of three sources and
+    is carried out by `run(args)`."""
     p = sub.add_parser(name, help=help_text)
+    p.set_defaults(run=run)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--family", help='catalog family, e.g. "dowling(m=2)"')
     group.add_argument("--spec", help="path to a spec file")
@@ -335,42 +331,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = _add_command(sub, "triangle", "emit coefficient rows")
+    p = _add_command(sub, "triangle", "emit coefficient rows", _cmd_triangle)
     p.add_argument("--max-n", type=int, required=True, help="last row index")
 
-    p = _add_command(sub, "pmf", "exact distribution of one row")
+    p = _add_command(sub, "pmf", "exact distribution of one row", _cmd_pmf)
     p.add_argument("--n", type=int, required=True, help="row index")
 
-    p = _add_command(sub, "moments", "exact mean/variance and shape moments")
+    p = _add_command(sub, "moments", "exact mean/variance and shape moments", _cmd_moments)
     p.add_argument("--n", type=int, help="single row index")
     p.add_argument("--ns", type=_parse_ns, help="comma-separated row indices")
 
-    p = _add_command(sub, "clt", "distance-to-normal diagnostics")
+    p = _add_command(sub, "clt", "distance-to-normal diagnostics", _cmd_clt)
     p.add_argument("--ns", type=_parse_ns, required=True)
 
-    p = _add_command(sub, "asymptotics", "saddle-point predictions vs exact")
+    p = _add_command(sub, "asymptotics", "saddle-point predictions vs exact", _cmd_asymptotics)
     p.add_argument("--ns", type=_parse_ns, required=True)
 
-    p = _add_command(sub, "verify", "EGF identity, enumeration, nonnegativity")
+    p = _add_command(sub, "verify", "EGF identity, enumeration, nonnegativity", _cmd_verify)
     p.add_argument("--max-n", type=int, default=30, help="rows to check (default 30)")
 
-    sub.add_parser("families", help="list the catalog")
+    sub.add_parser("families", help="list the catalog").set_defaults(run=_cmd_families)
 
     for sp in sub.choices.values():
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", help="write output to this path instead of stdout")
     return parser
-
-
-_COMMANDS = {
-    "triangle": _cmd_triangle,
-    "pmf": _cmd_pmf,
-    "moments": _cmd_moments,
-    "clt": _cmd_clt,
-    "asymptotics": _cmd_asymptotics,
-    "verify": _cmd_verify,
-    "families": _cmd_families,
-}
 
 
 def _error_payload(err: Exception) -> dict:
@@ -384,7 +369,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except Exception as err:
         sys.stderr.write(json.dumps(_error_payload(err)) + "\n")
         if isinstance(err, PolyrecError):

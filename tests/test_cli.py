@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyrec import cli, recurrence
+from polyrec import cli, families, recurrence
 from polyrec.algebra import ExactPolynomial
 from polyrec.cli import main
 from polyrec.families import catalog
@@ -520,15 +520,20 @@ NINES = f"gamma: x + {'9' * 2200}; m: 1;"
         (("--family", "assoc_stirling(s=2)"), "ZeroVarianceError"),
         (("--inline", "gamma: 1/8x + 3/8; m: 2;"), "UnitMassError"),
         (("--inline", NINES), "SaddleOverflowError"),
-        (("--family", "assoc_stirling(s=300)"), "SaddleFailureError"),
-        (("--family", "assoc_stirling(s=400)"), "SaddleOverflowError"),
+        (("--family", "assoc_stirling(s=300)", "--ns", "600"), "SaddleFailureError"),
+        (("--family", "assoc_stirling(s=400)", "--ns", "800"), "SaddleOverflowError"),
+        (("--family", "assoc_stirling(s=40)", "--ns", "10"), "ZeroMassError"),
+        (("--inline", "gamma: -x; m: 1;"), "SaddleFailureError"),
     ],
 )
 def test_asymptotics_degenerate_row_exits_3(capsys, source, error):
     # row 3 has zero variance, or total mass P_3(1) = 1: no relative error;
     # or a float saddle function cannot hold the exponent, or the z^(s-1)
-    # of a deep lag at the bracket's probes
-    code, out, err = run_cli(capsys, "asymptotics", *source, "--ns", "3")
+    # of a deep lag at the bracket's probes; or the row has no mass, which
+    # is found before the saddle is solved; or the saddle equation has no
+    # root, which is found before the row's negative entries
+    argv = source if "--ns" in source else (*source, "--ns", "3")
+    code, out, err = run_cli(capsys, "asymptotics", *argv)
     assert code == 3 and out == ""
     assert err.endswith("\n") and err.count("\n") == 1
     assert json.loads(err)["error"]["type"] == error
@@ -550,7 +555,8 @@ def test_unexpected_exception_exits_4(capsys, monkeypatch):
     def boom(args):
         raise RuntimeError("unexpected\nfailure")
 
-    monkeypatch.setitem(cli._COMMANDS, "families", boom)
+    # the parser is built inside main, so it binds the patched command
+    monkeypatch.setattr(cli, "_cmd_families", boom)
     code, out, err = run_cli(capsys, "families")
     assert code == 4 and out == ""
     assert err.endswith("\n") and err.count("\n") == 1
@@ -636,6 +642,37 @@ def test_verify_draws_rows_once(capsys, drawn, argv, upto):
     assert code == 0 and err == ""
     assert generated == [upto]
     assert advanced == list(range(1, upto + 1))
+
+
+@pytest.mark.parametrize("ns,low", [("4,40", 4), ("1,40", 1)])
+def test_asymptotics_checks_the_range_before_drawing(capsys, drawn, ns, low):
+    # r_stirling(r=3) starts at row 3, and the saddle needs three rows past it
+    code, out, err = run_cli(
+        capsys, "asymptotics", "--family", "r_stirling(r=3)", "--ns", ns
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "type": "ParameterError",
+        "message": f"n must be >= 6, got {low}",
+    }
+    assert drawn == ([], [])
+
+
+def test_verify_reports_an_egf_mismatch(capsys, monkeypatch):
+    def doubled_row_2(descriptor, order, egf_rows=families.egf_rows):
+        rows = egf_rows(descriptor, order)
+        return rows[:2] + [rows[2] + rows[2]] + rows[3:]
+
+    monkeypatch.setattr(families, "egf_rows", doubled_row_2)
+    code, out, err = run_cli(capsys, "verify", "--family", "stirling2", "--max-n", "5")
+    assert code == 1 and err == ""
+    assert "egf_identity,fail,row 2: recurrence x^2 + x; series 2x^2 + 2x" in out.splitlines()
+
+
+def test_ns_must_be_integers(capsys):
+    code, out, err = run_cli(capsys, "clt", "--family", "stirling2", "--ns", "3,x")
+    assert code == 2 and out == ""
+    assert "argument --ns: expected comma-separated integers, got '3,x'" in err
 
 
 SHIFTED_CLOSED_FORM = "gamma: x + 1; m: 2; start: {index: 2, poly: 3x^2};"

@@ -178,6 +178,9 @@ def test_exact_positions_for_canonical_failures():
         ("family: klein();", 1, 9),
         ("gamma: x m: 1;", 1, 10),
         ("gamma: 1/0; m: 1;", 1, 10),
+        ("gamma: x; m: 1; lag: {s: 2, s: 3, coeff: x};", 1, 29),
+        ("gamma: x; m: 1; lag: {s: 2};", 1, 17),
+        ("gamma: x;", 1, 10),
         # number tokens are ASCII digits only; str.isdigit admits superscript
         # two and Arabic-Indic three
         ("gamma: x + \u00b2; m: 1;", 1, 12),
