@@ -25,6 +25,11 @@ from .errors import NonzeroConstantTermError
 
 Scalar = Union[int, Fraction]
 
+# the largest exponent and lag depth a spec may name, in spec text or as a
+# catalog parameter: a polynomial holds one coefficient per power up to its
+# degree, and the EGF exponent one z-power per lag depth
+MAX_EXPONENT = 10_000
+
 
 def as_fraction(value: Scalar) -> Fraction:
     """Coerce an int or Fraction to Fraction, rejecting floats outright."""

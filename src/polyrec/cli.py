@@ -36,7 +36,6 @@ from . import recurrence
 from .errors import ParameterError, ParseError, PolyrecError
 from .families import FAMILIES, FamilyDescriptor, catalog
 from .oracle import verify
-from .recurrence import triangle
 from .speclang import SpecSource, load
 
 
@@ -110,6 +109,16 @@ def _row_texts(poly) -> list[str]:
     return texts
 
 
+def _safe_bits() -> float:
+    """The most bits an int may have and still print under Python's
+    int-to-str digit limit (infinite when there is none)."""
+    # the limit arrived in 3.10.7; 0 means none
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # log2(10) > 3.321928, so an int of at most this many bits is below
+    # 10**limit and has at most `limit` digits
+    return limit * 3321928 // 1000000 if limit else math.inf
+
+
 def _check_texts(polys) -> int:
     """Raise the ValueError that `_row_texts` would raise on the first
     coefficient past Python's int-to-str digit limit, if any; otherwise
@@ -118,17 +127,32 @@ def _check_texts(polys) -> int:
     Only rows holding a numerator or denominator with enough bits to reach
     the limit are converted, so the check is cheap when nothing is near it.
     """
-    # the limit arrived in 3.10.7; 0 means none
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    # log2(10) > 3.321928, so an int of at most safe_bits bits is below
-    # 10**limit and has at most `limit` digits
-    safe_bits = limit * 3321928 // 1000000
+    safe_bits = _safe_bits()
     width = 0
     for poly in polys:
         width = max(width, len(poly.numerators))
-        if limit and max(map(int.bit_length, (poly.denominator, *poly.numerators))) > safe_bits:
+        if max(map(int.bit_length, (poly.denominator, *poly.numerators))) > safe_bits:
             _row_texts(poly)
     return width
+
+
+def _proved_width(spec, upto: int) -> Optional[int]:
+    """The length of the longest row when the majorant proves, without
+    drawing a row, that every entry prints; None when it cannot.
+
+    The proof needs nonnegative data, whose majorant degrees are exact, and
+    every M_n, which bounds each numerator of row n, and the largest row
+    denominator d0 D^(upto - start) within `_safe_bits`.
+    """
+    if not recurrence.nonnegative(spec):
+        return None
+    _, masses, degrees = zip(*recurrence.majorant(spec, upto))
+    denominator = spec.start_poly.denominator * spec.scaled.denominator ** (
+        upto - spec.start_index
+    )
+    if max(map(int.bit_length, (denominator, *masses))) > _safe_bits():
+        return None
+    return max(degrees) + 1
 
 
 # exact Decimal arithmetic: a result that would need rounding raises
@@ -173,21 +197,24 @@ def _json_rows(rows: Iterable[tuple[int, list[str]]]) -> Iterator[str]:
 
 
 def _cmd_triangle(args) -> int:
-    """Write the triangle's rows as they are converted to text.
+    """Write the triangle's rows as they are converted to text; no run holds
+    the triangle.
 
     Any conversion failure must surface before the first byte is written,
-    so a first pass checks every row against the digit limit.  An integer
-    triangle is never held: the first pass draws `int` rows, and a second
-    pass prints exact `Decimal` rows.  A rational triangle is held between
-    the check and the text.
+    and CSV needs the width of the longest row up front.  When the majorant
+    proves both (`_proved_width`) the rows are drawn once; otherwise a first
+    pass over `int` rows checks every row against the digit limit and finds
+    the width, and a second pass prints.  Integer data print from exact
+    `Decimal` rows, rational data from the `int` rows of `recurrence.rows`.
     """
     spec = _resolve(args).spec
-    if spec.scaled.denominator == spec.start_poly.denominator == 1:
+    width = _proved_width(spec, args.max_n)
+    if width is None:
         width = _check_texts(row.poly for row in recurrence.rows(spec, args.max_n))
+    if spec.scaled.denominator == spec.start_poly.denominator == 1:
         texts = _decimal_texts(spec, args.max_n)
     else:
-        rows = triangle(spec, args.max_n)
-        width = _check_texts(row.poly for row in rows)
+        rows = recurrence.rows(spec, args.max_n)
         texts = ((row.n, _row_texts(row.poly)) for row in rows)
     if args.format == "json":
         _emit(args, _json_rows(texts))

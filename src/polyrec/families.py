@@ -30,6 +30,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import recurrence
 from .algebra import (
+    MAX_EXPONENT,
     ONE,
     X,
     ZERO,
@@ -261,7 +262,9 @@ def validate_nonnegativity(rows: Iterable[TriangleRow]) -> NonnegativityReport:
     return NonnegativityReport(first_negative is None, first_negative, tuple(zero_sums))
 
 
-def _require_int(params: dict, key: str, minimum: Optional[int] = None) -> int:
+def _require_int(
+    params: dict, key: str, minimum: Optional[int] = None, maximum: Optional[int] = None
+) -> int:
     if key not in params:
         raise ParameterError(f"missing parameter {key!r}")
     value = params[key]
@@ -273,6 +276,8 @@ def _require_int(params: dict, key: str, minimum: Optional[int] = None) -> int:
         raise ParameterError(f"parameter {key!r} must be an integer")
     if minimum is not None and value < minimum:
         raise ParameterError(f"parameter {key!r} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ParameterError(f"parameter {key!r} must be <= {maximum}, got {value}")
     return value
 
 
@@ -318,10 +323,12 @@ class Family(NamedTuple):
     """Everything the package knows about one catalog family.
 
     `params` maps each parameter, in label order, to its minimum (None for
-    any integer).  `spec`, `oeis` and `model` take the parameters as keywords
-    and give the recurrence, the OEIS ids and the enumeration oracle's
-    partition model (None when the family has none).  `listed` is the
-    instance whose ids `polyrec families` shows.
+    any integer); `depths` names those that set a start degree or a lag
+    depth, each at most MAX_EXPONENT as in spec text.  `spec`, `oeis` and
+    `model` take the parameters as keywords and give the recurrence, the
+    OEIS ids and the enumeration oracle's partition model (None when the
+    family has none).  `listed` is the instance whose ids `polyrec families`
+    shows.
     """
 
     params: dict[str, Optional[int]]
@@ -329,6 +336,7 @@ class Family(NamedTuple):
     listed: dict[str, int]
     oeis: Callable[..., tuple[str, ...]] = lambda **_: ()
     model: Callable[..., Optional[OracleModel]] = lambda **_: None
+    depths: tuple[str, ...] = ()
 
 
 FAMILIES: dict[str, Family] = {
@@ -369,6 +377,7 @@ FAMILIES: dict[str, Family] = {
         listed={"r": 2},
         oeis=lambda r: _ids(_R_STIRLING_IDS, r),
         model=lambda r: (r, 1, 1),
+        depths=("r",),
     ),
     "sheffer": Family(
         params={"d": 1, "a": 0},
@@ -396,6 +405,7 @@ FAMILIES: dict[str, Family] = {
         ),
         listed={"s": 2},
         model=lambda s: (0, 1, s),
+        depths=("s",),
     ),
     "r_whitney_assoc": Family(
         params={"m": 1, "r": 0, "s": 1},
@@ -406,6 +416,7 @@ FAMILIES: dict[str, Family] = {
         ),
         listed={"m": 2, "r": 1, "s": 2},
         model=lambda m, r, s: (r, m, s),
+        depths=("s",),
     ),
     "type_b": Family(
         params={"m": 1, "c": 1},
@@ -442,7 +453,9 @@ def catalog(name: str, **params) -> FamilyDescriptor:
             f"family {name!r} does not take parameter(s) {sorted(extra)}"
         )
     values = {
-        key: _require_int(params, key, minimum)
+        key: _require_int(
+            params, key, minimum, MAX_EXPONENT if key in family.depths else None
+        )
         for key, minimum in family.params.items()
     }
     return FamilyDescriptor(

@@ -21,9 +21,11 @@ and also runs on `Decimal` rows, whose text is linear in the digits, for
 printing an integer triangle.  `rows`, the one row source, wraps it and
 hands each row over as the pair (Q_n, d0 D^(n - start)) without touching a
 coefficient (the denominator is 1 when the data are integers, as for every
-catalog family); `generate` and `triangle` are lists over it.  The module
-also builds coefficient triangles directly from the linear entrywise
-recurrence
+catalog family); `generate` and `triangle` are lists over it.  `majorant`
+bounds the size and degree of every scaled row without drawing one, the
+degree exactly for `nonnegative` data: enough for the command line to print
+a triangle in one pass.  The module also builds coefficient triangles
+directly from the linear entrywise recurrence
 
     T_{n,k} = u T_{n-1,k-1} + (a + b k) T_{n-1,k},   T_{0,0} = 1.
 """
@@ -162,6 +164,59 @@ class TriangleRow(NamedTuple):
         return self.poly(1)
 
 
+def _check_upto(spec: RecurrenceSpec, upto: int) -> None:
+    if upto < spec.start_index:
+        raise InvalidIndexError(
+            f"upper index {upto} is below start index {spec.start_index}"
+        )
+
+
+def nonnegative(spec: RecurrenceSpec) -> bool:
+    """Whether gamma, every kappa and the start polynomial have no negative
+    coefficient (m is always positive), so that no term of any row cancels."""
+    polys = (spec.gamma, spec.start_poly, *(lag.kappa for lag in spec.lags))
+    return all(q >= 0 for poly in polys for q in poly.numerators)
+
+
+def majorant(spec: RecurrenceSpec, upto: int) -> Iterator[tuple[int, int, int]]:
+    """(n, M_n, e_n) for n = start_index .. upto, without drawing a row.
+
+    M_n bounds the sum of |q| over the scaled row Q_n, so every entry, and
+    e_n bounds its degree (-1 where M_n = 0: the row is zero).  With
+    g = sum |D gamma_j| and k_s = sum |D^s kappa_{s,j}|,
+
+        M_n = (g + D m e_{n-1}) M_{n-1} + sum w(n, s) k_s M_{n-s},
+
+    from M_start = sum |d0 P_start|, since |gamma Q|_1 <= |gamma|_1 |Q|_1 and
+    x Q' scales each coefficient by at most deg Q; a lag reaching below the
+    start contributes nothing, and x Q' of a constant row is zero.  When the
+    data are `nonnegative` no term cancels, so e_n is the degree of Q_n
+    exactly and M_n = 0 exactly when the row is zero.  Each row costs a few
+    `int` operations, and an `upto` below the start index raises when the
+    first bound is drawn.
+    """
+    _check_upto(spec, upto)
+    _, gamma, m, lags = spec.scaled
+    g, gamma_degree = sum(map(abs, gamma)), len(gamma) - 1
+    lags = [(lag, sum(map(abs, kappa)), len(kappa) - 1) for lag, kappa in lags]
+    # (M, e) of the last max_lag rows; those below the start are zero rows
+    history = deque([(0, -1)] * spec.max_lag, maxlen=spec.max_lag)
+    first = spec.start_poly.numerators
+    history.appendleft((sum(map(abs, first)), len(first) - 1))
+    yield spec.start_index, *history[0]
+    for n in range(spec.start_index + 1, upto + 1):
+        mass, degree = history[0]
+        # each term's bounds on its sum of |q| and on its degree
+        terms = [(g * mass, degree + gamma_degree), (m * degree * mass, degree)]
+        for lag, k, kappa_degree in lags:
+            lag_mass, lag_degree = history[lag.s - 1]
+            terms.append((lag.weight(n) * k * lag_mass, lag_degree + kappa_degree))
+        history.appendleft(
+            (sum(t for t, _ in terms), max((e for t, e in terms if t), default=-1))
+        )
+        yield n, *history[0]
+
+
 def scaled_rows(
     spec: RecurrenceSpec, upto: int, first: Sequence
 ) -> Iterator[tuple[int, Sequence]]:
@@ -175,10 +230,7 @@ def scaled_rows(
     is the one loop that calls `advance`.  An `upto` below the start index
     raises when the first row is drawn.
     """
-    if upto < spec.start_index:
-        raise InvalidIndexError(
-            f"upper index {upto} is below start index {spec.start_index}"
-        )
+    _check_upto(spec, upto)
     history = deque([first], maxlen=spec.max_lag)
     yield spec.start_index, first
     for n in range(spec.start_index + 1, upto + 1):

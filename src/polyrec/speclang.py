@@ -28,14 +28,12 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
-from .algebra import ONE, ExactPolynomial
+from .algebra import MAX_EXPONENT, ONE, ExactPolynomial
 from .errors import ParseError
 from .families import FamilyDescriptor, catalog, catalog_names, family_parameters
 from .recurrence import LagTerm, RecurrenceSpec
 
 _SYMBOLS = ":;{}(),=^/+-"
-
-MAX_EXPONENT = 10_000
 
 _M_POSITIVITY = (
     "m must be > 0: the normal limit law requires a positive derivative weight"

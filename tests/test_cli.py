@@ -270,13 +270,15 @@ def _triangle_specs(draw, coeffs, rates):
     )
 
 
-# integer data print through Decimal rows, rational data through the held
-# int rows; both must print str(Fraction) of each coefficient
+# integer data print through Decimal rows, rational data through the int
+# rows of recurrence.rows, after a check pass for signed data and in one
+# pass for nonnegative data; every route must print str(Fraction) of each
+# coefficient
+_RATES = st.fractions(Fraction(1, 4), 3, max_denominator=4)
 _INTEGER_SPECS = _triangle_specs(st.integers(-4, 4), st.integers(1, 3))
-_RATIONAL_SPECS = _triangle_specs(
-    st.fractions(-4, 4, max_denominator=4),
-    st.fractions(Fraction(1, 4), 3, max_denominator=4),
-)
+_NONNEGATIVE_INTEGER_SPECS = _triangle_specs(st.integers(0, 4), st.integers(1, 3))
+_RATIONAL_SPECS = _triangle_specs(st.fractions(-4, 4, max_denominator=4), _RATES)
+_NONNEGATIVE_RATIONAL_SPECS = _triangle_specs(st.fractions(0, 4, max_denominator=4), _RATES)
 
 
 class ContextRecordingStdout(io.StringIO):
@@ -291,11 +293,20 @@ class ContextRecordingStdout(io.StringIO):
         return super().write(text)
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.one_of(_INTEGER_SPECS, _RATIONAL_SPECS), st.integers(0, 16))
+@settings(max_examples=160, deadline=None)
+@given(
+    st.one_of(
+        _INTEGER_SPECS,
+        _NONNEGATIVE_INTEGER_SPECS,
+        _RATIONAL_SPECS,
+        _NONNEGATIVE_RATIONAL_SPECS,
+    ),
+    st.integers(0, 16),
+)
 @example(load(NEGATIVE_START), 3)
 def test_integer_triangle_text_is_the_int_rows(spec, rows):
-    # the rows of recurrence.triangle are the witness for the text printed
+    # the rows of recurrence.triangle, which the command never calls, are
+    # the witness for the text printed
     max_n = spec.start_index + rows
     want = [(row.n, list(map(str, row.coeffs))) for row in triangle(spec, max_n)]
     argv = ["triangle", "--inline", format_spec(spec), "--max-n", str(max_n)]
@@ -476,6 +487,26 @@ def test_overlong_literal_exits_2(capsys):
     assert (payload["line"], payload["column"]) == (1, 8)
 
 
+@pytest.mark.parametrize("source", ["--family", "--inline"])
+@pytest.mark.parametrize("family,name", [("r_stirling(r={})", "r"), ("assoc_stirling(s={})", "s")])
+def test_catalog_depth_cap(capsys, source, family, name):
+    # a start degree or lag depth of 10,000 runs; one more is refused
+    def run(value):
+        text = family.format(value)
+        text = text if source == "--family" else f"family: {text};"
+        return run_cli(capsys, "triangle", source, text, "--max-n", "10000")
+
+    code, out, err = run(10_000)
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1].startswith("10000,")
+    code, out, err = run(10_001)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and json.loads(err)["error"] == {
+        "type": "ParameterError",
+        "message": f"parameter '{name}' must be <= 10000, got 10001",
+    }
+
+
 def test_usage_error_for_conflicting_sources(capsys):
     code, _, err = run_cli(
         capsys, "triangle", "--family", "stirling2", "--inline", "gamma: x; m: 1;",
@@ -623,6 +654,62 @@ def test_rows_are_generated_once(capsys, drawn, argv, rows):
     assert code == 0 and err == ""
     assert generated == [30]
     assert len(advanced) == rows
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "text,max_n,passes",
+    [
+        # nonnegative data within the limit: the majorant proves the width
+        # and the digit limit, and each row is advanced once
+        ("gamma: x; m: 1;", 30, ["decimal"]),
+        (SHIFTED_RATIONAL, 30, ["rows"]),
+        (OVERLONG, 130, ["decimal"]),
+        # signed data: a check pass over int rows, then the text pass
+        (SIGNED_BINOMIAL, 30, ["rows", "decimal"]),
+        ("gamma: x - 1/2; m: 1;", 30, ["rows", "rows"]),
+        # the bound passes the limit at row 137, the entries only at 144
+        (OVERLONG, 140, ["rows", "decimal"]),
+        # M_1 = 1, but row 1's denominator has 14,285 bits: it prints (4,300
+        # digits), though past what the proof allows
+        (DENOMINATOR, 1, ["rows", "rows"]),
+    ],
+    ids=[
+        "integer", "rational", "overlong-130",
+        "signed", "signed-rational", "overlong-140", "denominator",
+    ],
+)
+def test_triangle_route(capsys, drawn, monkeypatch, text, max_n, passes, fmt):
+    generated, advanced = drawn
+
+    def held(spec, upto):
+        raise AssertionError("a triangle run held the whole triangle")
+
+    monkeypatch.setattr(recurrence, "triangle", held)
+    code, out, err = run_cli(
+        capsys, "triangle", "--inline", text, "--max-n", str(max_n), "--format", fmt
+    )
+    assert code == 0 and out and err == ""
+    assert generated == [max_n] * passes.count("rows")
+    start = load(text).start_index
+    assert advanced == list(range(start + 1, max_n + 1)) * len(passes)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+def test_no_digit_limit_needs_no_size_proof(capsys, drawn):
+    # without a limit only the width needs proving: nonnegative data past
+    # the usual limit take one pass
+    generated, advanced = drawn
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, out, err = run_cli(capsys, "triangle", "--inline", OVERLONG, "--max-n", "150")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0 and len(out.splitlines()) == 152 and err == ""
+    assert generated == [] and advanced == list(range(1, 151))
 
 
 @pytest.mark.parametrize(

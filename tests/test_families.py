@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyrec import families
-from polyrec.algebra import ONE, X, ZERO, ExactPolynomial, _exp_scale, monomial
+from polyrec import algebra, families, speclang
+from polyrec.algebra import MAX_EXPONENT, ONE, X, ZERO, ExactPolynomial, _exp_scale, monomial
 from polyrec.errors import (
     InvalidIndexError,
     ParameterError,
@@ -237,6 +237,31 @@ def test_catalog_unknown_and_bad_params():
         catalog("sheffer", d=2, a=Fraction(1, 2))
     with pytest.raises(ParameterError):
         catalog("r_stirling", r=-1)
+
+
+@pytest.mark.parametrize(
+    "name,params,depth",
+    [
+        ("r_stirling", {}, "r"),
+        ("assoc_stirling", {}, "s"),
+        ("r_whitney_assoc", {"m": 2, "r": 1}, "s"),
+    ],
+)
+def test_catalog_caps_degrees_and_depths(monkeypatch, name, params, depth):
+    # the cap spec text puts on an exponent or a lag depth: x^r is the
+    # start polynomial of r_stirling, and s a lag depth
+    assert speclang.MAX_EXPONENT is algebra.MAX_EXPONENT
+    descriptor = catalog(name, **params, **{depth: MAX_EXPONENT})
+    assert descriptor.parameters[depth] == MAX_EXPONENT == 10_000
+    # refused before the family's recurrence is built
+    family = families.FAMILIES[name]
+
+    def unbuilt(**values):
+        raise AssertionError("the recurrence was built")
+
+    monkeypatch.setitem(families.FAMILIES, name, family._replace(spec=unbuilt))
+    with pytest.raises(ParameterError, match=f"parameter '{depth}' must be <= 10000, got 10001"):
+        catalog(name, **params, **{depth: MAX_EXPONENT + 1})
 
 
 def test_catalog_rejects_bool_parameters():

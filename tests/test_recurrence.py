@@ -221,6 +221,91 @@ def test_generate_matches_reference_recurrence(case):
     assert generate(spec, upto) == reference_generate(spec, upto)
 
 
+@st.composite
+def _majorant_specs(draw, coeffs, rates):
+    """A spec with data drawn from `coeffs`, lags up to depth 4 and a start
+    offset, and the last row to bound."""
+    poly = st.lists(coeffs, max_size=3).map(ExactPolynomial)
+    depths = draw(st.lists(st.integers(1, 4), max_size=3, unique=True))
+    spec = RecurrenceSpec(
+        gamma=draw(poly),
+        m=draw(rates),
+        lags=tuple(LagTerm(s, draw(poly), draw(st.booleans())) for s in depths),
+        start_index=draw(st.integers(0, 3)),
+        start_poly=ExactPolynomial(draw(st.lists(coeffs, max_size=4).filter(any))),
+    )
+    return spec, spec.start_index + draw(st.integers(0, 14))
+
+
+_RATES = st.fractions(Fraction(1, 4), 3, max_denominator=4)
+_MAJORANT_DATA = {
+    "signed": (st.integers(-3, 3), st.integers(1, 3)),
+    "nonnegative": (st.integers(0, 3), st.integers(1, 3)),
+    "signed-rational": (st.fractions(-3, 3, max_denominator=4), _RATES),
+    "nonnegative-rational": (st.fractions(0, 3, max_denominator=4), _RATES),
+}
+
+
+def check_majorant(spec, upto):
+    """Every scaled row's sum of |q| is at most M_n and its degree at most
+    e_n; for nonnegative data e_n is the degree and M_n = 0 marks exactly
+    the zero rows."""
+    bounds = list(recurrence.majorant(spec, upto))
+    drawn = list(recurrence.scaled_rows(spec, upto, spec.start_poly.numerators))
+    assert [n for n, _, _ in bounds] == [n for n, _ in drawn]
+    for (_, q), (_, mass, degree) in zip(drawn, bounds):
+        assert sum(map(abs, q)) <= mass
+        assert len(q) - 1 <= degree
+        if recurrence.nonnegative(spec):
+            assert len(q) - 1 == degree
+            assert (mass == 0) == (not q)
+
+
+@pytest.mark.parametrize("kind", list(_MAJORANT_DATA))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_majorant_bounds_every_scaled_row(kind, data):
+    spec, upto = data.draw(_majorant_specs(*_MAJORANT_DATA[kind]))
+    if kind.startswith("nonnegative"):
+        assert recurrence.nonnegative(spec)
+    check_majorant(spec, upto)
+
+
+@pytest.mark.parametrize(
+    "spec,nonnegative",
+    [
+        # row 1 is x Q' of the constant row 0, with gamma = 0: a zero row
+        (catalog("assoc_stirling", s=2).spec, True),
+        # the depth-2 lag reaches below the start at row 3
+        (RecurrenceSpec(gamma=X, m=1, lags=(LagTerm(2, X, True),), start_index=2), True),
+        (catalog("r_whitney_assoc", m=2, r=1, s=3).spec, True),
+        (RATIONAL_SPEC, True),
+        (catalog("galton", m=1, c=-1).spec, False),
+        # gamma x and the depth-1 lag -x cancel: row 1 is zero, M_1 = 2
+        (RecurrenceSpec(gamma=X, m=1, lags=(LagTerm(1, monomial(1, -1)),)), False),
+        (RecurrenceSpec(gamma=X, m=1, start_poly=ExactPolynomial([1, -1])), False),
+    ],
+    ids=[
+        "zero-row", "lag-below-start", "r_whitney_assoc", "rational",
+        "galton", "signed-lag", "signed-start",
+    ],
+)
+def test_majorant_edge_cases(spec, nonnegative):
+    assert recurrence.nonnegative(spec) == nonnegative
+    check_majorant(spec, spec.start_index + 30)
+
+
+def test_majorant_of_the_first_rows():
+    # stirling2: g = D m = 1 and e_n = n, so M_n = n M_{n-1} = n!
+    bounds = list(recurrence.majorant(catalog("stirling2").spec, 5))
+    assert bounds == [(0, 1, 0), (1, 1, 1), (2, 2, 2), (3, 6, 3), (4, 24, 4), (5, 120, 5)]
+    # assoc_stirling(s=2): row 1 is zero, row 2 is x (w = C(1, 1) = 1)
+    bounds = list(recurrence.majorant(catalog("assoc_stirling", s=2).spec, 2))
+    assert bounds == [(0, 1, 0), (1, 0, -1), (2, 1, 1)]
+    with pytest.raises(InvalidIndexError, match="upper index 2 is below start index 3"):
+        next(recurrence.majorant(catalog("r_stirling", r=3).spec, 2))
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         RecurrenceSpec(gamma=X, m=Fraction(0))
