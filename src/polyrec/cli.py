@@ -142,17 +142,28 @@ def _proved_width(spec, upto: int) -> Optional[int]:
 
     The proof needs nonnegative data, whose majorant degrees are exact, and
     every M_n, which bounds each numerator of row n, and the largest row
-    denominator d0 D^(upto - start) within `_safe_bits`.
+    denominator d0 D^(upto - start) within `_safe_bits`.  It gives up at the
+    first number past the limit, so it never builds one much longer.
     """
     if not recurrence.nonnegative(spec):
         return None
-    _, masses, degrees = zip(*recurrence.majorant(spec, upto))
-    denominator = spec.start_poly.denominator * spec.scaled.denominator ** (
-        upto - spec.start_index
-    )
-    if max(map(int.bit_length, (denominator, *masses))) > _safe_bits():
+    safe_bits = _safe_bits()
+    d = spec.scaled.denominator
+    # an upto below the start raises in the majorant
+    lag = max(upto - spec.start_index, 0)
+    # d^lag has at least (bits(d) - 1) lag bits, so it is built only when it
+    # has at most about twice the limit's
+    if safe_bits < math.inf and (
+        (d.bit_length() - 1) * lag > safe_bits
+        or (spec.start_poly.denominator * d**lag).bit_length() > safe_bits
+    ):
         return None
-    return max(degrees) + 1
+    width = 0
+    for _, mass, degree in recurrence.majorant(spec, upto):
+        if mass.bit_length() > safe_bits:
+            return None
+        width = max(width, degree + 1)
+    return width
 
 
 # exact Decimal arithmetic: a result that would need rounding raises

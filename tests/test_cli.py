@@ -695,6 +695,49 @@ def test_triangle_route(capsys, drawn, monkeypatch, text, max_n, passes, fmt):
     assert advanced == list(range(start + 1, max_n + 1)) * len(passes)
 
 
+@pytest.fixture
+def bounded(monkeypatch):
+    """The n of every bound the majorant yields, in order."""
+    seen = []
+
+    def counting_majorant(spec, upto, majorant=recurrence.majorant):
+        for bound in majorant(spec, upto):
+            seen.append(bound[0])
+            yield bound
+
+    monkeypatch.setattr(recurrence, "majorant", counting_majorant)
+    return seen
+
+
+def test_proof_stops_at_the_first_bound_past_the_limit(tmp_path, capsys, drawn, bounded):
+    # the bound passes the limit at row 137 and the entries at row 144: the
+    # proof gives up at 137 and the check pass at 144, not at --max-n (kept
+    # small enough that bounding every row, the fault this guards against,
+    # would still end)
+    _, advanced = drawn
+    target = tmp_path / "rows"
+    code, out, err = run_cli(
+        capsys, "triangle", "--inline", OVERLONG, "--max-n", "2000", "--out", str(target)
+    )
+    assert code == 4 and out == "" and "Exceeds the limit (4300" in err
+    assert not target.exists()
+    assert bounded == list(range(138))
+    assert advanced == list(range(1, 145))
+
+
+def test_proof_checks_the_denominator_first(bounded):
+    # row n of gamma = 1/2 is 1/2^n, each M_n = 1: only the last row's
+    # denominator, 2^max_n, decides, and past the limit no bound is drawn
+    spec = load("gamma: 1/2; m: 1;")
+    bits = int(cli._safe_bits())
+    assert cli._proved_width(spec, bits - 1) == 1
+    assert bounded == list(range(bits))
+    bounded.clear()
+    assert cli._proved_width(spec, bits) is None
+    assert cli._proved_width(spec, 10**6) is None
+    assert bounded == []
+
+
 @pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
 )
