@@ -100,12 +100,38 @@ def _render(args, header: Sequence[str], rows: Iterable[Sequence[str]], payload)
 
 
 def _row_texts(poly) -> list[str]:
-    """The row's coefficients as text, each byte-identical to str(Fraction)."""
+    """The row's coefficients as text, each byte-identical to str(Fraction).
+
+    Over a row denominator 2^t, entry q reduces by 2^s, s = min(t, tz(q))
+    for tz(q) its trailing zero bits: a shift, not a gcd, and the text of
+    den >> s is built once per s.  A zero prints as 0 before tz is read.
+    Any other denominator takes one gcd per entry, against the whole of it:
+    splitting its power of two off costs as much as it saves when the odd
+    part is large.
+    """
     den = poly.denominator
+    t = den.bit_length() - 1
     texts = []
+    if den != 1 << t:
+        for q in poly.numerators:
+            g = math.gcd(q, den)
+            texts.append(str(q // g) if g == den else f"{q // g}/{den // g}")
+        return texts
+    shifted = [None] * t
     for q in poly.numerators:
-        g = math.gcd(q, den)
-        texts.append(str(q // g) if g == den else f"{q // g}/{den // g}")
+        if not q:
+            texts.append("0")
+            continue
+        s = min(t, (q & -q).bit_length() - 1)
+        # the numerator is printed first, as str(Fraction) does, so the
+        # first text past the digit limit raises the same error
+        text = str(q >> s)
+        if s < t:
+            name = shifted[s]
+            if name is None:
+                name = shifted[s] = str(den >> s)
+            text = f"{text}/{name}"
+        texts.append(text)
     return texts
 
 
@@ -137,16 +163,15 @@ def _check_texts(polys) -> int:
 
 
 def _proved_width(spec, upto: int) -> Optional[int]:
-    """The length of the longest row when the majorant proves, without
-    drawing a row, that every entry prints; None when it cannot.
+    """A bound on the length of the longest row when the majorant proves,
+    without drawing a row, that every entry prints; None when it cannot.
 
-    The proof needs nonnegative data, whose majorant degrees are exact, and
-    every M_n, which bounds each numerator of row n, and the largest row
-    denominator d0 D^(upto - start) within `_safe_bits`.  It gives up at the
-    first number past the limit, so it never builds one much longer.
+    The proof needs every M_n, which bounds each numerator of row n whatever
+    the signs, and the largest row denominator d0 D^(upto - start) within
+    `_safe_bits`.  It gives up at the first number past the limit, so it
+    never builds one much longer.  The bound is the width itself for
+    `recurrence.nonnegative` data, whose majorant degrees are exact.
     """
-    if not recurrence.nonnegative(spec):
-        return None
     safe_bits = _safe_bits()
     d = spec.scaled.denominator
     # an upto below the start raises in the majorant
@@ -213,13 +238,16 @@ def _cmd_triangle(args) -> int:
 
     Any conversion failure must surface before the first byte is written,
     and CSV needs the width of the longest row up front.  When the majorant
-    proves both (`_proved_width`) the rows are drawn once; otherwise a first
-    pass over `int` rows checks every row against the digit limit and finds
-    the width, and a second pass prints.  Integer data print from exact
-    `Decimal` rows, rational data from the `int` rows of `recurrence.rows`.
+    proves what the format needs (`_proved_width`) the rows are drawn once:
+    JSON needs only the digit limit, so any signs do; the CSV width needs
+    nonnegative data.  Otherwise a first pass over `int` rows checks every
+    row against the digit limit and finds the width, and a second pass
+    prints.  Integer data print from exact `Decimal` rows, rational data
+    from the `int` rows of `recurrence.rows` through `_row_texts`.
     """
     spec = _resolve(args).spec
-    width = _proved_width(spec, args.max_n)
+    provable = args.format == "json" or recurrence.nonnegative(spec)
+    width = _proved_width(spec, args.max_n) if provable else None
     if width is None:
         width = _check_texts(row.poly for row in recurrence.rows(spec, args.max_n))
     if spec.scaled.denominator == spec.start_poly.denominator == 1:

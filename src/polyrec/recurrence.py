@@ -23,9 +23,10 @@ hands each row over as the pair (Q_n, d0 D^(n - start)) without touching a
 coefficient (the denominator is 1 when the data are integers, as for every
 catalog family); `generate` and `triangle` are lists over it.  `majorant`
 bounds the size and degree of every scaled row without drawing one, the
-degree exactly for `nonnegative` data: enough for the command line to print
-a triangle in one pass.  The module also builds coefficient triangles
-directly from the linear entrywise recurrence
+degree exactly for `nonnegative` data: the size bound lets the command line
+print a JSON triangle in one pass whatever the signs, and the exact degree
+gives a nonnegative CSV triangle its width too.  The module also builds
+coefficient triangles directly from the linear entrywise recurrence
 
     T_{n,k} = u T_{n-1,k-1} + (a + b k) T_{n-1,k},   T_{0,0} = 1.
 """

@@ -6,6 +6,7 @@ import functools
 import hashlib
 import io
 import json
+import operator
 import sys
 from fractions import Fraction
 
@@ -271,8 +272,8 @@ def _triangle_specs(draw, coeffs, rates):
 
 
 # integer data print through Decimal rows, rational data through the int
-# rows of recurrence.rows, after a check pass for signed data and in one
-# pass for nonnegative data; every route must print str(Fraction) of each
+# rows of recurrence.rows, after a check pass for signed CSV and in one pass
+# for JSON and nonnegative CSV; every route must print str(Fraction) of each
 # coefficient
 _RATES = st.fractions(Fraction(1, 4), 3, max_denominator=4)
 _INTEGER_SPECS = _triangle_specs(st.integers(-4, 4), st.integers(1, 3))
@@ -336,6 +337,50 @@ def test_negative_zero_prints_as_zero(capsys):
     code, out, err = run_cli(capsys, "triangle", "--inline", NEGATIVE_START, "--max-n", "2")
     assert code == 0 and err == ""
     assert out.splitlines() == ["n,c0,c1,c2", "0,-1,0,0", "1,0,-1,0", "2,0,-1,-1"]
+
+
+@st.composite
+def _scaled_rows(draw):
+    """(numerators, denominator) of a rational row: the denominator 1, a
+    power of two up to 2^700, odd, or both; signed numerators with interior
+    zeros, with more trailing zero bits than the denominator, and sharing
+    its odd part."""
+    odd = 2 * draw(st.integers(0, 10**40)) + 1
+    power = 1 << draw(st.integers(1, 700))
+    den = draw(st.sampled_from([1, power, odd, odd * power]))
+    shifted = st.builds(operator.lshift, st.integers(-(10**6), 10**6), st.integers(0, 720))
+    numerator = st.one_of(
+        st.just(0),
+        st.integers(-(10**60), 10**60),
+        shifted,
+        shifted.map(lambda q: q * odd),
+    )
+    return draw(st.lists(numerator, max_size=8)), den
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scaled_rows())
+@example(([-3, 0, -12], 16))
+def test_row_texts_are_the_fraction_texts(row):
+    poly = ExactPolynomial.from_scaled(*row)
+    assert cli._row_texts(poly) == [str(c) for c in poly.coeffs]
+
+
+# row 2 is (-3 + 0x - 12x^2) / 16: a zero entry over a power of two, which
+# takes no shift step and prints as 0, not as 0/16
+HALVES_WITH_ZERO = "gamma: x - 1/2; m: 1; start: {index: 0, poly: -3/4};"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_zero_entry_over_a_power_of_two(capsys, fmt):
+    code, out, err = run_cli(
+        capsys, "triangle", "--inline", HALVES_WITH_ZERO, "--max-n", "3", "--format", fmt
+    )
+    assert code == 0 and err == ""
+    if fmt == "csv":
+        assert out.splitlines()[3] == "2,-3/16,0,-3/4,0"
+    else:
+        assert json.loads(out)["rows"][2]["coeffs"] == ["-3/16", "0", "-3/4"]
 
 
 def test_pmf_json_probs(capsys):
@@ -665,9 +710,11 @@ def test_rows_are_generated_once(capsys, drawn, argv, rows):
         ("gamma: x; m: 1;", 30, ["decimal"]),
         (SHIFTED_RATIONAL, 30, ["rows"]),
         (OVERLONG, 130, ["decimal"]),
-        # signed data: a check pass over int rows, then the text pass
-        (SIGNED_BINOMIAL, 30, ["rows", "decimal"]),
-        ("gamma: x - 1/2; m: 1;", 30, ["rows", "rows"]),
+        # signed data: the majorant proves the digit limit, which is all
+        # JSON needs; CSV needs the width, so a check pass over int rows
+        # finds it, then the text pass
+        (SIGNED_BINOMIAL, 30, {"csv": ["rows", "decimal"], "json": ["decimal"]}),
+        ("gamma: x - 1/2; m: 1;", 30, {"csv": ["rows", "rows"], "json": ["rows"]}),
         # the bound passes the limit at row 137, the entries only at 144
         (OVERLONG, 140, ["rows", "decimal"]),
         # M_1 = 1, but row 1's denominator has 14,285 bits: it prints (4,300
@@ -681,6 +728,8 @@ def test_rows_are_generated_once(capsys, drawn, argv, rows):
 )
 def test_triangle_route(capsys, drawn, monkeypatch, text, max_n, passes, fmt):
     generated, advanced = drawn
+    if isinstance(passes, dict):
+        passes = passes[fmt]
 
     def held(spec, upto):
         raise AssertionError("a triangle run held the whole triangle")
