@@ -163,14 +163,15 @@ def _check_texts(polys) -> int:
 
 
 def _proved_width(spec, upto: int) -> Optional[int]:
-    """A bound on the length of the longest row when the majorant proves,
-    without drawing a row, that every entry prints; None when it cannot.
+    """The longest row's length, proved from the majorant without drawing a
+    row; 0 when only the digit limit is proved, None when it is not.
 
-    The proof needs every M_n, which bounds each numerator of row n whatever
-    the signs, and the largest row denominator d0 D^(upto - start) within
-    `_safe_bits`.  It gives up at the first number past the limit, so it
-    never builds one much longer.  The bound is the width itself for
-    `recurrence.nonnegative` data, whose majorant degrees are exact.
+    The digit limit needs every M_n, which bounds each numerator of row n
+    whatever the signs, and the largest row denominator d0 D^(upto - start)
+    within `_safe_bits`; the proof gives up at the first number past it, so
+    it never builds one much longer.  The width is max e_n + 1 when a row at
+    the largest e_n has L_n != 0, read off the largest (e_n, L_n != 0): that
+    row's degree is e_n, and no row's degree passes its e_n.
     """
     safe_bits = _safe_bits()
     d = spec.scaled.denominator
@@ -183,12 +184,12 @@ def _proved_width(spec, upto: int) -> Optional[int]:
         or (spec.start_poly.denominator * d**lag).bit_length() > safe_bits
     ):
         return None
-    width = 0
-    for _, mass, degree in recurrence.majorant(spec, upto):
+    degree, proved = -1, False
+    for _, mass, e, top in recurrence.majorant(spec, upto):
         if mass.bit_length() > safe_bits:
             return None
-        width = max(width, degree + 1)
-    return width
+        degree, proved = max((degree, proved), (e, top != 0))
+    return degree + 1 if proved else 0
 
 
 # exact Decimal arithmetic: a result that would need rounding raises
@@ -238,17 +239,16 @@ def _cmd_triangle(args) -> int:
 
     Any conversion failure must surface before the first byte is written,
     and CSV needs the width of the longest row up front.  When the majorant
-    proves what the format needs (`_proved_width`) the rows are drawn once:
-    JSON needs only the digit limit, so any signs do; the CSV width needs
-    nonnegative data.  Otherwise a first pass over `int` rows checks every
-    row against the digit limit and finds the width, and a second pass
-    prints.  Integer data print from exact `Decimal` rows, rational data
-    from the `int` rows of `recurrence.rows` through `_row_texts`.
+    proves what the format needs (`_proved_width`), whatever the signs, the
+    rows are drawn once: JSON needs only the digit limit, CSV the width too.
+    Otherwise a first pass over `int` rows checks every row against the
+    digit limit and finds the width, and a second pass prints.  Integer data
+    print from exact `Decimal` rows, rational data from the `int` rows of
+    `recurrence.rows` through `_row_texts`.
     """
     spec = _resolve(args).spec
-    provable = args.format == "json" or recurrence.nonnegative(spec)
-    width = _proved_width(spec, args.max_n) if provable else None
-    if width is None:
+    width = _proved_width(spec, args.max_n)
+    if width is None or not width and args.format == "csv":
         width = _check_texts(row.poly for row in recurrence.rows(spec, args.max_n))
     if spec.scaled.denominator == spec.start_poly.denominator == 1:
         texts = _decimal_texts(spec, args.max_n)

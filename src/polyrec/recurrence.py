@@ -22,11 +22,11 @@ printing an integer triangle.  `rows`, the one row source, wraps it and
 hands each row over as the pair (Q_n, d0 D^(n - start)) without touching a
 coefficient (the denominator is 1 when the data are integers, as for every
 catalog family); `generate` and `triangle` are lists over it.  `majorant`
-bounds the size and degree of every scaled row without drawing one, the
-degree exactly for `nonnegative` data: the size bound lets the command line
-print a JSON triangle in one pass whatever the signs, and the exact degree
-gives a nonnegative CSV triangle its width too.  The module also builds
-coefficient triangles directly from the linear entrywise recurrence
+bounds the size and degree of every scaled row without drawing one, and
+gives each row's exact coefficient at its degree bound, whatever the signs:
+the size bound lets the command line print a triangle in one pass, and a
+nonzero top coefficient at the widest bound proves a CSV width.  The module
+also builds coefficient triangles from the linear entrywise recurrence
 
     T_{n,k} = u T_{n-1,k-1} + (a + b k) T_{n-1,k},   T_{0,0} = 1.
 """
@@ -172,49 +172,49 @@ def _check_upto(spec: RecurrenceSpec, upto: int) -> None:
         )
 
 
-def nonnegative(spec: RecurrenceSpec) -> bool:
-    """Whether gamma, every kappa and the start polynomial have no negative
-    coefficient (m is always positive), so that no term of any row cancels."""
-    polys = (spec.gamma, spec.start_poly, *(lag.kappa for lag in spec.lags))
-    return all(q >= 0 for poly in polys for q in poly.numerators)
+def majorant(spec: RecurrenceSpec, upto: int) -> Iterator[tuple[int, int, int, int]]:
+    """(n, M_n, e_n, L_n) for n = start_index .. upto, without drawing a row.
 
-
-def majorant(spec: RecurrenceSpec, upto: int) -> Iterator[tuple[int, int, int]]:
-    """(n, M_n, e_n) for n = start_index .. upto, without drawing a row.
-
-    M_n bounds the sum of |q| over the scaled row Q_n, so every entry, and
-    e_n bounds its degree (-1 where M_n = 0: the row is zero).  With
-    g = sum |D gamma_j| and k_s = sum |D^s kappa_{s,j}|,
+    M_n bounds the sum of |q| over the scaled row Q_n, so every entry, e_n
+    bounds its degree (-1 where M_n = 0: the row is zero), and L_n is its
+    coefficient of x^{e_n}.  With g = sum |D gamma_j| and
+    k_s = sum |D^s kappa_{s,j}|,
 
         M_n = (g + D m e_{n-1}) M_{n-1} + sum w(n, s) k_s M_{n-s},
 
     from M_start = sum |d0 P_start|, since |gamma Q|_1 <= |gamma|_1 |Q|_1 and
     x Q' scales each coefficient by at most deg Q; a lag reaching below the
-    start contributes nothing, and x Q' of a constant row is zero.  When the
-    data are `nonnegative` no term cancels, so e_n is the degree of Q_n
-    exactly and M_n = 0 exactly when the row is zero.  Each row costs a few
-    `int` operations, and an `upto` below the start index raises when the
-    first bound is drawn.
+    start contributes nothing, and x Q' of a constant row is zero.  Whatever
+    the signs, only the earlier rows' coefficients at their bound degrees
+    reach e_n, so L_n is exactly the sum of gamma_top L_{n-1},
+    D m e_{n-1} L_{n-1} and w(n, s) kappa_top L_{n-s} over the terms with
+    mass whose degree bound is e_n.  Each row costs a few `int` operations,
+    and an `upto` below the start index raises when the first bound is drawn.
     """
     _check_upto(spec, upto)
     _, gamma, m, lags = spec.scaled
-    g, gamma_degree = sum(map(abs, gamma)), len(gamma) - 1
-    lags = [(lag, sum(map(abs, kappa)), len(kappa) - 1) for lag, kappa in lags]
-    # (M, e) of the last max_lag rows; those below the start are zero rows
-    history = deque([(0, -1)] * spec.max_lag, maxlen=spec.max_lag)
-    first = spec.start_poly.numerators
-    history.appendleft((sum(map(abs, first)), len(first) - 1))
+
+    def band(poly):  # an int list's sum of |q|, degree and top coefficient
+        return sum(map(abs, poly)), len(poly) - 1, poly[-1] if poly else 0
+
+    gamma, lags = band(gamma), [(lag, band(kappa)) for lag, kappa in lags]
+    # (M, e, L) of the last max_lag rows; those below the start are zero rows
+    history = deque([(0, -1, 0)] * spec.max_lag, maxlen=spec.max_lag)
+    history.appendleft(band(spec.start_poly.numerators))
     yield spec.start_index, *history[0]
     for n in range(spec.start_index + 1, upto + 1):
-        mass, degree = history[0]
-        # each term's bounds on its sum of |q| and on its degree
-        terms = [(g * mass, degree + gamma_degree), (m * degree * mass, degree)]
-        for lag, k, kappa_degree in lags:
-            lag_mass, lag_degree = history[lag.s - 1]
-            terms.append((lag.weight(n) * k * lag_mass, lag_degree + kappa_degree))
-        history.appendleft(
-            (sum(t for t, _ in terms), max((e for t, e in terms if t), default=-1))
-        )
+        # each term: a weight, a factor's band and a row's (M, e, L)
+        prev = history[0]
+        factors = [(1, gamma, prev), (1, (m * prev[1], 0, m * prev[1]), prev)]
+        factors += [(lag.weight(n), kappa, history[lag.s - 1]) for lag, kappa in lags]
+        mass, degree, top = 0, -1, 0
+        for w, (a, da, ta), (b, db, tb) in factors:
+            t = w * a * b
+            mass += t
+            if t and da + db >= degree:
+                top = w * ta * tb + (top if da + db == degree else 0)
+                degree = da + db
+        history.appendleft((mass, degree, top))
         yield n, *history[0]
 
 

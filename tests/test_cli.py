@@ -173,6 +173,9 @@ BOUNDARY = f"gamma: x + 2; m: 1; start: {{index: 0, poly: {NINE_E4299}x + {NINE_
 # row n is 1 / (9e4299)^n: short numerators, and row 2's denominator is the
 # first entry past the limit
 DENOMINATOR = f"gamma: 1/{NINE_E4299}; m: 1;"
+# rows 2^n x, but gamma x + 1 and the lag -x cancel at every bound degree past
+# the start, so the majorant cannot prove the CSV width
+TOP_BAND_CANCELS = "gamma: x + 1; m: 1; lag: {s: 1, coeff: -x}; start: {index: 0, poly: x};"
 
 
 @functools.lru_cache(maxsize=None)
@@ -272,9 +275,9 @@ def _triangle_specs(draw, coeffs, rates):
 
 
 # integer data print through Decimal rows, rational data through the int
-# rows of recurrence.rows, after a check pass for signed CSV and in one pass
-# for JSON and nonnegative CSV; every route must print str(Fraction) of each
-# coefficient
+# rows of recurrence.rows, in one pass whatever the signs when the majorant
+# proves the width, after a check pass for CSV when it does not; every route
+# must print str(Fraction) of each coefficient
 _RATES = st.fractions(Fraction(1, 4), 3, max_denominator=4)
 _INTEGER_SPECS = _triangle_specs(st.integers(-4, 4), st.integers(1, 3))
 _NONNEGATIVE_INTEGER_SPECS = _triangle_specs(st.integers(0, 4), st.integers(1, 3))
@@ -305,6 +308,7 @@ class ContextRecordingStdout(io.StringIO):
     st.integers(0, 16),
 )
 @example(load(NEGATIVE_START), 3)
+@example(load(TOP_BAND_CANCELS), 5)
 def test_integer_triangle_text_is_the_int_rows(spec, rows):
     # the rows of recurrence.triangle, which the command never calls, are
     # the witness for the text printed
@@ -323,6 +327,7 @@ def test_integer_triangle_text_is_the_int_rows(spec, rows):
             continue
         header, *lines = stdout.getvalue().splitlines()
         width = len(header.split(",")) - 1
+        assert width == max(len(t) for _, t in want)
         got = [line.split(",") for line in lines]
         assert got == [[str(n)] + t + ["0"] * (width - len(t)) for n, t in want]
         assert "-0" not in {entry for line in got for entry in line}
@@ -705,16 +710,17 @@ def test_rows_are_generated_once(capsys, drawn, argv, rows):
 @pytest.mark.parametrize(
     "text,max_n,passes",
     [
-        # nonnegative data within the limit: the majorant proves the width
-        # and the digit limit, and each row is advanced once
+        # within the limit the majorant proves the width and the digit
+        # limit whatever the signs, and each row is advanced once
         ("gamma: x; m: 1;", 30, ["decimal"]),
         (SHIFTED_RATIONAL, 30, ["rows"]),
         (OVERLONG, 130, ["decimal"]),
-        # signed data: the majorant proves the digit limit, which is all
-        # JSON needs; CSV needs the width, so a check pass over int rows
-        # finds it, then the text pass
-        (SIGNED_BINOMIAL, 30, {"csv": ["rows", "decimal"], "json": ["decimal"]}),
-        ("gamma: x - 1/2; m: 1;", 30, {"csv": ["rows", "rows"], "json": ["rows"]}),
+        (SIGNED_BINOMIAL, 30, ["decimal"]),
+        ("gamma: x - 1/2; m: 1;", 30, ["rows"]),
+        # the top band cancels at every bound: the digit limit is proved,
+        # which is all JSON needs; CSV needs the width, so a check pass over
+        # int rows finds it, then the text pass
+        (TOP_BAND_CANCELS, 30, {"csv": ["rows", "decimal"], "json": ["decimal"]}),
         # the bound passes the limit at row 137, the entries only at 144
         (OVERLONG, 140, ["rows", "decimal"]),
         # M_1 = 1, but row 1's denominator has 14,285 bits: it prints (4,300
@@ -722,8 +728,8 @@ def test_rows_are_generated_once(capsys, drawn, argv, rows):
         (DENOMINATOR, 1, ["rows", "rows"]),
     ],
     ids=[
-        "integer", "rational", "overlong-130",
-        "signed", "signed-rational", "overlong-140", "denominator",
+        "integer", "rational", "overlong-130", "signed", "signed-rational",
+        "top-band-cancels", "overlong-140", "denominator",
     ],
 )
 def test_triangle_route(capsys, drawn, monkeypatch, text, max_n, passes, fmt):
@@ -742,6 +748,16 @@ def test_triangle_route(capsys, drawn, monkeypatch, text, max_n, passes, fmt):
     assert generated == [max_n] * passes.count("rows")
     start = load(text).start_index
     assert advanced == list(range(start + 1, max_n + 1)) * len(passes)
+
+
+def test_check_pass_finds_a_width_the_majorant_cannot_prove(capsys):
+    # every bound degree past row 0 is one more than the row's degree: the
+    # digits are proved, the width is not
+    assert cli._proved_width(load(TOP_BAND_CANCELS), 5) == 0
+    code, out, err = run_cli(capsys, "triangle", "--inline", TOP_BAND_CANCELS, "--max-n", "5")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert (lines[0], lines[-1]) == ("n,c0,c1", "5,0,32")
 
 
 @pytest.fixture

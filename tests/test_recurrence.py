@@ -246,19 +246,39 @@ _MAJORANT_DATA = {
 }
 
 
+# rows 2^n x, but gamma x + 1 and the lag -x cancel at every bound degree
+# past the start: L_n = 0 for n >= 1
+TOP_BAND_CANCELS = RecurrenceSpec(
+    gamma=X + ONE, m=1, lags=(LagTerm(1, monomial(1, -1)),), start_poly=X
+)
+
+
+def _nonnegative(spec):
+    """Whether gamma, every kappa and the start have no negative coefficient
+    (m is always positive), so that no term of any row cancels."""
+    polys = (spec.gamma, spec.start_poly, *(lag.kappa for lag in spec.lags))
+    return all(q >= 0 for poly in polys for q in poly.numerators)
+
+
 def check_majorant(spec, upto):
-    """Every scaled row's sum of |q| is at most M_n and its degree at most
-    e_n; for nonnegative data e_n is the degree and M_n = 0 marks exactly
-    the zero rows."""
+    """Every scaled row's sum of |q| is at most M_n, its degree at most e_n,
+    and its coefficient at e_n is L_n; when a row at the largest e_n has
+    L_n != 0, the largest e_n + 1 is the longest row's length.  For
+    nonnegative data e_n is the degree and M_n = 0 marks exactly the zero
+    rows."""
     bounds = list(recurrence.majorant(spec, upto))
     drawn = list(recurrence.scaled_rows(spec, upto, spec.start_poly.numerators))
-    assert [n for n, _, _ in bounds] == [n for n, _ in drawn]
-    for (_, q), (_, mass, degree) in zip(drawn, bounds):
+    assert [n for n, *_ in bounds] == [n for n, _ in drawn]
+    for (_, q), (_, mass, degree, top) in zip(drawn, bounds):
         assert sum(map(abs, q)) <= mass
         assert len(q) - 1 <= degree
-        if recurrence.nonnegative(spec):
+        assert top == (q[degree] if 0 <= degree < len(q) else 0)
+        if _nonnegative(spec):
             assert len(q) - 1 == degree
             assert (mass == 0) == (not q)
+    widest = max(degree for _, _, degree, _ in bounds)
+    if any(top for _, _, degree, top in bounds if degree == widest):
+        assert widest + 1 == max(len(q) for _, q in drawn)
 
 
 @pytest.mark.parametrize("kind", list(_MAJORANT_DATA))
@@ -267,7 +287,7 @@ def check_majorant(spec, upto):
 def test_majorant_bounds_every_scaled_row(kind, data):
     spec, upto = data.draw(_majorant_specs(*_MAJORANT_DATA[kind]))
     if kind.startswith("nonnegative"):
-        assert recurrence.nonnegative(spec)
+        assert _nonnegative(spec)
     check_majorant(spec, upto)
 
 
@@ -284,24 +304,33 @@ def test_majorant_bounds_every_scaled_row(kind, data):
         # gamma x and the depth-1 lag -x cancel: row 1 is zero, M_1 = 2
         (RecurrenceSpec(gamma=X, m=1, lags=(LagTerm(1, monomial(1, -1)),)), False),
         (RecurrenceSpec(gamma=X, m=1, start_poly=ExactPolynomial([1, -1])), False),
+        (TOP_BAND_CANCELS, False),
     ],
     ids=[
         "zero-row", "lag-below-start", "r_whitney_assoc", "rational",
-        "galton", "signed-lag", "signed-start",
+        "galton", "signed-lag", "signed-start", "top-band-cancels",
     ],
 )
 def test_majorant_edge_cases(spec, nonnegative):
-    assert recurrence.nonnegative(spec) == nonnegative
+    assert _nonnegative(spec) == nonnegative
     check_majorant(spec, spec.start_index + 30)
 
 
 def test_majorant_of_the_first_rows():
-    # stirling2: g = D m = 1 and e_n = n, so M_n = n M_{n-1} = n!
+    # stirling2: g = D m = 1 and e_n = n, so M_n = n M_{n-1} = n!; the top
+    # coefficient S(n, n) is 1
     bounds = list(recurrence.majorant(catalog("stirling2").spec, 5))
-    assert bounds == [(0, 1, 0), (1, 1, 1), (2, 2, 2), (3, 6, 3), (4, 24, 4), (5, 120, 5)]
+    assert bounds == [
+        (0, 1, 0, 1), (1, 1, 1, 1), (2, 2, 2, 1), (3, 6, 3, 1), (4, 24, 4, 1), (5, 120, 5, 1)
+    ]
     # assoc_stirling(s=2): row 1 is zero, row 2 is x (w = C(1, 1) = 1)
     bounds = list(recurrence.majorant(catalog("assoc_stirling", s=2).spec, 2))
-    assert bounds == [(0, 1, 0), (1, 0, -1), (2, 1, 1)]
+    assert bounds == [(0, 1, 0, 1), (1, 0, -1, 0), (2, 1, 1, 1)]
+    # e_n = n + 1 bounds rows 2^n x, and L_n = 0 past the start shows it is
+    # not their degree
+    assert list(recurrence.majorant(TOP_BAND_CANCELS, 3)) == [
+        (0, 1, 1, 1), (1, 4, 2, 0), (2, 20, 3, 0), (3, 120, 4, 0)
+    ]
     with pytest.raises(InvalidIndexError, match="upper index 2 is below start index 3"):
         next(recurrence.majorant(catalog("r_stirling", r=3).spec, 2))
 
