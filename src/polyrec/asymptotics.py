@@ -20,8 +20,9 @@ of silently producing inf.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from . import recurrence
 from .algebra import ExactPolynomial
@@ -39,15 +40,10 @@ _LOG_SCALE_THRESHOLD = 300.0
 _FLOAT_LOG_MAX = 709.0  # log of the largest finite double, minus headroom
 
 
-class Partials(NamedTuple):
+class Partials(namedtuple("Partials", "f f_z f_zz f_x f_zx f_xx")):
     """f and its partial derivatives up to second order at one point."""
 
-    f: float
-    f_z: float
-    f_zz: float
-    f_x: float
-    f_zx: float
-    f_xx: float
+    __slots__ = ()
 
 
 def _exp_sums(sf: SaddleFunction, z: float, x: float) -> tuple[float, float, float]:
@@ -213,18 +209,16 @@ def solve_saddle(sf: SaddleFunction, n: int, x: float = 1.0) -> float:
     return rho
 
 
-class SaddleReport(NamedTuple):
+class SaddleReport(
+    namedtuple(
+        "SaddleReport",
+        "n rho rho_prime predicted_mean predicted_variance b_value"
+        " coeff_estimate_log leading_mean leading_variance",
+    )
+):
     """Saddle-point predictions for one row index n (evaluated at x = 1)."""
 
-    n: int
-    rho: float
-    rho_prime: float
-    predicted_mean: float
-    predicted_variance: float
-    b_value: float
-    coeff_estimate_log: float
-    leading_mean: float
-    leading_variance: float
+    __slots__ = ()
 
 
 def saddle_report(sf: SaddleFunction, n: int) -> SaddleReport:
@@ -261,20 +255,16 @@ def log_fraction(q: Fraction) -> float:
     return math.log(q.numerator) - math.log(q.denominator)
 
 
-class ComparisonRecord(NamedTuple):
+class ComparisonRecord(
+    namedtuple(
+        "ComparisonRecord",
+        "n exact_mean predicted_mean mean_rel_err exact_variance predicted_variance"
+        " variance_rel_err exact_log_total estimate_log_total log_total_rel_err report",
+    )
+):
     """Exact row statistics against the saddle-point predictions."""
 
-    n: int
-    exact_mean: float
-    predicted_mean: float
-    mean_rel_err: float
-    exact_variance: float
-    predicted_variance: float
-    variance_rel_err: float
-    exact_log_total: float
-    estimate_log_total: float
-    log_total_rel_err: float
-    report: SaddleReport
+    __slots__ = ()
 
 
 def compare_exact(

@@ -377,50 +377,64 @@ def _cmd_families(args) -> int:
 # wiring ------------------------------------------------------------------
 
 
-def _add_command(sub, name: str, help_text: str, run) -> argparse.ArgumentParser:
-    """A subcommand that reads its recurrence from one of three sources and
-    is carried out by `run(args)`."""
-    p = sub.add_parser(name, help=help_text)
-    p.set_defaults(run=run)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--family", help='catalog family, e.g. "dowling(m=2)"')
-    group.add_argument("--spec", help="path to a spec file")
-    group.add_argument("--inline", help="spec text given directly")
-    return p
+# Every subcommand in help order, with its help and its own arguments: flag
+# and add_argument keywords, or None for `families`, which reads no
+# recurrence.  `name` runs `_cmd_<name>`, looked up when the parser is built.
+_COMMANDS = {
+    "triangle": (
+        "emit coefficient rows",
+        [("--max-n", dict(type=int, required=True, help="last row index"))],
+    ),
+    "pmf": (
+        "exact distribution of one row",
+        [("--n", dict(type=int, required=True, help="row index"))],
+    ),
+    "moments": (
+        "exact mean/variance and shape moments",
+        [
+            ("--n", dict(type=int, help="single row index")),
+            ("--ns", dict(type=_parse_ns, help="comma-separated row indices")),
+        ],
+    ),
+    "clt": ("distance-to-normal diagnostics", [("--ns", dict(type=_parse_ns, required=True))]),
+    "asymptotics": (
+        "saddle-point predictions vs exact",
+        [("--ns", dict(type=_parse_ns, required=True))],
+    ),
+    "verify": (
+        "EGF identity, enumeration, nonnegativity",
+        [("--max-n", dict(type=int, default=30, help="rows to check (default 30)"))],
+    ),
+    "families": ("list the catalog", None),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone when it names
+    one; its help and usage errors read as the full parser's do."""
     parser = argparse.ArgumentParser(
         prog="polyrec",
         description="Exact triangles, distributions, and saddle-point "
         "asymptotics for differential-difference recurrences.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = _add_command(sub, "triangle", "emit coefficient rows", _cmd_triangle)
-    p.add_argument("--max-n", type=int, required=True, help="last row index")
-
-    p = _add_command(sub, "pmf", "exact distribution of one row", _cmd_pmf)
-    p.add_argument("--n", type=int, required=True, help="row index")
-
-    p = _add_command(sub, "moments", "exact mean/variance and shape moments", _cmd_moments)
-    p.add_argument("--n", type=int, help="single row index")
-    p.add_argument("--ns", type=_parse_ns, help="comma-separated row indices")
-
-    p = _add_command(sub, "clt", "distance-to-normal diagnostics", _cmd_clt)
-    p.add_argument("--ns", type=_parse_ns, required=True)
-
-    p = _add_command(sub, "asymptotics", "saddle-point predictions vs exact", _cmd_asymptotics)
-    p.add_argument("--ns", type=_parse_ns, required=True)
-
-    p = _add_command(sub, "verify", "EGF identity, enumeration, nonnegativity", _cmd_verify)
-    p.add_argument("--max-n", type=int, default=30, help="rows to check (default 30)")
-
-    sub.add_parser("families", help="list the catalog").set_defaults(run=_cmd_families)
-
-    for sp in sub.choices.values():
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--out", help="write output to this path instead of stdout")
+    # with one command built, the usage line still names them all; the full
+    # parser keeps no metavar, so its errors call the argument `command`
+    one = command in _COMMANDS
+    every = "{" + ",".join(_COMMANDS) + "}" if one else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name in [command] if one else _COMMANDS:
+        help_text, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=globals()["_cmd_" + name])
+        if arguments is not None:
+            group = p.add_mutually_exclusive_group(required=True)
+            group.add_argument("--family", help='catalog family, e.g. "dowling(m=2)"')
+            group.add_argument("--spec", help="path to a spec file")
+            group.add_argument("--inline", help="spec text given directly")
+            for flag, keywords in arguments:
+                p.add_argument(flag, **keywords)
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--out", help="write output to this path instead of stdout")
     return parser
 
 
@@ -432,8 +446,9 @@ def _error_payload(err: Exception) -> dict:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # a run needs only the parser of the command its first word names
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.run(args)
     except Exception as err:

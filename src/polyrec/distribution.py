@@ -24,7 +24,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from itertools import pairwise
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Sequence
 
 from . import recurrence
 from .algebra import ExactPolynomial, ONE
@@ -117,7 +117,13 @@ def pmf(p: ExactPolynomial, n: int) -> PMFTable:
     return PMFTable(n, weights, s0, mean, m2, skew, kurt)
 
 
-class NormalityReport(NamedTuple):
+class NormalityReport(
+    namedtuple(
+        "NormalityReport",
+        "n ks_plain ks_continuity standardized_third standardized_fourth"
+        " center scale ks_plain_limit ks_continuity_limit",
+    )
+):
     """Distance of one exact PMF to the standard normal law.
 
     ks_plain / ks_continuity self-standardize with the exact mean and
@@ -125,15 +131,7 @@ class NormalityReport(NamedTuple):
     scale = d sqrt(n) / log n instead.
     """
 
-    n: int
-    ks_plain: float
-    ks_continuity: float
-    standardized_third: float
-    standardized_fourth: float
-    center: float
-    scale: float
-    ks_plain_limit: float
-    ks_continuity_limit: float
+    __slots__ = ()
 
 
 def _sup_normal_gap(
@@ -216,13 +214,13 @@ def clt_scan(
     return [normality(table, d) for table in _row_pmfs(descriptor.spec, ns)]
 
 
-class MeanIdentityReport(NamedTuple):
-    """Exact check of the ratio formula E X_n = T_{n+1}(1)/(m T_n(1)) - (1+c)/m."""
+class MeanIdentityReport(
+    namedtuple("MeanIdentityReport", "family n_max ok first_mismatch", defaults=(None,))
+):
+    """Exact check of the ratio formula E X_n = T_{n+1}(1)/(m T_n(1)) - (1+c)/m;
+    `first_mismatch` is (n, mean, formula) or None."""
 
-    family: str
-    n_max: int
-    ok: bool
-    first_mismatch: Optional[tuple[int, Fraction, Fraction]] = None  # (n, mean, formula)
+    __slots__ = ()
 
     def __str__(self) -> str:
         if self.ok:

@@ -26,7 +26,7 @@ import functools
 import math
 from collections import namedtuple
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 from . import recurrence
 from .algebra import (
@@ -99,13 +99,11 @@ class SaddleFunction(namedtuple("SaddleFunction", "q1 q2 m")):
             ) from None
 
 
-class TheoremConstants(NamedTuple):
+class TheoremConstants(namedtuple("TheoremConstants", "d alpha_d hypothesis_ok")):
     """Degree and leading coefficient of Q2, plus the hypothesis flag for
     the n/log n normal limit (d >= 1, alpha_d > 0, m > 0)."""
 
-    d: int
-    alpha_d: Fraction
-    hypothesis_ok: bool
+    __slots__ = ()
 
 
 def theorem_constants(saddle: SaddleFunction) -> TheoremConstants:
@@ -163,9 +161,6 @@ def build_exponent(spec: RecurrenceSpec) -> SaddleFunction:
                 for i in range(s):
                     q1[i][j] -= k * rate ** (i - s) / math.factorial(i)
     return SaddleFunction(tuple(map(ExactPolynomial, q1)), ExactPolynomial(q2), m)
-
-
-OracleModel = tuple[int, int, int]
 
 
 class FamilyDescriptor(
@@ -238,10 +233,10 @@ def verify_egf_identity(
     return None
 
 
-class NonnegativityReport(NamedTuple):
-    ok: bool
-    first_negative: Optional[tuple[int, int]]
-    zero_sum_rows: tuple[int, ...]
+class NonnegativityReport(namedtuple("NonnegativityReport", "ok first_negative zero_sum_rows")):
+    """No entry negative; the first negative entry's (n, k) or None; the rows summing to 0."""
+
+    __slots__ = ()
 
 
 def validate_nonnegativity(rows: Iterable[TriangleRow]) -> NonnegativityReport:
@@ -319,7 +314,13 @@ _SHEFFER_IDS = {
 _GALTON_IDS = {(2, -1): "A186695", (3, -2): "A111577"}
 
 
-class Family(NamedTuple):
+class Family(
+    namedtuple(
+        "Family",
+        "params spec listed oeis model depths",
+        defaults=(lambda **_: (), lambda **_: None, ()),
+    )
+):
     """Everything the package knows about one catalog family.
 
     `params` maps each parameter, in label order, to its minimum (None for
@@ -331,12 +332,7 @@ class Family(NamedTuple):
     shows.
     """
 
-    params: dict[str, Optional[int]]
-    spec: Callable[..., RecurrenceSpec]
-    listed: dict[str, int]
-    oeis: Callable[..., tuple[str, ...]] = lambda **_: ()
-    model: Callable[..., Optional[OracleModel]] = lambda **_: None
-    depths: tuple[str, ...] = ()
+    __slots__ = ()
 
 
 FAMILIES: dict[str, Family] = {

@@ -23,7 +23,7 @@ this enumeration and the nonnegativity scan, all on one row list.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import recurrence
 from .errors import InvalidIndexError, ParameterError, SizeGuardError, UnsupportedShapeError
@@ -90,15 +90,17 @@ def count_partitions(constraint: PartitionConstraint) -> dict[int, int]:
     return counts
 
 
-class OracleReport(NamedTuple):
-    """Outcome of checking one family's triangle against enumeration."""
+class OracleReport(
+    namedtuple(
+        "OracleReport",
+        "family n_max ok skipped notice first_mismatch",
+        defaults=(False, "", None),
+    )
+):
+    """Outcome of checking one family's triangle against enumeration;
+    `first_mismatch` is (n, k, triangle, oracle) or None."""
 
-    family: str
-    n_max: int
-    ok: bool
-    skipped: bool = False
-    notice: str = ""
-    first_mismatch: Optional[tuple[int, int, int, int]] = None  # (n, k, triangle, oracle)
+    __slots__ = ()
 
     def __str__(self) -> str:
         if self.skipped:
@@ -157,12 +159,10 @@ def verify_family(
     return OracleReport(family=label, n_max=n_max, ok=True)
 
 
-class Check(NamedTuple):
+class Check(namedtuple("Check", "name ok detail")):
     """One check of `verify`: its name, whether it passed, and what it saw."""
 
-    name: str
-    ok: bool
-    detail: str
+    __slots__ = ()
 
 
 def verify(descriptor: FamilyDescriptor, max_n: int) -> tuple[Check, ...]:

@@ -37,7 +37,7 @@ import functools
 import math
 from collections import deque, namedtuple
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .algebra import ONE, ExactPolynomial, Scalar, add_products, as_fraction, scaled_ints
 from .errors import InvalidIndexError
@@ -66,14 +66,11 @@ class LagTerm(namedtuple("LagTerm", "s kappa binom_weight")):
         return math.comb(n - 1, self.s - 1) if self.binom_weight else 1
 
 
-class ScaledData(NamedTuple):
+class ScaledData(namedtuple("ScaledData", "denominator gamma m lags")):
     """A spec's data as integers: gamma and m times D, and each kappa times
     D^s (lowest power first)."""
 
-    denominator: int
-    gamma: tuple[int, ...]
-    m: int
-    lags: tuple[tuple[LagTerm, tuple[int, ...]], ...]
+    __slots__ = ()
 
 
 class RecurrenceSpec(
@@ -150,12 +147,11 @@ def advance(spec: RecurrenceSpec, history: Sequence[Row], n: int) -> Row:
     return add_products(terms, [m * j * q for j, q in enumerate(prev)])
 
 
-class TriangleRow(NamedTuple):
+class TriangleRow(namedtuple("TriangleRow", "n poly")):
     """Row n of a coefficient triangle: its entries are the coefficients of
     `poly`, trailing zeros stripped (the zero polynomial gives none)."""
 
-    n: int
-    poly: ExactPolynomial
+    __slots__ = ()
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

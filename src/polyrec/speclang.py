@@ -25,8 +25,9 @@ line:column of the offending token.
 from __future__ import annotations
 
 import sys
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from .algebra import MAX_EXPONENT, ONE, ExactPolynomial
 from .errors import ParseError
@@ -40,28 +41,24 @@ _M_POSITIVITY = (
 )
 
 
-class SpecSource(NamedTuple):
+class SpecSource(namedtuple("SpecSource", "text origin", defaults=("<inline>",))):
     """Raw spec text plus where it came from (for error rendering)."""
 
-    text: str
-    origin: str = "<inline>"
+    __slots__ = ()
 
 
-class FamilyRequest(NamedTuple):
+class FamilyRequest(namedtuple("FamilyRequest", "name params")):
     """A parsed catalog invocation, not yet built."""
 
-    name: str
-    params: dict[str, Union[int, Fraction]]
+    __slots__ = ()
 
     def build(self) -> FamilyDescriptor:
         return catalog(self.name, **self.params)
 
 
-class _Token(NamedTuple):
-    kind: str  # "ident", "number", or the symbol itself
-    text: str
-    line: int
-    column: int
+class _Token(namedtuple("_Token", "kind text line column")):
+    # kind is "ident", "number", or the symbol itself
+    __slots__ = ()
 
 
 def _tokenize(src: SpecSource) -> list[_Token]:

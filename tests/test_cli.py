@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
+import argparse
 import contextlib
 import decimal
 import functools
@@ -645,6 +646,75 @@ def test_unexpected_exception_exits_4(capsys, monkeypatch):
         "type": "RuntimeError",
         "message": "unexpected\nfailure",
     }
+
+
+COMMANDS = ["triangle", "pmf", "moments", "clt", "asymptotics", "verify", "families"]
+
+
+@pytest.fixture
+def subparsers_built(monkeypatch):
+    # the name of every subcommand parser argparse builds, in order
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting_add_parser(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
+    return built
+
+
+@pytest.mark.parametrize(
+    "argv,built",
+    [
+        (["triangle", "--family", "stirling2", "--max-n", "3"], ["triangle"]),
+        (["--help"], COMMANDS),
+        (["bogus"], COMMANDS),
+    ],
+)
+def test_a_run_builds_only_the_parser_it_names(capsys, subparsers_built, argv, built):
+    run_cli(capsys, *argv)
+    assert subparsers_built == built
+
+
+def parse_to_exit(capsys, parser, argv):
+    """(exit code, stdout, stderr) of a parse that exits: help or a usage error."""
+    with pytest.raises(SystemExit) as stop:
+        parser.parse_args(argv)
+    return (stop.value.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("command", [None, *COMMANDS])
+def test_help_of_one_command_is_the_full_parsers(capsys, command):
+    argv = ["--help"] if command is None else [command, "--help"]
+    code, out, err = parse_to_exit(capsys, cli.build_parser(), argv)
+    assert code == 0 and err == ""
+    assert out.startswith(f"usage: polyrec {command or ''}".rstrip())
+    assert parse_to_exit(capsys, cli.build_parser(command), argv) == (code, out, err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["-h", "triangle"],
+        ["triangle"],
+        ["triangle", "--family", "stirling2", "--inline", "gamma: x; m: 1;", "--max-n", "3"],
+        ["pmf", "--family", "stirling2", "--n", "x"],
+        # an argument no subcommand takes is the top level's error, under
+        # its own usage line
+        ["triangle", "--family", "stirling2", "--max-n", "3", "--bogus"],
+    ],
+)
+def test_usage_errors_are_the_full_parsers(capsys, argv):
+    full = parse_to_exit(capsys, cli.build_parser(), argv)
+    assert full[0] == (0 if argv[:1] == ["-h"] else 2)
+    assert run_cli(capsys, *argv) == full
+    if "--bogus" in argv:
+        usage = "usage: polyrec [-h] {triangle,pmf,moments,clt,asymptotics,verify,families}"
+        assert full[2].startswith(usage)
 
 
 def test_moments_flag_validation(capsys):

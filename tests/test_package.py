@@ -1,8 +1,11 @@
 """The package namespace and what importing it costs."""
 
+import importlib
 import os
 import subprocess
 import sys
+
+import pytest
 
 import polyrec
 
@@ -113,3 +116,83 @@ def test_cli_start_up_imports():
     assert "inspect" not in loaded
     ours = [name for name in loaded if name.startswith("polyrec.")]
     assert ours == ["polyrec." + name for name in SUBMODULES]
+
+
+# every plain record with its fields in order and its defaults, written out
+# here as a witness independent of the classes
+RECORDS = [
+    (
+        "asymptotics",
+        "ComparisonRecord",
+        "n exact_mean predicted_mean mean_rel_err exact_variance predicted_variance"
+        " variance_rel_err exact_log_total estimate_log_total log_total_rel_err report",
+        {},
+    ),
+    ("asymptotics", "Partials", "f f_z f_zz f_x f_zx f_xx", {}),
+    (
+        "asymptotics",
+        "SaddleReport",
+        "n rho rho_prime predicted_mean predicted_variance b_value coeff_estimate_log"
+        " leading_mean leading_variance",
+        {},
+    ),
+    (
+        "distribution",
+        "MeanIdentityReport",
+        "family n_max ok first_mismatch",
+        {"first_mismatch": None},
+    ),
+    (
+        "distribution",
+        "NormalityReport",
+        "n ks_plain ks_continuity standardized_third standardized_fourth center scale"
+        " ks_plain_limit ks_continuity_limit",
+        {},
+    ),
+    (
+        "families",
+        "Family",
+        "params spec listed oeis model depths",
+        {"oeis": (), "model": None, "depths": ()},
+    ),
+    ("families", "NonnegativityReport", "ok first_negative zero_sum_rows", {}),
+    ("families", "TheoremConstants", "d alpha_d hypothesis_ok", {}),
+    ("oracle", "Check", "name ok detail", {}),
+    (
+        "oracle",
+        "OracleReport",
+        "family n_max ok skipped notice first_mismatch",
+        {"skipped": False, "notice": "", "first_mismatch": None},
+    ),
+    ("recurrence", "ScaledData", "denominator gamma m lags", {}),
+    ("recurrence", "TriangleRow", "n poly", {}),
+    ("speclang", "FamilyRequest", "name params", {}),
+    ("speclang", "SpecSource", "text origin", {"origin": "<inline>"}),
+    ("speclang", "_Token", "kind text line column", {}),
+]
+
+
+@pytest.mark.parametrize(
+    "module,name,fields,defaults", RECORDS, ids=[record[1] for record in RECORDS]
+)
+def test_records_are_plain_tuples(module, name, fields, defaults):
+    cls = getattr(importlib.import_module("polyrec." + module), name)
+    fields = tuple(fields.split())
+    assert cls._fields == fields
+    # Family's `oeis` and `model` defaults are functions of the parameters:
+    # compare what they give for none
+    given = cls._field_defaults.items()
+    assert {key: value() if callable(value) else value for key, value in given} == defaults
+    values = tuple(range(len(fields)))
+    record = cls(*values)
+    assert not hasattr(record, "__dict__")
+    assert record == values and isinstance(record, tuple)
+    assert record._asdict() == dict(zip(fields, values))
+    changed = record._replace(**{fields[0]: "x"})
+    assert type(changed) is cls and changed == ("x", *values[1:])
+    assert repr(record) == f"{name}({', '.join(f'{f}={v}' for f, v in zip(fields, values))})"
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_no_module_binds_named_tuple(module):
+    assert not hasattr(importlib.import_module("polyrec." + module), "NamedTuple")
