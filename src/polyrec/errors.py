@@ -69,8 +69,7 @@ class SaddleFailureError(PolyrecError):
 
 
 class SaddleOverflowError(PolyrecError):
-    """Direct evaluation would overflow double precision; use the
-    log-domain helpers instead."""
+    """A float the saddle solver needs is past the double range."""
 
     exit_code = 3
 

@@ -7,7 +7,7 @@ first read, the closed-form exponent of the exponential generating function
 and the constants (d, alpha_d) that decide whether the n/log n normal limit
 applies.
 
-The exponent is always stored in the split form
+The exponent is stored as the factors of the equation it solves, and split as
 
     f(z, x) = Q1(z, x) + Q2(x e^{m z})
 
@@ -23,7 +23,6 @@ appear on the way.
 from __future__ import annotations
 
 import functools
-import math
 from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -49,41 +48,64 @@ from .errors import (
 from .recurrence import LagTerm, RecurrenceSpec, TriangleRow
 
 
-class SaddleFunction(namedtuple("SaddleFunction", "q1 q2 m")):
-    """Exponent f(z,x) = Q1(z,x) + Q2(x e^{m z}) of a family's EGF.
-
-    `q1` holds the z-power coefficients of Q1 (entry p multiplies z^p), kept
-    as a tuple without trailing zero entries; `q2` is univariate in
-    u = x e^{m z} and never has a constant term; `m` is kept as a Fraction.
+class SaddleFunction(namedtuple("SaddleFunction", "factors m")):
+    """Exponent f(z, x) of a family's EGF, stored as the factors (s, kappa)
+    of its equation f_z - m x f_x = sum kappa(x) z^{s-1}/(s-1)!, f(0, x) = 0:
+    one kappa per depth s >= 1, merged by depth, zero kappa dropped, sorted
+    by depth.  `m` is kept as a Fraction.  The split `q1`, `q2` is derived.
     """
 
-    # no __slots__: the cached `floats` lives in the instance dict
+    # no __slots__: the cached `q1`, `q2` and `floats` live in the instance dict
     _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __new__(cls, q1, q2, m):
-        q1 = list(q1)
-        while q1 and q1[-1].is_zero:
-            q1.pop()
+    def __new__(cls, factors, m):
+        merged = {}
+        for s, kappa in factors:
+            merged[s] = merged.get(s, ZERO) + kappa
         m = as_fraction(m)
-        if m <= 0:
-            raise ValueError("m must be > 0")
-        if q2.coefficient(0) != 0:
-            raise ValueError("Q2 must have zero constant term")
-        return super().__new__(cls, tuple(q1), q2, m)
+        if m <= 0 or min(merged, default=1) < 1:
+            raise ValueError("m must be > 0 and factor depths >= 1")
+        factors = tuple((s, merged[s]) for s in sorted(merged) if not merged[s].is_zero)
+        return super().__new__(cls, factors, m)
+
+    def _steps(self, start: ExactPolynomial, order: int) -> list[ExactPolynomial]:
+        """D_0 = start, D_{p+1} = m x D_p' + kappa_{p+1}, for p = 0..order."""
+        kappa, a, b = dict(self.factors), self.m.numerator, self.m.denominator
+        out = [start]
+        for p in range(1, order + 1):
+            nums, den = out[-1].numerators, out[-1].denominator
+            d = ExactPolynomial.from_scaled([a * j * q for j, q in enumerate(nums)], den * b)
+            out.append(d + kappa[p] if p in kappa else d)
+        return out
 
     def egf_coefficients(self, order: int) -> list[ExactPolynomial]:
-        """G_p = p! [z^p] f(z, x) for p = 0..order, that is
-        p! Q1[p] + sum_j Q2[j] (j m)^p x^j."""
-        rates = [j * self.m for j in range(len(self.q2.coeffs))]
-        out = [
-            ExactPolynomial(c * r**p for c, r in zip(self.q2.coeffs, rates))
-            for p in range(order + 1)
-        ]
-        for p, poly in enumerate(self.q1[: order + 1]):
-            nums, den = poly.numerators, poly.denominator
-            f = math.factorial(p)
-            out[p] += ExactPolynomial.from_scaled([f * q for q in nums], den)
-        return out
+        """G_p = p! [z^p] f(z, x) for p = 0..order, read off the equation at
+        z^p: G_0 = 0, G_{p+1} = m x G_p' + kappa_{p+1}."""
+        return self._steps(ZERO, order)
+
+    @functools.cached_property
+    def q2(self) -> ExactPolynomial:
+        """Q2 of f = Q1(z, x) + Q2(x e^{m z}), without constant term: a term
+        k x^j (j >= 1) of a depth-s factor adds k/(j m)^s to Q2[j]."""
+        m, factors = self.m, self.factors
+        width = max((kappa.degree for _, kappa in factors), default=0) + 1
+        sums = [sum(k.coefficient(j) / (j * m) ** s for s, k in factors) for j in range(1, width)]
+        return ExactPolynomial([0, *sums])
+
+    @functools.cached_property
+    def q1(self) -> tuple[ExactPolynomial, ...]:
+        """Q1's z-power coefficients without trailing zeros: Q1[p] = D_p/p!,
+        where D_p = G_p - sum_j Q2[j] (j m)^p x^j steps as G_p does from -Q2.
+        A term k x^j of a depth-s factor adds k/s! to Q1[s] when j = 0, and
+        -k x^j (j m)^{i-s}/i! to Q1[i], i < s, when j >= 1."""
+        depth = self.factors[-1][0] if self.factors else 0
+        out, factorial = [], 1
+        for p, d in enumerate(self._steps(-self.q2, depth)):
+            factorial *= max(p, 1)
+            out.append(ExactPolynomial.from_scaled(d.numerators, d.denominator * factorial))
+        while out and out[-1].is_zero:
+            out.pop()
+        return tuple(out)
 
     @functools.cached_property
     def floats(self) -> tuple[float, tuple[float, ...], tuple]:
@@ -107,12 +129,9 @@ class TheoremConstants(namedtuple("TheoremConstants", "d alpha_d hypothesis_ok")
 
 
 def theorem_constants(saddle: SaddleFunction) -> TheoremConstants:
-    if saddle.q2.is_zero:
-        return TheoremConstants(0, Fraction(0), False)
-    d = saddle.q2.degree
-    alpha = saddle.q2.leading_coefficient
-    ok = d >= 1 and alpha > 0 and saddle.m > 0
-    return TheoremConstants(d, alpha, ok)
+    # a zero Q2 reads as degree 0 with leading coefficient 0; m > 0 always
+    d, alpha = max(saddle.q2.degree, 0), saddle.q2.leading_coefficient
+    return TheoremConstants(d, alpha, d >= 1 and alpha > 0)
 
 
 def build_exponent(spec: RecurrenceSpec) -> SaddleFunction:
@@ -124,13 +143,9 @@ def build_exponent(spec: RecurrenceSpec) -> SaddleFunction:
 
         f_z - m x f_x = gamma(x) + m r + sum_lags kappa(x) z^{s-1}/(s-1)!,
 
-    f(0, x) = 0, where gamma + m r counts as a factor of depth 1.  A term
-    k x^j of a depth-s factor contributes, for j >= 1,
-
-        k/(j m)^s  to Q2[j],   -k x^j (j m)^{i-s}/i!  to Q1[i], i < s,
-
-    and, for j = 0, k/s! to Q1[s].  A shifted start index moves the binomial
-    lag weights, so it is supported only without lags.
+    f(0, x) = 0, where gamma + m r counts as a factor of depth 1: these are
+    the factors stored.  A shifted start index moves the binomial lag
+    weights, so it is supported only without lags.
     """
     start = spec.start_poly
     if any(start.coeffs[:-1]):
@@ -145,22 +160,8 @@ def build_exponent(spec: RecurrenceSpec) -> SaddleFunction:
         raise UnsupportedShapeError(
             "only binomially weighted lags have a closed-form exponent"
         )
-    m = spec.m
-    factors = [(1, spec.gamma + ExactPolynomial((m * start.degree,)))]
-    factors += [(lag.s, lag.kappa) for lag in spec.lags]
-    width = max(kappa.degree for _, kappa in factors) + 1
-    q1 = [[Fraction(0)] * width for _ in range(spec.max_lag + 1)]
-    q2 = [Fraction(0)] * width
-    for s, kappa in factors:
-        for j, k in enumerate(kappa.coeffs):
-            if j == 0:
-                q1[s][0] += k / math.factorial(s)
-            elif k:
-                rate = j * m
-                q2[j] += k / rate**s
-                for i in range(s):
-                    q1[i][j] -= k * rate ** (i - s) / math.factorial(i)
-    return SaddleFunction(tuple(map(ExactPolynomial, q1)), ExactPolynomial(q2), m)
+    gamma = spec.gamma + ExactPolynomial((spec.m * start.degree,))
+    return SaddleFunction([(1, gamma), *((lag.s, lag.kappa) for lag in spec.lags)], spec.m)
 
 
 class FamilyDescriptor(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyrec import algebra, families, speclang
+from polyrec import algebra, families, oracle, speclang
 from polyrec.algebra import MAX_EXPONENT, ONE, X, ZERO, ExactPolynomial, _exp_scale, monomial
 from polyrec.errors import (
     InvalidIndexError,
@@ -99,8 +99,9 @@ def test_replace_rebuilds_the_exponent():
     moved = stirling._replace(spec=dowling_spec)
     assert moved.saddle == build_exponent(dowling_spec) != old
     assert stirling.saddle is old
-    # the exponent's own `_replace` trims and checks as its constructor does
-    assert old._replace(q1=old.q1 + (ZERO, ZERO)) == old
+    # the exponent's own `_replace` merges, drops and checks as its
+    # constructor does
+    assert old._replace(factors=old.factors + ((7, ZERO),)) == old
     with pytest.raises(ValueError, match="m must be > 0"):
         old._replace(m=0)
 
@@ -125,21 +126,25 @@ def test_build_exponent_matches_stored_closed_forms():
     # formula, written out as the reference:
     #   assoc_stirling(s):     f = x (e^z - sum_{j<s} z^j/j!)
     #   r_whitney_assoc(m,r,s): f = r z + (x/m)(e^{mz} - sum_{j<s} (mz)^j/j!)
+    # compared as (Q1, Q2, m), Q1 without trailing zero entries
+    def split(sf):
+        return sf.q1, sf.q2, sf.m
+
     for s in range(1, 5):
         q1 = tuple(monomial(1, Fraction(-1, math.factorial(j))) for j in range(s))
-        expected = SaddleFunction(q1=q1, q2=X, m=Fraction(1))
-        assert build_exponent(catalog("assoc_stirling", s=s).spec) == expected
+        expected = (q1, X, Fraction(1))
+        assert split(build_exponent(catalog("assoc_stirling", s=s).spec)) == expected
         for m, r in [(1, 0), (1, 3), (2, 1), (3, 2), (5, 0)]:
             q1 = [
                 monomial(1, -(Fraction(m) ** (j - 1)) / math.factorial(j))
                 for j in range(s)
             ] + [ZERO]
             q1[1] = q1[1] + ExactPolynomial((r,))
-            expected = SaddleFunction(
-                q1=tuple(q1), q2=monomial(1, Fraction(1, m)), m=Fraction(m)
-            )
+            while q1[-1].is_zero:
+                q1.pop()
+            expected = (tuple(q1), monomial(1, Fraction(1, m)), Fraction(m))
             spec = catalog("r_whitney_assoc", m=m, r=r, s=s).spec
-            assert build_exponent(spec) == expected, (m, r, s)
+            assert split(build_exponent(spec)) == expected, (m, r, s)
 
 
 def test_build_exponent_shape_guard():
@@ -202,9 +207,20 @@ def test_theorem_constants_rejects_constant_gamma():
 
 def test_saddle_function_validation():
     with pytest.raises(ValueError):
-        SaddleFunction(q1=(), q2=ONE, m=Fraction(1))  # constant term in Q2
-    with pytest.raises(ValueError):
-        SaddleFunction(q1=(), q2=X, m=Fraction(0))
+        SaddleFunction(factors=((1, X),), m=Fraction(0))
+    # no depth below 1: the equation has no z^{-1} term
+    with pytest.raises(ValueError, match="factor depths >= 1"):
+        SaddleFunction(factors=((0, X),), m=Fraction(1))
+    # a zero kappa is dropped
+    assert SaddleFunction(((1, X), (3, ZERO)), 2).factors == ((1, X),)
+    # two kappa at one depth merge; a depth whose kappa cancel goes
+    merged = SaddleFunction(((2, X), (1, ONE), (2, X + ONE)), 1)
+    assert merged.factors == ((1, ONE), (2, ExactPolynomial([1, 2])))
+    assert SaddleFunction(((1, X), (1, -X)), 1).factors == ()
+    # the order of the factors changes neither equality nor the hash
+    first = SaddleFunction(((1, X), (3, ONE)), Fraction(1, 2))
+    again = SaddleFunction(((3, ONE), (1, X)), Fraction(1, 2))
+    assert first == again and hash(first) == hash(again)
 
 
 def test_egf_coefficients_closed_forms():
@@ -373,6 +389,53 @@ def _custom(spec):
 @given(_specs())
 def test_build_exponent_reproduces_random_specs(spec):
     assert verify_egf_identity(_custom(spec), 12) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(_specs())
+def test_exponent_matches_its_closed_forms(spec):
+    # the spec's own factors: gamma + m r at depth 1, then the lags
+    sf, m = build_exponent(spec), spec.m
+    factors = [(1, spec.gamma + ExactPolynomial((m * spec.start_poly.degree,)))]
+    factors += [(lag.s, lag.kappa) for lag in spec.lags]
+    # G_p = sum_{s <= p} sum_{j >= 1} kappa_{s,j} (j m)^{p-s} x^j, plus kappa_{p,0}
+    order = max(s for s, _ in factors) + 4
+    for p, g in enumerate(sf.egf_coefficients(order)):
+        want = [Fraction(0)] * 4
+        for s, kappa in factors:
+            for j, k in enumerate(kappa.coeffs):
+                if j and s <= p:
+                    want[j] += k * (j * m) ** (p - s)
+                elif not j and s == p:
+                    want[0] += k
+        assert g == ExactPolynomial(want), p
+    # the expansion of each factor into Q1 and Q2, term by term
+    q1 = [[Fraction(0)] * 4 for _ in range(order)]
+    q2 = [Fraction(0)] * 4
+    for s, kappa in factors:
+        for j, k in enumerate(kappa.coeffs):
+            if j == 0:
+                q1[s][0] += k / math.factorial(s)
+            else:
+                q2[j] += k / (j * m) ** s
+                for i in range(s):
+                    q1[i][j] -= k * (j * m) ** (i - s) / math.factorial(i)
+    q1 = [ExactPolynomial(q) for q in q1]
+    while q1 and q1[-1].is_zero:
+        q1.pop()
+    assert sf.q1 == tuple(q1)
+    assert sf.q2 == ExactPolynomial(q2)
+
+
+def test_deep_lags_build_no_q1_for_verify_or_constants():
+    # verify reads G_0..G_5 and the constants read Q2: neither needs Q1,
+    # whose build grows with the depth of the lag
+    assoc = catalog("assoc_stirling", s=10000)
+    assert all(check.ok for check in oracle.verify(assoc, 5))
+    whitney = catalog("r_whitney_assoc", m=7, r=1, s=10000)
+    assert whitney.constants() == (1, Fraction(1, 7), True)
+    assert "q1" not in assoc.saddle.__dict__
+    assert "q1" not in whitney.saddle.__dict__
 
 
 @settings(max_examples=20, deadline=None)
