@@ -218,8 +218,9 @@ def add_products(terms: Iterable[tuple], out: Optional[list] = None) -> list:
     accumulated into, trimmed and returned; a term with an empty list or a
     zero scale adds nothing.  `scale` and `a` are ints; `b` and `out` may
     hold any numbers that add and multiply with ints (`recurrence` steps
-    `Decimal` rows through here).  A unit factor adds b without multiplying,
-    saving one multiply, or one int-to-number conversion, per entry.
+    `Decimal` rows through here).  A cell receives its additions in term
+    order, then in the order of a's entries.  A unit factor adds b by one
+    slice assignment, saving a multiply or an int-to-number conversion per entry.
     """
     terms = [(a, b, scale) for a, b, scale in terms if a and b and scale]
     out = [] if out is None else out
@@ -230,8 +231,7 @@ def add_products(terms: Iterable[tuple], out: Optional[list] = None) -> list:
             if ai:
                 f = scale * ai
                 if f == 1:
-                    for j, bj in enumerate(b, i):
-                        out[j] += bj
+                    out[i : i + len(b)] = map(operator.add, out[i : i + len(b)], b)
                 else:
                     for j, bj in enumerate(b, i):
                         out[j] += f * bj

@@ -28,6 +28,7 @@ import json
 import math
 import sys
 from contextlib import nullcontext
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import asymptotics as asym
@@ -80,12 +81,6 @@ def _emit(args, pieces: Iterable[str]) -> None:
         handle.write("\n")
 
 
-def _csv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> Iterator[str]:
-    yield ",".join(header)
-    for row in rows:
-        yield "\n" + ",".join(row)
-
-
 def _render(args, header: Sequence[str], rows: Iterable[Sequence[str]], payload) -> None:
     """Write `payload()` as JSON, or `header` and `rows` as CSV, as --format
     asks; only the form asked for is built, and it is built whole before
@@ -93,7 +88,7 @@ def _render(args, header: Sequence[str], rows: Iterable[Sequence[str]], payload)
     if args.format == "json":
         _emit(args, [json.dumps(payload(), indent=2)])
     else:
-        _emit(args, _csv(header, list(rows)))
+        _emit(args, ["\n".join(map(",".join, [header, *rows]))])
 
 
 # command bodies ---------------------------------------------------------
@@ -206,7 +201,7 @@ def _decimal_texts(spec, upto: int) -> Iterator[tuple[int, list[str]]]:
 
     The rows are stepped on `Decimal`s, whose text is linear in the digit
     count where `str(int)` is quadratic; every value is an integer with
-    exponent 0, so `str` prints its digits, and a negative zero prints as 0.
+    exponent 0, so `str` prints its digits; a row's "-0" texts are rebuilt as 0.
     """
     source = recurrence.scaled_rows(
         spec, upto, [decimal.Decimal(q) for q in spec.start_poly.numerators]
@@ -218,8 +213,8 @@ def _decimal_texts(spec, upto: int) -> Iterator[tuple[int, list[str]]]:
             row = next(source, None)
         if row is None:
             return
-        n, q = row
-        yield n, ["0" if t == "-0" else t for t in map(str, q)]
+        n, texts = row[0], list(map(str, row[1]))
+        yield n, ["0" if t == "-0" else t for t in texts] if "-0" in texts else texts
 
 
 def _json_rows(rows: Iterable[tuple[int, list[str]]]) -> Iterator[str]:
@@ -258,8 +253,8 @@ def _cmd_triangle(args) -> int:
     if args.format == "json":
         _emit(args, _json_rows(texts))
     else:
-        header = ["n"] + [f"c{k}" for k in range(width)]
-        _emit(args, _csv(header, ([str(n)] + t + ["0"] * (width - len(t)) for n, t in texts)))
+        lines = (",".join([f"\n{n}", *t, *["0"] * (width - len(t))]) for n, t in texts)
+        _emit(args, chain([",".join(["n", *(f"c{k}" for k in range(width))])], lines))
     return 0
 
 

@@ -23,6 +23,7 @@ appear on the way.
 from __future__ import annotations
 
 import functools
+import math
 from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -110,10 +111,15 @@ class SaddleFunction(namedtuple("SaddleFunction", "factors m")):
     @functools.cached_property
     def floats(self) -> tuple[float, tuple[float, ...], tuple]:
         """(m, Q2, Q1) as floats for the saddle solver: the coefficients of
-        Q2, and of each Q1 entry and its first and second x-derivatives."""
-        derivs = [(q, q.derivative(), q.derivative().derivative()) for q in self.q1]
+        Q2, and of each Q1 entry and its first and second x-derivatives: the
+        k-th is j!/(j-k)! q_j / den on the stored ints, with no gcd, since
+        int / int rounds correctly and so gives the reduced pair's float."""
+        entries = [(p.denominator, [*enumerate(p.numerators)]) for p in self.q1]
         try:
-            q1 = tuple(tuple(tuple(map(float, d.coeffs)) for d in ds) for ds in derivs)
+            q1 = tuple(
+                tuple(tuple(math.perm(j, k) * q / d for j, q in jq if j >= k) for k in range(3))
+                for d, jq in entries
+            )
             return float(self.m), tuple(map(float, self.q2.coeffs)), q1
         except OverflowError:
             raise SaddleOverflowError(

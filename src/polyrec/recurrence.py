@@ -15,18 +15,20 @@ Q_n = d0 D^(n - start) P_n have integer coefficients and obey
 
     Q_n = (D gamma) Q_{n-1} + (D m) x Q'_{n-1} + sum w(n, s) (D^s kappa) Q_{n-s},
 
-so `advance` is one call of the kernel `algebra.add_products` on plain
-`int` lists.  `scaled_rows` steps them, keeping only the last `max_lag`,
-and also runs on `Decimal` rows, whose text is linear in the digits, for
-printing an integer triangle.  `rows`, the one row source, wraps it and
-hands each row over as the pair (Q_n, d0 D^(n - start)) without touching a
-coefficient (the denominator is 1 when the data are integers, as for every
-catalog family); `generate` and `triangle` are lists over it.  `majorant`
-bounds the size and degree of every scaled row without drawing one, and
-gives each row's exact coefficient at its degree bound, whatever the signs:
-the size bound lets the command line print a triangle in one pass, and a
-nonzero top coefficient at the widest bound proves a CSV width.  The module
-also builds coefficient triangles from the linear entrywise recurrence
+so `advance` is one call of the kernel `algebra.add_products` on plain `int`
+lists: entry j of Q_n starts as the rate (D gamma_0 + D m j) times q_j of
+Q_{n-1}, then takes gamma's higher terms and each lag's in turn.
+`scaled_rows` steps them, keeping only the last `max_lag`, and also runs on
+`Decimal` rows, whose text is linear in the digits, for printing an integer
+triangle.  `rows`, the one row source, wraps it and hands each row over as
+the pair (Q_n, d0 D^(n - start)) without touching a coefficient (the
+denominator is 1 when the data are integers, as for every catalog family);
+`generate` and `triangle` are lists over it.  `majorant` bounds the size and
+degree of every scaled row without drawing one, and gives each row's exact
+coefficient at its degree bound, whatever the signs: the size bound lets the
+command line print a triangle in one pass, and a nonzero top coefficient at
+the widest bound proves a CSV width.  The module also builds coefficient
+triangles from the linear entrywise recurrence
 
     T_{n,k} = u T_{n-1,k-1} + (a + b k) T_{n-1,k},   T_{0,0} = 1.
 """
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import deque, namedtuple
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -141,10 +144,11 @@ def advance(spec: RecurrenceSpec, history: Sequence[Row], n: int) -> Row:
 
     _, gamma, m, lags = spec.scaled
     prev = lookup(n - 1)
-    # the derivative term m j q_j is the prefill, gamma and each lag the terms
-    terms = [(gamma, prev, 1)]
+    # prefill (D gamma_0 + D m j) q_j, then add gamma less its constant and each lag
+    c = gamma[0] if gamma else 0
+    terms = [((0, *gamma[1:]), prev, 1)]
     terms += [(kappa, lookup(n - lag.s), lag.weight(n)) for lag, kappa in lags]
-    return add_products(terms, [m * j * q for j, q in enumerate(prev)])
+    return add_products(terms, list(map(operator.mul, range(c, c + m * len(prev), m), prev)))
 
 
 class TriangleRow(namedtuple("TriangleRow", "n poly")):

@@ -310,6 +310,9 @@ class ContextRecordingStdout(io.StringIO):
 )
 @example(load(NEGATIVE_START), 3)
 @example(load(TOP_BAND_CANCELS), 5)
+# a constant gamma plus a binomial lag, as r_whitney_assoc: no gamma pass at all
+@example(catalog("r_whitney_assoc", m=2, r=1, s=2).spec, 12)
+@example(load("gamma: -2; m: 1; lag: {s: 2, coeff: 3x - 1, binom: true};"), 12)
 def test_integer_triangle_text_is_the_int_rows(spec, rows):
     # the rows of recurrence.triangle, which the command never calls, are
     # the witness for the text printed

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyrec import algebra, families, oracle, speclang
@@ -12,6 +12,7 @@ from polyrec.algebra import MAX_EXPONENT, ONE, X, ZERO, ExactPolynomial, _exp_sc
 from polyrec.errors import (
     InvalidIndexError,
     ParameterError,
+    SaddleOverflowError,
     UnknownFamilyError,
     UnsupportedShapeError,
 )
@@ -436,6 +437,48 @@ def test_deep_lags_build_no_q1_for_verify_or_constants():
     assert whitney.constants() == (1, Fraction(1, 7), True)
     assert "q1" not in assoc.saddle.__dict__
     assert "q1" not in whitney.saddle.__dict__
+
+
+def _fraction_floats(sf):
+    # the saddle floats through Fractions: each coefficient reduced by a gcd,
+    # the first and second x-derivatives built as polynomials
+    derivs = [(q, q.derivative(), q.derivative().derivative()) for q in sf.q1]
+    q1 = tuple(tuple(tuple(map(float, d.coeffs)) for d in ds) for ds in derivs)
+    return float(sf.m), tuple(map(float, sf.q2.coeffs)), q1
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    ALL_DEFAULT_INSTANCES
+    + [("assoc_stirling", dict(s=40)), ("r_whitney_assoc", dict(m=3, r=2, s=5))]
+    # a deep lag: 300 Q1 entries, the deepest near 1/300!
+    + [("r_whitney_assoc", dict(m=7, r=1, s=300))],
+)
+def test_saddle_floats_are_the_fraction_floats(name, params):
+    # int / int rounds correctly, so the unreduced stored pair gives the
+    # reduced pair's float
+    sf = catalog(name, **params).saddle
+    assert sf.floats == _fraction_floats(sf)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_specs())
+# cubic factors: the second derivative's weights j(j - 1) differ from j at x^3
+@example(
+    speclang.load("gamma: x^3 - 1/3x; m: 3/2; lag: {s: 3, coeff: 2/5x^3 - x^2 + 1, binom: true};")
+)
+def test_saddle_floats_are_the_fraction_floats_on_random_specs(spec):
+    sf = build_exponent(spec)
+    assert sf.floats == _fraction_floats(sf)
+
+
+def test_saddle_floats_overflow_as_the_fraction_floats_do():
+    spec = speclang.load("gamma: x + %s; m: 1;" % ("9" * 2200))
+    sf = _custom(spec).saddle
+    with pytest.raises(OverflowError):
+        _fraction_floats(sf)
+    with pytest.raises(SaddleOverflowError):
+        sf.floats
 
 
 @settings(max_examples=20, deadline=None)

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyrec import algebra, recurrence
@@ -397,6 +397,10 @@ _SMALL_FRACTIONS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
     b=st.fractions(min_value=Fraction(1, 6), max_value=5, max_denominator=6),
     upto=st.integers(0, 12),
 )
+# a constant gamma, signed: its whole pass is folded into the derivative's rate
+@example(u=Fraction(0), a=Fraction(-3), b=Fraction(2), upto=8)
+# gamma_0 = 0: the rate is D m j alone
+@example(u=Fraction(3, 2), a=Fraction(0), b=Fraction(1, 2), upto=8)
 def test_triangle_linear_is_the_spec_gamma_a_plus_u_x(u, a, b, upto):
     # T(n,k) = u T(n-1,k-1) + (a + b k) T(n-1,k) is the recurrence with
     # gamma = a + u x and m = b, read coefficient by coefficient
