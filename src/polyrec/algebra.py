@@ -11,7 +11,8 @@ integer data the denominator is 1.  A pair is brought to lowest terms when
 the row is built (integer rows skip the gcd), so the stored pair is the
 value and `==` and `hash` compare it directly; `coeffs`, the `Fraction`
 view, is built on each read.  Floating point enters the picture only in the
-distribution and asymptotics layers.
+distribution and asymptotics layers.  `Record` is the tuple base of the
+package's records: a record's `__new__` parameters name its fields.
 """
 
 from __future__ import annotations
@@ -39,6 +40,40 @@ def as_fraction(value: Scalar) -> Fraction:
     if isinstance(value, Fraction):
         return value
     raise TypeError(f"exact scalar expected, got {type(value).__name__}")
+
+
+class Record(tuple):
+    """A tuple with named, read-only fields: the parameters of the subclass's
+    `__new__`, which returns `tuple.__new__(cls, (field, ...))`.  `_make`
+    and `_replace` build through it, so its checks run on them too."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        code, defaults = cls.__new__.__code__, cls.__new__.__defaults__ or ()
+        fields = cls._fields = cls.__match_args__ = code.co_varnames[1 : code.co_argcount]
+        cls._field_defaults = dict(zip(fields[len(fields) - len(defaults) :], defaults))
+        for i, name in enumerate(fields):
+            setattr(cls, name, property(operator.itemgetter(i)))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def _replace(self, **changes):
+        values = [changes.pop(name, value) for name, value in zip(self._fields, self)]
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        return self._make(values)
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map('{}={!r}'.format, self._fields, self))})"
+
+    def __getnewargs__(self) -> tuple:  # copy and pickle rebuild through `__new__`
+        return tuple(self)
 
 
 class ExactPolynomial:

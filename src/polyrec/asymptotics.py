@@ -20,12 +20,11 @@ of silently producing inf.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from fractions import Fraction
 from typing import Optional
 
 from . import recurrence
-from .algebra import ExactPolynomial
+from .algebra import ExactPolynomial, Record
 from .distribution import pmf
 from .errors import (
     ParameterError,
@@ -40,10 +39,13 @@ _LOG_SCALE_THRESHOLD = 300.0
 _FLOAT_LOG_MAX = 709.0  # log of the largest finite double, minus headroom
 
 
-class Partials(namedtuple("Partials", "f f_z f_zz f_x f_zx f_xx")):
+class Partials(Record):
     """f and its partial derivatives up to second order at one point."""
 
     __slots__ = ()
+
+    def __new__(cls, f, f_z, f_zz, f_x, f_zx, f_xx):
+        return tuple.__new__(cls, (f, f_z, f_zz, f_x, f_zx, f_xx))
 
 
 def _exp_sums(sf: SaddleFunction, z: float, x: float) -> tuple[float, float, float]:
@@ -209,16 +211,15 @@ def solve_saddle(sf: SaddleFunction, n: int, x: float = 1.0) -> float:
     return rho
 
 
-class SaddleReport(
-    namedtuple(
-        "SaddleReport",
-        "n rho rho_prime predicted_mean predicted_variance b_value"
-        " coeff_estimate_log leading_mean leading_variance",
-    )
-):
+class SaddleReport(Record):
     """Saddle-point predictions for one row index n (evaluated at x = 1)."""
 
     __slots__ = ()
+
+    def __new__(cls, n, rho, rho_prime, predicted_mean, predicted_variance, b_value,
+                coeff_estimate_log, leading_mean, leading_variance):
+        return tuple.__new__(cls, (n, rho, rho_prime, predicted_mean, predicted_variance,
+                                   b_value, coeff_estimate_log, leading_mean, leading_variance))
 
 
 def saddle_report(sf: SaddleFunction, n: int) -> SaddleReport:
@@ -255,16 +256,17 @@ def log_fraction(q: Fraction) -> float:
     return math.log(q.numerator) - math.log(q.denominator)
 
 
-class ComparisonRecord(
-    namedtuple(
-        "ComparisonRecord",
-        "n exact_mean predicted_mean mean_rel_err exact_variance predicted_variance"
-        " variance_rel_err exact_log_total estimate_log_total log_total_rel_err report",
-    )
-):
+class ComparisonRecord(Record):
     """Exact row statistics against the saddle-point predictions."""
 
     __slots__ = ()
+
+    def __new__(cls, n, exact_mean, predicted_mean, mean_rel_err, exact_variance,
+                predicted_variance, variance_rel_err, exact_log_total, estimate_log_total,
+                log_total_rel_err, report):
+        return tuple.__new__(cls, (n, exact_mean, predicted_mean, mean_rel_err, exact_variance,
+                                   predicted_variance, variance_rel_err, exact_log_total,
+                                   estimate_log_total, log_total_rel_err, report))
 
 
 def compare_exact(

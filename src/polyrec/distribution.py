@@ -21,13 +21,12 @@ from __future__ import annotations
 import decimal
 import functools
 import math
-from collections import namedtuple
 from fractions import Fraction
 from itertools import pairwise
 from typing import Iterator, Sequence
 
 from . import recurrence
-from .algebra import ExactPolynomial, ONE
+from .algebra import ExactPolynomial, ONE, Record
 from .errors import (
     InvalidDistributionError,
     ParameterError,
@@ -49,13 +48,14 @@ def standard_normal_cdf(t: float) -> float:
 _WIDE = decimal.Context(prec=40, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
-class PMFTable(
-    namedtuple("PMFTable", "n weights total mean variance skewness excess_kurtosis")
-):
+class PMFTable(Record):
     """Exact distribution of X_n extracted from one row polynomial:
     P(X_n = k) = weights[k] / total, with int weights."""
 
     # no __slots__: the cached `probs` lives in the instance dict
+
+    def __new__(cls, n, weights, total, mean, variance, skewness, excess_kurtosis):
+        return tuple.__new__(cls, (n, weights, total, mean, variance, skewness, excess_kurtosis))
 
     @functools.cached_property
     def probs(self) -> dict[int, Fraction]:
@@ -117,13 +117,7 @@ def pmf(p: ExactPolynomial, n: int) -> PMFTable:
     return PMFTable(n, weights, s0, mean, m2, skew, kurt)
 
 
-class NormalityReport(
-    namedtuple(
-        "NormalityReport",
-        "n ks_plain ks_continuity standardized_third standardized_fourth"
-        " center scale ks_plain_limit ks_continuity_limit",
-    )
-):
+class NormalityReport(Record):
     """Distance of one exact PMF to the standard normal law.
 
     ks_plain / ks_continuity self-standardize with the exact mean and
@@ -132,6 +126,12 @@ class NormalityReport(
     """
 
     __slots__ = ()
+
+    def __new__(cls, n, ks_plain, ks_continuity, standardized_third, standardized_fourth,
+                center, scale, ks_plain_limit, ks_continuity_limit):
+        return tuple.__new__(cls, (n, ks_plain, ks_continuity, standardized_third,
+                                   standardized_fourth, center, scale, ks_plain_limit,
+                                   ks_continuity_limit))
 
 
 def _sup_normal_gap(
@@ -214,13 +214,14 @@ def clt_scan(
     return [normality(table, d) for table in _row_pmfs(descriptor.spec, ns)]
 
 
-class MeanIdentityReport(
-    namedtuple("MeanIdentityReport", "family n_max ok first_mismatch", defaults=(None,))
-):
+class MeanIdentityReport(Record):
     """Exact check of the ratio formula E X_n = T_{n+1}(1)/(m T_n(1)) - (1+c)/m;
     `first_mismatch` is (n, mean, formula) or None."""
 
     __slots__ = ()
+
+    def __new__(cls, family, n_max, ok, first_mismatch=None):
+        return tuple.__new__(cls, (family, n_max, ok, first_mismatch))
 
     def __str__(self) -> str:
         if self.ok:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -35,6 +34,7 @@ from .algebra import (
     X,
     ZERO,
     ExactPolynomial,
+    Record,
     monomial,
     as_fraction,
     series_exp,
@@ -49,7 +49,7 @@ from .errors import (
 from .recurrence import LagTerm, RecurrenceSpec, TriangleRow
 
 
-class SaddleFunction(namedtuple("SaddleFunction", "factors m")):
+class SaddleFunction(Record):
     """Exponent f(z, x) of a family's EGF, stored as the factors (s, kappa)
     of its equation f_z - m x f_x = sum kappa(x) z^{s-1}/(s-1)!, f(0, x) = 0:
     one kappa per depth s >= 1, merged by depth, zero kappa dropped, sorted
@@ -57,7 +57,6 @@ class SaddleFunction(namedtuple("SaddleFunction", "factors m")):
     """
 
     # no __slots__: the cached `q1`, `q2` and `floats` live in the instance dict
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, factors, m):
         merged = {}
@@ -67,7 +66,7 @@ class SaddleFunction(namedtuple("SaddleFunction", "factors m")):
         if m <= 0 or min(merged, default=1) < 1:
             raise ValueError("m must be > 0 and factor depths >= 1")
         factors = tuple((s, merged[s]) for s in sorted(merged) if not merged[s].is_zero)
-        return super().__new__(cls, factors, m)
+        return tuple.__new__(cls, (factors, m))
 
     def _steps(self, start: ExactPolynomial, order: int) -> list[ExactPolynomial]:
         """D_0 = start, D_{p+1} = m x D_p' + kappa_{p+1}, for p = 0..order."""
@@ -127,11 +126,14 @@ class SaddleFunction(namedtuple("SaddleFunction", "factors m")):
             ) from None
 
 
-class TheoremConstants(namedtuple("TheoremConstants", "d alpha_d hypothesis_ok")):
+class TheoremConstants(Record):
     """Degree and leading coefficient of Q2, plus the hypothesis flag for
     the n/log n normal limit (d >= 1, alpha_d > 0, m > 0)."""
 
     __slots__ = ()
+
+    def __new__(cls, d, alpha_d, hypothesis_ok):
+        return tuple.__new__(cls, (d, alpha_d, hypothesis_ok))
 
 
 def theorem_constants(saddle: SaddleFunction) -> TheoremConstants:
@@ -170,13 +172,7 @@ def build_exponent(spec: RecurrenceSpec) -> SaddleFunction:
     return SaddleFunction([(1, gamma), *((lag.s, lag.kappa) for lag in spec.lags)], spec.m)
 
 
-class FamilyDescriptor(
-    namedtuple(
-        "FamilyDescriptor",
-        "name parameters spec oeis_refs oracle_model",
-        defaults=((), None),
-    )
-):
+class FamilyDescriptor(Record):
     """A named family: recurrence and metadata.
 
     Row `spec.start_index + n` of the spec equals
@@ -187,6 +183,9 @@ class FamilyDescriptor(
     """
 
     # no __slots__: the cached `saddle` lives in the instance dict
+
+    def __new__(cls, name, parameters, spec, oeis_refs=(), oracle_model=None):
+        return tuple.__new__(cls, (name, parameters, spec, oeis_refs, oracle_model))
 
     def __hash__(self) -> int:
         # leave out the parameters: a dict has no hash
@@ -240,10 +239,13 @@ def verify_egf_identity(
     return None
 
 
-class NonnegativityReport(namedtuple("NonnegativityReport", "ok first_negative zero_sum_rows")):
+class NonnegativityReport(Record):
     """No entry negative; the first negative entry's (n, k) or None; the rows summing to 0."""
 
     __slots__ = ()
+
+    def __new__(cls, ok, first_negative, zero_sum_rows):
+        return tuple.__new__(cls, (ok, first_negative, zero_sum_rows))
 
 
 def validate_nonnegativity(rows: Iterable[TriangleRow]) -> NonnegativityReport:
@@ -321,13 +323,7 @@ _SHEFFER_IDS = {
 _GALTON_IDS = {(2, -1): "A186695", (3, -2): "A111577"}
 
 
-class Family(
-    namedtuple(
-        "Family",
-        "params spec listed oeis model depths",
-        defaults=(lambda **_: (), lambda **_: None, ()),
-    )
-):
+class Family(Record):
     """Everything the package knows about one catalog family.
 
     `params` maps each parameter, in label order, to its minimum (None for
@@ -340,6 +336,9 @@ class Family(
     """
 
     __slots__ = ()
+
+    def __new__(cls, params, spec, listed, oeis=lambda **_: (), model=lambda **_: None, depths=()):
+        return tuple.__new__(cls, (params, spec, listed, oeis, model, depths))
 
 
 FAMILIES: dict[str, Family] = {

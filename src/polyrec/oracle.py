@@ -22,10 +22,10 @@ this enumeration and the nonnegativity scan, all on one row list.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from typing import Optional, Sequence
 
 from . import recurrence
+from .algebra import Record
 from .errors import InvalidIndexError, ParameterError, SizeGuardError, UnsupportedShapeError
 from .families import FAMILIES, FamilyDescriptor, validate_nonnegativity, verify_egf_identity
 from .recurrence import TriangleRow
@@ -33,19 +33,18 @@ from .recurrence import TriangleRow
 MAX_ELEMENTS = 14
 
 
-class PartitionConstraint(namedtuple("PartitionConstraint", "n r m s")):
+class PartitionConstraint(Record):
     """Enumeration parameters: n non-distinguished elements, r distinguished
     elements (pairwise separated), m colors, minimum non-distinguished block
     size s; all ints."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, n, r=0, m=1, s=1):
         for name, value, minimum in zip("nrms", (n, r, m, s), (0, 0, 1, 1)):
             if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
                 raise ParameterError(f"{name} must be an integer >= {minimum}")
-        return super().__new__(cls, n, r, m, s)
+        return tuple.__new__(cls, (n, r, m, s))
 
 
 def count_partitions(constraint: PartitionConstraint) -> dict[int, int]:
@@ -90,17 +89,14 @@ def count_partitions(constraint: PartitionConstraint) -> dict[int, int]:
     return counts
 
 
-class OracleReport(
-    namedtuple(
-        "OracleReport",
-        "family n_max ok skipped notice first_mismatch",
-        defaults=(False, "", None),
-    )
-):
+class OracleReport(Record):
     """Outcome of checking one family's triangle against enumeration;
     `first_mismatch` is (n, k, triangle, oracle) or None."""
 
     __slots__ = ()
+
+    def __new__(cls, family, n_max, ok, skipped=False, notice="", first_mismatch=None):
+        return tuple.__new__(cls, (family, n_max, ok, skipped, notice, first_mismatch))
 
     def __str__(self) -> str:
         if self.skipped:
@@ -159,10 +155,13 @@ def verify_family(
     return OracleReport(family=label, n_max=n_max, ok=True)
 
 
-class Check(namedtuple("Check", "name ok detail")):
+class Check(Record):
     """One check of `verify`: its name, whether it passed, and what it saw."""
 
     __slots__ = ()
+
+    def __new__(cls, name, ok, detail):
+        return tuple.__new__(cls, (name, ok, detail))
 
 
 def verify(descriptor: FamilyDescriptor, max_n: int) -> tuple[Check, ...]:

@@ -38,17 +38,17 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from collections import deque, namedtuple
+from collections import deque
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .algebra import ONE, ExactPolynomial, Scalar, add_products, as_fraction, scaled_ints
+from .algebra import ONE, ExactPolynomial, Record, Scalar, add_products, as_fraction, scaled_ints
 from .errors import InvalidIndexError
 
 Row = list[int]
 
 
-class LagTerm(namedtuple("LagTerm", "s kappa binom_weight")):
+class LagTerm(Record):
     """One lagged term of the recurrence.
 
     `s` is the lag depth (an int >= 1), `kappa` the x-dependent factor (an
@@ -57,32 +57,30 @@ class LagTerm(namedtuple("LagTerm", "s kappa binom_weight")):
     """
 
     __slots__ = ()
-    # `_replace` builds through `_make`: send it through the checks too
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, s, kappa, binom_weight=False):
         if s < 1:
             raise ValueError("lag depth s must be >= 1")
-        return super().__new__(cls, s, kappa, binom_weight)
+        return tuple.__new__(cls, (s, kappa, binom_weight))
 
     def weight(self, n: int) -> int:
         return math.comb(n - 1, self.s - 1) if self.binom_weight else 1
 
 
-class ScaledData(namedtuple("ScaledData", "denominator gamma m lags")):
+class ScaledData(Record):
     """A spec's data as integers: gamma and m times D, and each kappa times
     D^s (lowest power first)."""
 
     __slots__ = ()
 
+    def __new__(cls, denominator, gamma, m, lags):
+        return tuple.__new__(cls, (denominator, gamma, m, lags))
 
-class RecurrenceSpec(
-    namedtuple("RecurrenceSpec", "gamma m lags start_index start_poly")
-):
+
+class RecurrenceSpec(Record):
     """Full data of one recurrence instance; `m` is kept as a Fraction."""
 
     # no __slots__: the cached `scaled` lives in the instance dict
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, gamma, m, lags=(), start_index=0, start_poly=ONE):
         m = as_fraction(m)
@@ -97,7 +95,7 @@ class RecurrenceSpec(
         depths = [lag.s for lag in lags]
         if len(set(depths)) != len(depths):
             raise ValueError("lag depths must be distinct")
-        return super().__new__(cls, gamma, m, lags, start_index, start_poly)
+        return tuple.__new__(cls, (gamma, m, lags, start_index, start_poly))
 
     @property
     def max_lag(self) -> int:
@@ -151,11 +149,14 @@ def advance(spec: RecurrenceSpec, history: Sequence[Row], n: int) -> Row:
     return add_products(terms, list(map(operator.mul, range(c, c + m * len(prev), m), prev)))
 
 
-class TriangleRow(namedtuple("TriangleRow", "n poly")):
+class TriangleRow(Record):
     """Row n of a coefficient triangle: its entries are the coefficients of
     `poly`, trailing zeros stripped (the zero polynomial gives none)."""
 
     __slots__ = ()
+
+    def __new__(cls, n, poly):
+        return tuple.__new__(cls, (n, poly))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

@@ -25,11 +25,10 @@ line:column of the offending token.
 from __future__ import annotations
 
 import sys
-from collections import namedtuple
 from fractions import Fraction
 from typing import Optional, Union
 
-from .algebra import MAX_EXPONENT, ONE, ExactPolynomial
+from .algebra import MAX_EXPONENT, ONE, ExactPolynomial, Record
 from .errors import ParseError
 from .families import FamilyDescriptor, catalog, catalog_names, family_parameters
 from .recurrence import LagTerm, RecurrenceSpec
@@ -41,24 +40,33 @@ _M_POSITIVITY = (
 )
 
 
-class SpecSource(namedtuple("SpecSource", "text origin", defaults=("<inline>",))):
+class SpecSource(Record):
     """Raw spec text plus where it came from (for error rendering)."""
 
     __slots__ = ()
 
+    def __new__(cls, text, origin="<inline>"):
+        return tuple.__new__(cls, (text, origin))
 
-class FamilyRequest(namedtuple("FamilyRequest", "name params")):
+
+class FamilyRequest(Record):
     """A parsed catalog invocation, not yet built."""
 
     __slots__ = ()
+
+    def __new__(cls, name, params):
+        return tuple.__new__(cls, (name, params))
 
     def build(self) -> FamilyDescriptor:
         return catalog(self.name, **self.params)
 
 
-class _Token(namedtuple("_Token", "kind text line column")):
+class _Token(Record):
     # kind is "ident", "number", or the symbol itself
     __slots__ = ()
+
+    def __new__(cls, kind, text, line, column):
+        return tuple.__new__(cls, (kind, text, line, column))
 
 
 def _tokenize(src: SpecSource) -> list[_Token]:

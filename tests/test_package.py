@@ -1,7 +1,9 @@
 """The package namespace and what importing it costs."""
 
+import copy
 import importlib
 import os
+import pickle
 import subprocess
 import sys
 
@@ -118,6 +120,33 @@ def test_cli_start_up_imports():
     assert ours == ["polyrec." + name for name in SUBMODULES]
 
 
+def test_cli_runs_without_named_tuple():
+    # `collections.namedtuple` compiles each class's `__new__` with `eval`
+    # at import: no polyrec record may be built with it.  The stdlib
+    # modules the package uses are imported first, with the real one;
+    # argparse imports shutil, which calls it, on its first help formatter
+    probe = """
+import collections, fractions, decimal, argparse, json, shutil, typing
+
+def refuse(*args, **kwargs):
+    raise AssertionError("collections.namedtuple called")
+
+collections.namedtuple = refuse
+from polyrec.cli import main
+raise SystemExit(main(["triangle", "--family", "stirling2", "--max-n", "3"]))
+"""
+    src = os.path.dirname(os.path.dirname(polyrec.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "3,0,1,3,1"
+
+
 # every plain record with its fields in order and its defaults, written out
 # here as a witness independent of the classes
 RECORDS = [
@@ -191,8 +220,17 @@ def test_records_are_plain_tuples(module, name, fields, defaults):
     changed = record._replace(**{fields[0]: "x"})
     assert type(changed) is cls and changed == ("x", *values[1:])
     assert repr(record) == f"{name}({', '.join(f'{f}={v}' for f, v in zip(fields, values))})"
+    assert cls._make(values) == record and type(cls._make(values)) is cls
+    for twin in (copy.copy(record), pickle.loads(pickle.dumps(record))):
+        assert twin == record and type(twin) is cls
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], "x")
+    with pytest.raises(ValueError):
+        record._replace(bogus=1)
+    assert cls.__match_args__ == fields
 
 
 @pytest.mark.parametrize("module", SUBMODULES)
 def test_no_module_binds_named_tuple(module):
-    assert not hasattr(importlib.import_module("polyrec." + module), "NamedTuple")
+    for name in ("NamedTuple", "namedtuple"):
+        assert not hasattr(importlib.import_module("polyrec." + module), name)

@@ -367,6 +367,8 @@ def test_replace_checks_and_normalises():
     assert isinstance(spec._replace(m=2).m, Fraction)
     with pytest.raises(ValueError, match="lag depth s must be >= 1"):
         LagTerm(2, X)._replace(s=0)
+    with pytest.raises(ValueError, match="lag depth s must be >= 1"):
+        LagTerm._make((0, X, False))
     gamma, m, lags, start_index, start_poly = spec
     assert (gamma, m, lags, start_index, start_poly) == (X, 1, (a, b), 0, ONE)
 
