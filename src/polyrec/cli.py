@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import gc
 import json
 import math
 import sys
@@ -452,6 +453,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return err.exit_code
         return 2 if isinstance(err, OSError) else 4
 
+
+# frozen once, at import: the collections at exit skip the start-up heap, which
+# lives until then anyway (in `main` it would freeze a caller's heap per call)
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -8,6 +8,8 @@ import hashlib
 import io
 import json
 import operator
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -177,6 +179,41 @@ DENOMINATOR = f"gamma: 1/{NINE_E4299}; m: 1;"
 # rows 2^n x, but gamma x + 1 and the lag -x cancel at every bound degree past
 # the start, so the majorant cannot prove the CSV width
 TOP_BAND_CANCELS = "gamma: x + 1; m: 1; lag: {s: 1, coeff: -x}; start: {index: 0, poly: x};"
+
+
+def run_module(*argv):
+    """`python -m polyrec.cli ARGV` in a fresh interpreter, stdout and
+    stderr on pipes, as bytes.  Its stdout is buffered, as a shell's is,
+    whatever PYTHONUNBUFFERED says here."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run(
+        [sys.executable, "-m", "polyrec.cli", *argv],
+        capture_output=True,
+        env={**env, "PYTHONPATH": path},
+        timeout=120,
+    )
+
+
+def test_exit_delivers_every_byte(tmp_path, capsys):
+    # 2.4 MB of rows on a pipe, far past any buffer: what is still buffered
+    # when `main` returns is flushed at interpreter exit, frozen heap or not
+    argv = ("triangle", "--family", "stirling2", "--max-n", "200")
+    piped = run_module(*argv)
+    assert piped.returncode == 0 and piped.stderr == b""
+    assert len(piped.stdout) > 2_000_000
+    target = tmp_path / "rows.csv"
+    written = run_module(*argv, "--out", str(target))
+    assert written.returncode == 0 and written.stdout == written.stderr == b""
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    digests = {hashlib.sha256(b).hexdigest() for b in (piped.stdout, target.read_bytes())}
+    assert digests == {hashlib.sha256(out.encode()).hexdigest()}
+    # an entry past the digit limit: exit 4, one JSON line, nothing written
+    probe = run_module("triangle", "--inline", OVERLONG, "--max-n", "160")
+    assert probe.returncode == 4 and probe.stdout == b""
+    assert probe.stderr.decode() == first_conversion_error(OVERLONG, 160)
 
 
 @functools.lru_cache(maxsize=None)

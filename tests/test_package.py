@@ -1,11 +1,13 @@
 """The package namespace and what importing it costs."""
 
 import copy
+import gc
 import importlib
 import os
 import pickle
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -118,6 +120,49 @@ def test_cli_start_up_imports():
     assert "inspect" not in loaded
     ours = [name for name in loaded if name.startswith("polyrec.")]
     assert ours == ["polyrec." + name for name in SUBMODULES]
+
+
+class Node:
+    pass
+
+
+def test_only_the_cli_import_freezes_the_heap(capsys):
+    # `import polyrec` leaves a host program's collector alone; importing
+    # the command-line module freezes the start-up heap once, and a run
+    # freezes nothing, so an in-process caller's garbage is still collected
+    src = os.path.dirname(os.path.dirname(polyrec.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # a bare 3.12 interpreter already holds a few hundred frozen objects
+    probe = (
+        "import gc; bare = gc.get_freeze_count(); "
+        "import polyrec; package = gc.get_freeze_count(); "
+        "import polyrec.cli; print(bare, package, gc.get_freeze_count())"
+    )
+    counts = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    ).stdout.split()
+    bare, package, cli = map(int, counts)
+    assert package == bare < cli
+    from polyrec.cli import main
+
+    # a cycle alive during the runs and garbage after them; a freeze inside
+    # a run would keep it for good.  Frozen objects freed by reference
+    # counting leave the count, so it may fall but must not grow
+    cycle = Node()
+    cycle.self = cycle
+    witness = weakref.ref(cycle)
+    before = gc.get_freeze_count()
+    assert main(["triangle", "--family", "stirling2", "--max-n", "5"]) == 0
+    assert main(["families"]) == 0
+    assert gc.get_freeze_count() <= before
+    del cycle
+    gc.collect()
+    assert witness() is None
+    capsys.readouterr()
 
 
 def test_cli_runs_without_named_tuple():
