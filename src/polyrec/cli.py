@@ -7,6 +7,12 @@ or JSON (--format json) to stdout or --out PATH.  This module parses the
 arguments, resolves the spec and renders the library's records as text; it
 holds no check logic (`verify` is `oracle.verify`).
 
+A well-formed command line (a command, then each flag written out in full,
+once, with one value not starting with "-") is read straight from
+`_COMMANDS` without argparse.  Help, and every line that is not of that
+shape, goes to the argparse parser, so help and usage errors read as
+argparse writes them.
+
 Serialization rules: exact rationals are rendered as strings ("p/q" or a
 plain decimal string) because triangle entries outgrow every fixed-width
 numeric type almost immediately; floats carry 12 significant digits; rows
@@ -14,15 +20,15 @@ are ordered by n, columns by k, so identical invocations produce identical
 bytes.
 
 Exit codes: 0 ok, 1 verification mismatch, 2 usage error (bad flags, bad
-spec text, unsupported shape, unreadable file), 3 numeric failure (saddle
-solve, zero mass, zero variance, unit mass), 4 internal error (any other
-exception).  Each error class carries its code as `exit_code`.  Every error
-after argument parsing prints a one-line JSON object to stderr.
+spec text, unsupported shape, unreadable file, a spec file that is not
+UTF-8), 3 numeric failure (saddle solve, zero mass, zero variance, unit
+mass), 4 internal error (any other exception).  Each error class carries
+its code as `exit_code`.  Every error after argument parsing prints a
+one-line JSON object to stderr.
 """
 
 from __future__ import annotations
 
-import argparse
 import decimal
 import gc
 import json
@@ -30,6 +36,7 @@ import math
 import sys
 from contextlib import nullcontext
 from itertools import chain
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import asymptotics as asym
@@ -49,6 +56,8 @@ def _parse_ns(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
@@ -59,8 +68,17 @@ def _resolve(args) -> FamilyDescriptor:
         text = args.family if "(" in args.family else args.family + "()"
         source = SpecSource(f"family: {text};", "<family>")
     elif args.spec is not None:
-        with open(args.spec, "r", encoding="utf-8") as handle:
-            source = SpecSource(handle.read(), args.spec)
+        # an undecodable byte is read as a lone surrogate, which no text
+        # encodes: the first one is the spec's parse error
+        with open(args.spec, "r", encoding="utf-8", errors="surrogateescape") as handle:
+            text = handle.read()
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as err:
+            head, byte = text[: err.start], ord(text[err.start]) - 0xDC00
+            message = f"invalid UTF-8 byte 0x{byte:02x}"
+            raise ParseError(args.spec, head.count("\n") + 1, err.start - head.rfind("\n"), message)
+        source = SpecSource(text, args.spec)
     else:
         source = SpecSource(args.inline, "<inline>")
     loaded = load(source)
@@ -375,7 +393,7 @@ def _cmd_families(args) -> int:
 
 # Every subcommand in help order, with its help and its own arguments: flag
 # and add_argument keywords, or None for `families`, which reads no
-# recurrence.  `name` runs `_cmd_<name>`, looked up when the parser is built.
+# recurrence.  `name` runs `_cmd_<name>`, looked up when the line is read.
 _COMMANDS = {
     "triangle": (
         "emit coefficient rows",
@@ -404,10 +422,25 @@ _COMMANDS = {
     "families": ("list the catalog", None),
 }
 
+# the spec sources, exactly one of which every command but `families` takes
+_SOURCES = {
+    "--family": dict(help='catalog family, e.g. "dowling(m=2)"'),
+    "--spec": dict(help="path to a spec file"),
+    "--inline": dict(help="spec text given directly"),
+}
+
+# the output flags of every command
+_OUTPUT = {
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--out": dict(help="write output to this path instead of stdout"),
+}
+
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The parser of every subcommand, or of `command` alone when it names
     one; its help and usage errors read as the full parser's do."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="polyrec",
         description="Exact triangles, distributions, and saddle-point "
@@ -424,14 +457,54 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         p.set_defaults(run=globals()["_cmd_" + name])
         if arguments is not None:
             group = p.add_mutually_exclusive_group(required=True)
-            group.add_argument("--family", help='catalog family, e.g. "dowling(m=2)"')
-            group.add_argument("--spec", help="path to a spec file")
-            group.add_argument("--inline", help="spec text given directly")
+            for flag, keywords in _SOURCES.items():
+                group.add_argument(flag, **keywords)
             for flag, keywords in arguments:
                 p.add_argument(flag, **keywords)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", help="write output to this path instead of stdout")
+        for flag, keywords in _OUTPUT.items():
+            p.add_argument(flag, **keywords)
     return parser
+
+
+def _read(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The attributes `build_parser().parse_args(argv)` sets, read from
+    `_COMMANDS` alone, or None unless `argv` is a well-formed line.
+
+    That is a command, then only flags it takes, each written out in full,
+    given once and followed by one value that does not start with "-"; one
+    spec source (none for `families`) and every required flag; every value
+    converted by its `type` and within its `choices`.  Help, `--flag=value`,
+    abbreviations, negative numbers and every usage error read None, and
+    are left to the parser.
+    """
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    arguments = _COMMANDS[argv[0]][1]
+    flags = _OUTPUT if arguments is None else {**_SOURCES, **dict(arguments), **_OUTPUT}
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if (
+        len(given) < len(argv) // 2
+        or not given.keys() <= flags.keys()
+        or any(value.startswith("-") for value in given.values())
+        or arguments is not None and sum(flag in given for flag in _SOURCES) != 1
+    ):
+        return None
+    args = SimpleNamespace(command=argv[0], run=globals()["_cmd_" + argv[0]])
+    for flag, keywords in flags.items():
+        if flag not in given:
+            if keywords.get("required"):
+                return None
+            value = keywords.get("default")
+        else:
+            try:
+                value = keywords.get("type", str)(given[flag])
+            except Exception:  # the parser converts it again and reports it
+                return None
+            if value not in keywords.get("choices", [value]):
+                return None
+        # the parser's dest: the flag without its dashes, "-" as "_"
+        setattr(args, flag[2:].replace("-", "_"), value)
+    return args
 
 
 def _error_payload(err: Exception) -> dict:
@@ -442,9 +515,11 @@ def _error_payload(err: Exception) -> dict:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    # a run needs only the parser of the command its first word names
+    # a well-formed line is read without a parser.  Any other line, help and
+    # usage errors included, goes to the parser of the command its first
+    # word names, or of them all when it names none
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _read(argv) or build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.run(args)
     except Exception as err:

@@ -677,7 +677,7 @@ def test_unexpected_exception_exits_4(capsys, monkeypatch):
     def boom(args):
         raise RuntimeError("unexpected\nfailure")
 
-    # the parser is built inside main, so it binds the patched command
+    # main looks the command up when it reads the line, so it binds the patch
     monkeypatch.setattr(cli, "_cmd_families", boom)
     code, out, err = run_cli(capsys, "families")
     assert code == 4 and out == ""
@@ -708,7 +708,8 @@ def subparsers_built(monkeypatch):
 @pytest.mark.parametrize(
     "argv,built",
     [
-        (["triangle", "--family", "stirling2", "--max-n", "3"], ["triangle"]),
+        # a well-formed line is read from the command table: no parser
+        (["triangle", "--family", "stirling2", "--max-n", "3"], []),
         (["--help"], COMMANDS),
         (["bogus"], COMMANDS),
     ],
@@ -755,6 +756,104 @@ def test_usage_errors_are_the_full_parsers(capsys, argv):
     if "--bogus" in argv:
         usage = "usage: polyrec [-h] {triangle,pmf,moments,clt,asymptotics,verify,families}"
         assert full[2].startswith(usage)
+
+
+# one well-formed line per command, each of which the reader takes
+WELL_FORMED = [
+    ["triangle", "--family", "stirling2", "--max-n", "3"],
+    ["pmf", "--inline", "gamma: x; m: 1;", "--n", "4", "--format", "json"],
+    ["moments", "--family", "stirling2", "--ns", "5,,6", "--n", "1_0"],
+    ["clt", "--spec", "a b", "--ns", "٣", "--out", ""],
+    ["asymptotics", "--family", "dowling(m=2)", "--ns", "30,300"],
+    ["verify", "--family", "stirling2"],
+    ["families", "--format", "csv"],
+]
+
+READER_WORDS = [*COMMANDS, "bogus", "-h", "--help"]
+READER_FLAGS = [
+    "--family",
+    "--spec",
+    "--inline",
+    "--max-n",
+    "--n",
+    "--ns",
+    "--format",
+    "--out",
+    "--max",
+    "--fam",
+    "--max-n=3",
+    "--",
+    "-h",
+]
+READER_VALUES = ["stirling2", "3", "2,3", "csv", "json", "xml", "1_0", "٣", "5,,6", "a b", ""]
+# values starting with "-", which the reader never takes
+READER_VALUES += ["-1", "-x"]
+
+
+@st.composite
+def command_lines(draw):
+    """Words drawn at random, or a well-formed line with up to three words
+    replaced, inserted or dropped and a flag-value pair added."""
+    words = st.sampled_from(READER_WORDS + READER_FLAGS + READER_VALUES)
+    if draw(st.booleans()):
+        return draw(st.lists(words, max_size=8))
+    argv = list(draw(st.sampled_from(WELL_FORMED)))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["replace", "insert", "drop", "pair"]))
+        if edit == "insert":
+            argv.insert(i, draw(words))
+        elif edit == "pair":
+            argv += [draw(st.sampled_from(READER_FLAGS)), draw(st.sampled_from(READER_VALUES))]
+        elif i < len(argv):
+            argv[i : i + 1] = [draw(words)] if edit == "replace" else []
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+@example(WELL_FORMED[0])
+@example(WELL_FORMED[1])
+@example(WELL_FORMED[2])
+@example(WELL_FORMED[3])
+@example(WELL_FORMED[4])
+@example(WELL_FORMED[5])
+@example(WELL_FORMED[6])
+# a value outside the choices, a value the parser reads as a flag, and a
+# negative number, which the parser takes and the reader leaves to it
+@example(["families", "--format", "xml"])
+@example(["triangle", "--family", "-x", "--max-n", "3"])
+@example(["triangle", "--family", "stirling2", "--max-n", "-1"])
+def test_reader_gives_the_parsers_namespace_or_none(argv):
+    read = cli._read(argv)
+    if argv in WELL_FORMED:
+        assert read is not None
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            parsed = vars(cli.build_parser().parse_args(argv))
+    except SystemExit:
+        # help and every usage error are the parser's
+        assert read is None
+    else:
+        assert read is None or vars(read) == parsed
+
+
+def test_undecodable_spec_file_exits_2(tmp_path, capsys):
+    # the bad byte follows a CRLF line end and a two-byte character: the
+    # column counts characters of the text as read
+    path = tmp_path / "bad.spec"
+    path.write_bytes("gamma: x;\r\nm: 1; λ".encode() + b"\xff")
+    code, out, err = run_cli(capsys, "triangle", "--spec", str(path), "--max-n", "2")
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == {
+        "type": "ParseError",
+        "message": f"{path}:2:8: invalid UTF-8 byte 0xff",
+        "origin": str(path),
+        "line": 2,
+        "column": 8,
+    }
 
 
 def test_moments_flag_validation(capsys):

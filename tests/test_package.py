@@ -102,24 +102,57 @@ SUBMODULES = [
 ]
 
 
+# one run of every command, as `main` arguments
+RUNS = [
+    ["triangle", "--family", "stirling2", "--max-n", "5"],
+    ["pmf", "--family", "stirling2", "--n", "5"],
+    ["moments", "--family", "stirling2", "--ns", "5,6", "--format", "json"],
+    ["clt", "--family", "stirling2", "--ns", "10"],
+    ["asymptotics", "--family", "stirling2", "--ns", "20"],
+    ["verify", "--family", "stirling2", "--max-n", "5"],
+    ["families"],
+]
+
+
 def test_cli_start_up_imports():
     # a fresh `import polyrec.cli` loads every polyrec module (the bench
     # tracer looks its targets up in sys.modules) and none of the heavy
-    # introspection modules that `dataclasses` pulls in
+    # introspection modules that `dataclasses` pulls in.  A well-formed
+    # line is read without argparse, so no run loads it, nor the gettext
+    # and locale modules it imports; help does
     src = os.path.dirname(os.path.dirname(polyrec.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = "import sys, polyrec.cli; print(*sorted(sys.modules))"
-    loaded = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": path},
-    ).stdout.split()
-    assert "dataclasses" not in loaded
-    assert "inspect" not in loaded
-    ours = [name for name in loaded if name.startswith("polyrec.")]
+    probe = f"""
+import os, sys
+import polyrec.cli
+print(*sorted(sys.modules), file=sys.stderr)
+codes = [polyrec.cli.main([*argv, "--out", os.devnull]) for argv in {RUNS!r}]
+print(*codes, file=sys.stderr)
+print(*sorted(sys.modules), file=sys.stderr)
+try:
+    polyrec.cli.main(["--help"])
+except SystemExit:
+    print(*sorted(sys.modules), file=sys.stderr)
+"""
+    imported, codes, ran, helped = (
+        line.split()
+        for line in subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": path},
+        ).stderr.splitlines()
+    )
+    assert codes == ["0"] * len(RUNS)
+    assert "dataclasses" not in imported
+    assert "inspect" not in imported
+    ours = [name for name in imported if name.startswith("polyrec.")]
     assert ours == ["polyrec." + name for name in SUBMODULES]
+    parsing = {"argparse", "gettext", "locale"}
+    assert parsing.isdisjoint(imported)
+    assert parsing.isdisjoint(ran)
+    assert parsing <= set(helped)
 
 
 class Node:
