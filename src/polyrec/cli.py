@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import decimal
 import gc
-import json
 import math
 import sys
 from contextlib import nullcontext
@@ -105,6 +104,8 @@ def _render(args, header: Sequence[str], rows: Iterable[Sequence[str]], payload)
     asks; only the form asked for is built, and it is built whole before
     `_emit` writes its first byte."""
     if args.format == "json":
+        import json
+
         _emit(args, [json.dumps(payload(), indent=2)])
     else:
         _emit(args, ["\n".join(map(",".join, [header, *rows]))])
@@ -238,11 +239,12 @@ def _decimal_texts(spec, upto: int) -> Iterator[tuple[int, list[str]]]:
 
 def _json_rows(rows: Iterable[tuple[int, list[str]]]) -> Iterator[str]:
     """The JSON text of {"rows": [{"n": n, "coeffs": texts}, ...]} for a
-    non-empty `rows`, one row per piece, indented as `_render` indents."""
+    non-empty `rows`, one row per piece, indented as `_render` indents; an
+    entry holds only digits, "-" and "/", so none needs escaping."""
     sep = '{\n  "rows": [\n'
     for n, texts in rows:
-        block = json.dumps({"n": n, "coeffs": texts}, indent=2)
-        yield sep + "    " + block.replace("\n", "\n    ")
+        coeffs = '[\n        "' + '",\n        "'.join(texts) + '"\n      ]' if texts else "[]"
+        yield f'{sep}    {{\n      "n": {n},\n      "coeffs": {coeffs}\n    }}'
         sep = ",\n"
     yield "\n  ]\n}"
 
@@ -436,9 +438,8 @@ _OUTPUT = {
 }
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of `command` alone when it names
-    one; its help and usage errors read as the full parser's do."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -446,13 +447,8 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         description="Exact triangles, distributions, and saddle-point "
         "asymptotics for differential-difference recurrences.",
     )
-    # with one command built, the usage line still names them all; the full
-    # parser keeps no metavar, so its errors call the argument `command`
-    one = command in _COMMANDS
-    every = "{" + ",".join(_COMMANDS) + "}" if one else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
-    for name in [command] if one else _COMMANDS:
-        help_text, arguments = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=globals()["_cmd_" + name])
         if arguments is not None:
@@ -515,14 +511,15 @@ def _error_payload(err: Exception) -> dict:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    # a well-formed line is read without a parser.  Any other line, help and
-    # usage errors included, goes to the parser of the command its first
-    # word names, or of them all when it names none
+    # a well-formed line is read without a parser; any other line, help and
+    # usage errors included, goes to the parser
     argv = sys.argv[1:] if argv is None else argv
-    args = _read(argv) or build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _read(argv) or build_parser().parse_args(argv)
     try:
         return args.run(args)
     except Exception as err:
+        import json
+
         sys.stderr.write(json.dumps(_error_payload(err)) + "\n")
         if isinstance(err, PolyrecError):
             return err.exit_code

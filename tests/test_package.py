@@ -102,15 +102,16 @@ SUBMODULES = [
 ]
 
 
-# one run of every command, as `main` arguments
+# one run of every command, as `main` arguments: the CSV runs first, then
+# the one JSON run, the first to need `json`
 RUNS = [
     ["triangle", "--family", "stirling2", "--max-n", "5"],
     ["pmf", "--family", "stirling2", "--n", "5"],
-    ["moments", "--family", "stirling2", "--ns", "5,6", "--format", "json"],
     ["clt", "--family", "stirling2", "--ns", "10"],
     ["asymptotics", "--family", "stirling2", "--ns", "20"],
     ["verify", "--family", "stirling2", "--max-n", "5"],
     ["families"],
+    ["moments", "--family", "stirling2", "--ns", "5,6", "--format", "json"],
 ]
 
 
@@ -119,22 +120,26 @@ def test_cli_start_up_imports():
     # tracer looks its targets up in sys.modules) and none of the heavy
     # introspection modules that `dataclasses` pulls in.  A well-formed
     # line is read without argparse, so no run loads it, nor the gettext
-    # and locale modules it imports; help does
+    # and locale modules it imports; help does.  `json` is loaded only to
+    # write JSON (or an error)
     src = os.path.dirname(os.path.dirname(polyrec.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = f"""
 import os, sys
+def show():
+    print(*sorted(sys.modules), file=sys.stderr)
+show()
 import polyrec.cli
-print(*sorted(sys.modules), file=sys.stderr)
-codes = [polyrec.cli.main([*argv, "--out", os.devnull]) for argv in {RUNS!r}]
-print(*codes, file=sys.stderr)
-print(*sorted(sys.modules), file=sys.stderr)
+show()
+for argv in {RUNS!r}:
+    print(polyrec.cli.main([*argv, "--out", os.devnull]), file=sys.stderr)
+    show()
 try:
     polyrec.cli.main(["--help"])
 except SystemExit:
-    print(*sorted(sys.modules), file=sys.stderr)
+    show()
 """
-    imported, codes, ran, helped = (
+    bare, imported, *runs, helped = (
         line.split()
         for line in subprocess.run(
             [sys.executable, "-c", probe],
@@ -144,14 +149,18 @@ except SystemExit:
             env={**os.environ, "PYTHONPATH": path},
         ).stderr.splitlines()
     )
-    assert codes == ["0"] * len(RUNS)
+    codes, ran = runs[::2], runs[1::2]
+    assert codes == [["0"]] * len(RUNS)
     assert "dataclasses" not in imported
     assert "inspect" not in imported
     ours = [name for name in imported if name.startswith("polyrec.")]
     assert ours == ["polyrec." + name for name in SUBMODULES]
     parsing = {"argparse", "gettext", "locale"}
     assert parsing.isdisjoint(imported)
-    assert parsing.isdisjoint(ran)
+    assert all(parsing.isdisjoint(modules) for modules in ran)
+    # no CSV run loads `json` that the bare interpreter did not; the JSON one does
+    assert all("json" not in set(modules) - set(bare) for modules in [imported, *ran[:-1]])
+    assert "json" in ran[-1]
     assert parsing <= set(helped)
 
 
