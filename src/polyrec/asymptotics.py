@@ -1,4 +1,4 @@
-"""Saddle-point asymptotics for the EGF exponent f(z,x) = Q1(z,x) + Q2(x e^{mz}).
+"""Saddle-point asymptotics for the EGF exponent f(z, x), from its factors.
 
 The pipeline: solve z f_z(z, x) = n for the saddle radius rho, then read off
 
@@ -11,10 +11,10 @@ The pipeline: solve z f_z(z, x) = n for the saddle radius rho, then read off
 with leading terms d n / log n for the mean and d^2 n / log^2 n for the
 variance, where d and alpha_d are the degree and leading coefficient of Q2.
 
-Everything here is floating point on top of the exact Q1/Q2 data.  The
-exponential part is evaluated per-term in log scale once m z crosses 300, so
-probes far beyond the saddle degrade into an explicit overflow error instead
-of silently producing inf.
+Everything here is floating point, summed term by term over the exact
+factors: each tail T_s is taken in the form that cancels at most about 4
+digits, and in log scale where it is large, so probes far beyond the saddle
+degrade into an explicit overflow error instead of silently producing inf.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ from .families import FamilyDescriptor, SaddleFunction, theorem_constants
 
 _LOG_SCALE_THRESHOLD = 300.0
 _FLOAT_LOG_MAX = 709.0  # log of the largest finite double, minus headroom
+# P <= 1e4 T for the partial sum P and T = e^w - P: at most about 4 digits cancel
+_LOG_MOST_CANCELLED = math.log(1e4 / (1e4 + 1))
 
 
 class Partials(Record):
@@ -48,86 +50,97 @@ class Partials(Record):
         return tuple.__new__(cls, (f, f_z, f_zz, f_x, f_zx, f_xx))
 
 
-def _exp_sums(sf: SaddleFunction, z: float, x: float) -> tuple[float, float, float]:
-    """(Q2(u), u Q2'(u), u^2 Q2''(u)) at u = x e^{m z}, log-scaled if needed."""
-    m, q2, _ = sf.floats
-    w = m * z + math.log(x)  # log u
-    c0 = s1 = s2 = 0.0
-    if m * z <= _LOG_SCALE_THRESHOLD and w * max(sf.q2.degree, 1) <= _FLOAT_LOG_MAX:
-        u = math.exp(w)
-        power = 1.0
-        for j, cj in enumerate(q2):
-            if j:
-                power *= u
-            if cj == 0:
-                continue
-            t = cj * power
-            c0 += t
-            s1 += j * t
-            s2 += j * (j - 1) * t
-        return c0, s1, s2
-    for j, cj in enumerate(q2):
-        if cj == 0:
-            continue
-        log_t = math.log(abs(cj)) + j * w
-        if log_t > _FLOAT_LOG_MAX:
-            raise SaddleOverflowError(
-                f"term of degree {j} exceeds double range at z={z!r}, x={x!r}"
-            )
-        t = math.copysign(math.exp(log_t), cj)
-        c0 += t
-        s1 += j * t
-        s2 += j * (j - 1) * t
-    return c0, s1, s2
-
-
-def _poly_at(coeffs: tuple[float, ...], x: float) -> float:
-    value = 0.0
-    for c in reversed(coeffs):
-        value = value * x + c
-    return value
+def _exp(log_value: float, z: float, x: float) -> float:
+    if log_value > _FLOAT_LOG_MAX:
+        raise SaddleOverflowError(f"a term of f exceeds double range at z={z!r}, x={x!r}")
+    return math.exp(log_value)
 
 
 def f_partials(sf: SaddleFunction, z: float, x: float) -> Partials:
     """Evaluate f and its first and second partials at (z, x), x > 0.
 
-    Uses the chain rule through u = x e^{m z}: with A = u Q2'(u) and
-    B = u^2 Q2''(u),
+    Term by term over the factors: k x^j of a depth-s factor adds k z^s/s!
+    when j = 0, else c x^j T_s(w), with c = k/(j m)^s, w = j m z and
+    T_s(w) = e^w - sum_{i<s} w^i/i!, whose z-derivatives are (j m) T_{s-1}
+    and (j m)^2 T_{s-2} (T_r = e^w for r <= 0); x-derivatives take j/x.
 
-        f_z  = Q1_z  + m A            f_x  = Q1_x  + A / x
-        f_zz = Q1_zz + m^2 (A + B)    f_zx = Q1_zx + m (A + B) / x
-        f_xx = Q1_xx + B / x^2
+    T_s is the direct difference while its partial sum is at most 1e4 T_s.
+    Its e^w parts then add up as t = c u^j, u = x e^{m z}, in log scale once
+    m z crosses 300: with A = sum j t and B = sum j (j - 1) t, f_z gains
+    m A, f_zz m^2 (A + B), f_x A/x, f_zx m (A + B)/x and f_xx B/x^2.
+    Otherwise T_s is the series (w^s/s!) sum_{i>=0} w^i s!/(s+i)!, in log
+    scale.  A value past the double range raises SaddleOverflowError.
     """
     if x <= 0:
         raise ParameterError(f"x must be > 0, got {x!r}")
-    m, _, q1 = sf.floats
-    q2_val, a, b = _exp_sums(sf, z, x)
+    m, terms = sf.floats
+    log_u = m * z + math.log(x)
+    scaled = m * z > _LOG_SCALE_THRESHOLD or log_u * max(sf.q2.degree, 1) > _FLOAT_LOG_MAX
+    powers = [1.0, 0.0 if scaled else math.exp(log_u)]  # u^j, built by products
+    f = f_z = f_zz = f_x = f_zx = f_xx = e = a = b = 0.0
+    for s, j, c in terms:
+        lo = mid = hi = 0.0
+        t = 1.0
+        if not j:
+            # z^r/r! for r = s - 2, s - 1, s
+            for i in range(1, s + 1):
+                lo, mid, t = mid, t, t * z / i
+            g, gz, gzz = c * t, c * mid, c * lo
+        else:
+            jm = j * m
+            w = jm * z
+            # the partial sums P_r(w) = sum_{i<r} w^i/i! for r = s - 2, s - 1, s
+            for i in range(1, s + 1):
+                lo, mid, hi = mid, hi, hi + t
+                t = t * w / i
+            if w <= 0 or math.log(hi) - w <= _LOG_MOST_CANCELLED:
+                cx = c * x**j
+                g, gz, gzz = -cx * hi, -cx * jm * mid, -cx * jm * jm * lo
+                if scaled:
+                    t = math.copysign(_exp(math.log(abs(c)) + j * log_u, z, x), c)
+                else:
+                    while len(powers) <= j:
+                        powers.append(powers[-1] * powers[1])
+                    t = c * powers[j]
+                e += t
+                a += j * t
+                b += j * (j - 1) * t
+            else:
+                # T_s = L_s S with L_r = w^r/r! and S = sum_{i>=0} w^i s!/(s+i)!;
+                # then T_{s-1} = T_s + L_{s-1} and T_{s-2} = T_{s-1} + L_{s-2}
+                series = t = 1.0
+                i = s
+                while t > 1e-17 * series:
+                    i += 1
+                    t *= w / i
+                    series += t
+                # c x^j L_r for r = s - 2, s - 1, s (0 for r < 0), by products
+                # from one log-scaled L_r
+                r, lo, mid = max(s - 2, 0), 0.0, 0.0
+                log_r = math.log(abs(c)) + j * math.log(x) + r * math.log(w) - math.lgamma(r + 1)
+                t = math.copysign(_exp(log_r, z, x), c)
+                for i in range(r + 1, s + 1):
+                    lo, mid, t = mid, t, t * w / i
+                g = t * series
+                gz = jm * (g + mid)
+                gzz = jm * (gz + jm * lo)
+        f += g
+        f_z += gz
+        f_zz += gzz
+        f_x += j * g / x
+        f_zx += j * gz / x
+        f_xx += j * (j - 1) * g / (x * x)
 
-    f = f_z = f_zz = f_x = f_zx = f_xx = 0.0
-    for p, (c, dc, ddc) in enumerate(q1):
-        v = _poly_at(c, x)
-        dv = _poly_at(dc, x)
-        ddv = _poly_at(ddc, x)
-        try:
-            zp = z**p
-        except OverflowError:
-            raise SaddleOverflowError(f"z^{p} exceeds double range at z={z!r}") from None
-        f += v * zp
-        f_x += dv * zp
-        f_xx += ddv * zp
-        if p >= 1:
-            f_z += p * v * z ** (p - 1)
-            f_zx += p * dv * z ** (p - 1)
-        if p >= 2:
-            f_zz += p * (p - 1) * v * z ** (p - 2)
-
-    f += q2_val
+    f += e
     f_z += m * a
     f_x += a / x
     f_zz += m * m * (a + b)
     f_zx += m * (a + b) / x
     f_xx += b / (x * x)
-    return Partials(f=f, f_z=f_z, f_zz=f_zz, f_x=f_x, f_zx=f_zx, f_xx=f_xx)
+    partials = Partials(f=f, f_z=f_z, f_zz=f_zz, f_x=f_x, f_zx=f_zx, f_xx=f_xx)
+    if not all(map(math.isfinite, partials)):
+        raise SaddleOverflowError(f"f exceeds double range at z={z!r}, x={x!r}")
+    return partials
 
 
 def _saddle_residual(sf: SaddleFunction, z: float, x: float, n: int) -> float:

@@ -7,23 +7,23 @@ first read, the closed-form exponent of the exponential generating function
 and the constants (d, alpha_d) that decide whether the n/log n normal limit
 applies.
 
-The exponent is stored as the factors of the equation it solves, and split as
+The exponent is stored as the factors of the equation it solves.  A term
+k x^j of a depth-s factor contributes k z^s/s! to f when j = 0, and
 
-    f(z, x) = Q1(z, x) + Q2(x e^{m z})
+    k x^j (j m)^{-s} T_s(j m z),    T_s(w) = e^w - sum_{i<s} w^i/i!,
 
-with Q1 a polynomial in z whose coefficients are polynomials in x, and Q2 a
-univariate polynomial with zero constant term.  The split isolates the
-growth-carrying part Q2, whose degree d and leading coefficient alpha_d
-drive all of the asymptotics.  `egf_rows` expands e^f in the EGF
-(binomial) domain: `SaddleFunction.egf_coefficients` gives p! [z^p] f and
-`algebra.series_exp` turns them into n! [z^n] e^f, so no 1/p! denominators
-appear on the way.
+when j >= 1.  Summed over the depths, the coefficients k/(j m)^s of
+x^j e^{j m z} = u^j, u = x e^{m z}, make up the polynomial Q2(u), with zero
+constant term: the growth-carrying part of f, whose degree d and leading
+coefficient alpha_d drive all of the asymptotics.  `egf_rows` expands e^f
+in the EGF (binomial) domain: `SaddleFunction.egf_coefficients` gives
+p! [z^p] f and `algebra.series_exp` turns them into n! [z^n] e^f, so no
+1/p! denominators appear on the way.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -53,10 +53,12 @@ class SaddleFunction(Record):
     """Exponent f(z, x) of a family's EGF, stored as the factors (s, kappa)
     of its equation f_z - m x f_x = sum kappa(x) z^{s-1}/(s-1)!, f(0, x) = 0:
     one kappa per depth s >= 1, merged by depth, zero kappa dropped, sorted
-    by depth.  `m` is kept as a Fraction.  The split `q1`, `q2` is derived.
+    by depth.  `m` is kept as a Fraction.  A term k x^j of a depth-s factor
+    contributes k z^s/s! to f when j = 0, and k x^j (j m)^{-s} T_s(j m z)
+    when j >= 1, where T_s(w) = e^w - sum_{i<s} w^i/i!.
     """
 
-    # no __slots__: the cached `q1`, `q2` and `floats` live in the instance dict
+    # no __slots__: the cached `q2` and `floats` live in the instance dict
 
     def __new__(cls, factors, m):
         merged = {}
@@ -68,62 +70,45 @@ class SaddleFunction(Record):
         factors = tuple((s, merged[s]) for s in sorted(merged) if not merged[s].is_zero)
         return tuple.__new__(cls, (factors, m))
 
-    def _steps(self, start: ExactPolynomial, order: int) -> list[ExactPolynomial]:
-        """D_0 = start, D_{p+1} = m x D_p' + kappa_{p+1}, for p = 0..order."""
+    def egf_coefficients(self, order: int) -> list[ExactPolynomial]:
+        """G_p = p! [z^p] f(z, x) for p = 0..order, read off the equation at
+        z^p: G_0 = 0, G_{p+1} = m x G_p' + kappa_{p+1}."""
         kappa, a, b = dict(self.factors), self.m.numerator, self.m.denominator
-        out = [start]
+        out = [ZERO]
         for p in range(1, order + 1):
             nums, den = out[-1].numerators, out[-1].denominator
             d = ExactPolynomial.from_scaled([a * j * q for j, q in enumerate(nums)], den * b)
             out.append(d + kappa[p] if p in kappa else d)
         return out
 
-    def egf_coefficients(self, order: int) -> list[ExactPolynomial]:
-        """G_p = p! [z^p] f(z, x) for p = 0..order, read off the equation at
-        z^p: G_0 = 0, G_{p+1} = m x G_p' + kappa_{p+1}."""
-        return self._steps(ZERO, order)
-
     @functools.cached_property
     def q2(self) -> ExactPolynomial:
-        """Q2 of f = Q1(z, x) + Q2(x e^{m z}), without constant term: a term
-        k x^j (j >= 1) of a depth-s factor adds k/(j m)^s to Q2[j]."""
+        """Q2(u) = sum_j Q2[j] u^j, the part of f that grows with u = x e^{m z}:
+        a term k x^j (j >= 1) of a depth-s factor adds k/(j m)^s to Q2[j]."""
         m, factors = self.m, self.factors
         width = max((kappa.degree for _, kappa in factors), default=0) + 1
         sums = [sum(k.coefficient(j) / (j * m) ** s for s, k in factors) for j in range(1, width)]
         return ExactPolynomial([0, *sums])
 
     @functools.cached_property
-    def q1(self) -> tuple[ExactPolynomial, ...]:
-        """Q1's z-power coefficients without trailing zeros: Q1[p] = D_p/p!,
-        where D_p = G_p - sum_j Q2[j] (j m)^p x^j steps as G_p does from -Q2.
-        A term k x^j of a depth-s factor adds k/s! to Q1[s] when j = 0, and
-        -k x^j (j m)^{i-s}/i! to Q1[i], i < s, when j >= 1."""
-        depth = self.factors[-1][0] if self.factors else 0
-        out, factorial = [], 1
-        for p, d in enumerate(self._steps(-self.q2, depth)):
-            factorial *= max(p, 1)
-            out.append(ExactPolynomial.from_scaled(d.numerators, d.denominator * factorial))
-        while out and out[-1].is_zero:
-            out.pop()
-        return tuple(out)
-
-    @functools.cached_property
-    def floats(self) -> tuple[float, tuple[float, ...], tuple]:
-        """(m, Q2, Q1) as floats for the saddle solver: the coefficients of
-        Q2, and of each Q1 entry and its first and second x-derivatives: the
-        k-th is j!/(j-k)! q_j / den on the stored ints, with no gcd, since
-        int / int rounds correctly and so gives the reduced pair's float."""
-        entries = [(p.denominator, [*enumerate(p.numerators)]) for p in self.q1]
+    def floats(self) -> tuple[float, tuple[tuple[int, int, float], ...]]:
+        """(m, terms) as floats for the saddle solver: one (s, j, c) per term
+        k x^j of a depth-s factor, in factor order, with c = k/(j m)^s, the
+        coefficient of its e^{j m z}, when j >= 1, and c = k when j = 0.  A c
+        that rounds to 0 is left out."""
+        m = self.m
         try:
-            q1 = tuple(
-                tuple(tuple(math.perm(j, k) * q / d for j, q in jq if j >= k) for k in range(3))
-                for d, jq in entries
-            )
-            return float(self.m), tuple(map(float, self.q2.coeffs)), q1
+            terms = [
+                (s, j, float(k / (j * m) ** s if j else k))
+                for s, kappa in self.factors
+                for j, k in enumerate(kappa.coeffs)
+                if k
+            ]
         except OverflowError:
             raise SaddleOverflowError(
                 "a coefficient of the EGF exponent is past the float range"
             ) from None
+        return float(m), tuple(term for term in terms if term[2])
 
 
 class TheoremConstants(Record):

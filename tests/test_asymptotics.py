@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,13 @@ from polyrec.errors import (
     SaddleFailureError,
     SaddleOverflowError,
 )
-from polyrec.families import FamilyDescriptor, build_exponent, catalog, theorem_constants
+from polyrec.families import (
+    FamilyDescriptor,
+    SaddleFunction,
+    build_exponent,
+    catalog,
+    theorem_constants,
+)
 from polyrec.recurrence import LagTerm, RecurrenceSpec, generate
 
 
@@ -174,11 +181,17 @@ def test_overflow_paths():
     scaled = f_partials(STIRLING, 400.0, 1.0)
     assert math.isclose(scaled.f, math.exp(400.0) - 1, rel_tol=1e-9)
     assert math.isclose(scaled.f_zz, math.exp(400.0), rel_tol=1e-9)
-    # a deep lag's Q1 holds z^299, past the double range above z = 10.8
+    # a deep lag is finite wherever its tail is: x T_300(z) is about e^z past
+    # z = 300, and e^720 is past the double range
     deep = catalog("assoc_stirling", s=300).saddle
-    assert math.isfinite(f_partials(deep, 7.0, 1.0).f_z)
+    for z in (7.0, 20.0, 300.0, 700.0):
+        assert math.isfinite(f_partials(deep, z, 1.0).f_zz)
     with pytest.raises(SaddleOverflowError):
-        f_partials(deep, 20.0, 1.0)
+        f_partials(deep, 720.0, 1.0)
+    # x T_3000(2800) is about 2800^3000/3000! = e^2787, whose partial sum is
+    # past the double range too
+    with pytest.raises(SaddleOverflowError):
+        f_partials(catalog("assoc_stirling", s=3000).saddle, 2800.0, 1.0)
 
 
 def test_log_fraction_handles_huge_rationals():
@@ -258,3 +271,105 @@ def test_compare_exact_raises_only_documented_errors(descriptor, n):
         compare_exact(descriptor, n)
     except PolyrecError:
         pass
+
+
+def _decimal_partials(sf, z, x):
+    """The six partials of f at Decimals (z, x), z > 0, summed term by term
+    from the tails R_r(z) = (j m)^{-r} T_r(j m z) = sum_{i >= r} (j m)^{i-r} z^i/i!
+    (R_r = (j m)^{-r} e^{j m z} for r < 0), whose terms are all positive;
+    z^r/r! (0 for r < 0) when j = 0.  Returns the partials and the sums of
+    the magnitudes of their terms."""
+    values, sizes = [Decimal(0)] * 6, [Decimal(0)] * 6
+    for s, kappa in sf.factors:
+        for j, k in enumerate(kappa.coeffs):
+            jm = Decimal(j) * Decimal(sf.m.numerator) / Decimal(sf.m.denominator)
+            tails = []
+            for r in (s, s - 1, s - 2):
+                if r < 0:
+                    tails.append(jm ** -r * (jm * z).exp())
+                    continue
+                term = z**r / math.factorial(r)
+                total, i = Decimal(0), r
+                while j and (i <= jm * z or term > total * Decimal("1e-70")):
+                    total += term
+                    i += 1
+                    term *= jm * z / i
+                tails.append(total if j else term)
+            g, gz, gzz = (Decimal(k.numerator) / k.denominator * x**j * t for t in tails)
+            for p, term in enumerate((g, gz, gzz, j * g / x, j * gz / x, j * (j - 1) * g / x**2)):
+                values[p] += term
+                sizes[p] += abs(term)
+    return values, sizes
+
+
+def _decimal_report(sf, n, rho):
+    """(rho, predicted mean, predicted variance) at x = 1 in Decimals, by
+    Newton steps on z f_z = n from the float root."""
+    z, one = Decimal(rho), Decimal(1)
+    for _ in range(5):
+        _, f_z, f_zz, _, _, _ = _decimal_partials(sf, z, one)[0]
+        z -= (z * f_z - n) / (f_z + z * f_zz)
+    _, f_z, f_zz, f_x, f_zx, f_xx = _decimal_partials(sf, z, one)[0]
+    rho_prime = -z * f_zx / (f_z + z * f_zz)
+    return z, f_x, f_x + rho_prime * f_zx + f_xx
+
+
+@pytest.mark.parametrize(
+    "s,n,root", [(60, 200, 23.4695988565), (100, 300, 38.2291840016), (300, 600, 111.844794219)]
+)
+def test_deep_lag_saddles_match_a_decimal_evaluation(s, n, root):
+    # the partial sum of x T_s(z) is past T_s by far more than 4 digits at
+    # these roots, so the series form carries the solve
+    sf = catalog("assoc_stirling", s=s).saddle
+    report = saddle_report(sf, n)
+    assert math.isclose(report.rho, root, rel_tol=1e-11)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        want = _decimal_report(sf, n, report.rho)
+    got = (report.rho, report.predicted_mean, report.predicted_variance)
+    for g, w in zip(got, want):
+        assert abs(Decimal(g) - w) <= Decimal("1e-9") * abs(w), (g, w)
+
+
+_SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _factor_sets(draw):
+    """Factors at depths 1 to 120 with cubic kappa.  Every draw holds a
+    depth-1 term x, in the direct form for every z >= 0.01, and a term x at
+    depth 100-120, in the series form for every z <= 20; the depths between
+    hold up to three more factors."""
+    cubic = st.lists(_SMALL, min_size=4, max_size=4)
+    factors = [(1, ExactPolynomial([draw(_SMALL), 1, *draw(cubic)[2:]]))]
+    for s in draw(st.lists(st.integers(2, 99), max_size=3)):
+        factors.append((s, ExactPolynomial(draw(cubic))))
+    factors.append((draw(st.integers(100, 120)), ExactPolynomial([0, 1, *draw(cubic)[2:]])))
+    return SaddleFunction(factors, draw(st.sampled_from([Fraction(1, 2), 1, 2, 3])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _factor_sets(),
+    st.floats(min_value=0.01, max_value=20.0),
+    st.floats(min_value=0.5, max_value=2.0),
+)
+def test_partials_match_a_decimal_evaluation_on_random_factors(sf, z, x):
+    # each term on its own, so that no form hides behind a larger term, and
+    # then their sum: each partial to 1e-9 of the sum of its terms'
+    # magnitudes, which is the relative error wherever the terms do not
+    # cancel, or to 1e-300, where the double range ends
+    terms = [
+        SaddleFunction([(s, monomial(j, k))], sf.m)
+        for s, kappa in sf.factors
+        for j, k in enumerate(kappa.coeffs)
+        if k
+    ]
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for one in [*terms, sf]:
+            want, sizes = _decimal_partials(one, Decimal(z), Decimal(x))
+            got = f_partials(one, z, x)
+            for name, g, w, size in zip(got._fields, got, want, sizes):
+                bound = Decimal("1e-9") * size + Decimal("1e-300")
+                assert abs(Decimal(g) - w) <= bound, (name, one.factors)

@@ -637,6 +637,11 @@ def test_rows_below_the_start_exit_3(capsys, command):
 # row n is (x + N)^n plus lower terms: the variance of row n is about 1/N,
 # below the float range, and the EGF exponent's coefficient N is past it
 NINES = f"gamma: x + {'9' * 2200}; m: 1;"
+# f = 10^-400 x (e^z - 1): the saddle of row 3 sits near z = 915, where e^z
+# is past the double range and the coefficient 10^-400 below it
+TINY = f"gamma: 1/1{'0' * 400}x; m: 1;"
+# the depth-1100 term x has the coefficient 2^1100 on its e^{z/2}
+STEEP = "gamma: x; m: 1/2; lag: {s: 1100, coeff: x, binom: true};"
 
 
 @pytest.mark.parametrize(
@@ -645,16 +650,16 @@ NINES = f"gamma: x + {'9' * 2200}; m: 1;"
         (("--family", "assoc_stirling(s=2)"), "ZeroVarianceError"),
         (("--inline", "gamma: 1/8x + 3/8; m: 2;"), "UnitMassError"),
         (("--inline", NINES), "SaddleOverflowError"),
-        (("--family", "assoc_stirling(s=300)", "--ns", "600"), "SaddleFailureError"),
-        (("--family", "assoc_stirling(s=400)", "--ns", "800"), "SaddleOverflowError"),
+        (("--inline", TINY), "SaddleFailureError"),
+        (("--inline", STEEP), "SaddleOverflowError"),
         (("--family", "assoc_stirling(s=40)", "--ns", "10"), "ZeroMassError"),
         (("--inline", "gamma: -x; m: 1;"), "SaddleFailureError"),
     ],
 )
 def test_asymptotics_degenerate_row_exits_3(capsys, source, error):
     # row 3 has zero variance, or total mass P_3(1) = 1: no relative error;
-    # or a float saddle function cannot hold the exponent, or the z^(s-1)
-    # of a deep lag at the bracket's probes; or the row has no mass, which
+    # or a float saddle function cannot hold a coefficient of the exponent,
+    # or the saddle sits past the double range; or the row has no mass, which
     # is found before the saddle is solved; or the saddle equation has no
     # root, which is found before the row's negative entries
     argv = source if "--ns" in source else (*source, "--ns", "3")
@@ -662,6 +667,17 @@ def test_asymptotics_degenerate_row_exits_3(capsys, source, error):
     assert code == 3 and out == ""
     assert err.endswith("\n") and err.count("\n") == 1
     assert json.loads(err)["error"]["type"] == error
+
+
+@pytest.mark.parametrize("s,n", [(60, 200), (100, 300), (300, 600)])
+def test_asymptotics_solves_deep_lags(capsys, s, n):
+    # the partial sums of x T_s(z) cancel its e^z at these saddles
+    code, out, err = run_cli(
+        capsys, "asymptotics", "--family", f"assoc_stirling(s={s})", "--ns", str(n)
+    )
+    assert code == 0 and err == ""
+    (line,) = out.splitlines()[1:]
+    assert line.startswith(f"{n},")
 
 
 def test_variance_below_the_float_range(capsys):

@@ -114,10 +114,36 @@ def test_egf_rows_order_bounds():
         egf_rows(descriptor, -1)
 
 
+def _tail_split(factors, m):
+    """The split f = Q1(z, x) + Q2(x e^{m z}) of the factors, term by term.
+    Since (j m)^{-s} T_s(j m z) = (j m)^{-s} e^{j m z} - sum_{i<s} (j m)^{i-s} z^i/i!,
+    a term k x^j of a depth-s factor adds k/(j m)^s to Q2[j] and
+    -k (j m)^{i-s}/i! to Q1[i][j], i < s, when j >= 1, and k/s! to Q1[s][0]
+    when j = 0.  Q1 is its z-power coefficients without trailing zeros."""
+    depth = max((s for s, _ in factors), default=0)
+    width = max((kappa.degree for _, kappa in factors), default=0) + 1
+    q1 = [[Fraction(0)] * width for _ in range(depth + 1)]
+    q2 = [Fraction(0)] * width
+    for s, kappa in factors:
+        for j, k in enumerate(kappa.coeffs):
+            if j == 0:
+                q1[s][0] += k / math.factorial(s)
+            else:
+                q2[j] += k / (j * m) ** s
+                for i in range(s):
+                    q1[i][j] -= k * (j * m) ** (i - s) / math.factorial(i)
+    q1 = [ExactPolynomial(q) for q in q1]
+    while q1 and q1[-1].is_zero:
+        q1.pop()
+    return tuple(q1), ExactPolynomial(q2)
+
+
 def test_build_exponent_stirling():
     sf = build_exponent(catalog("stirling2").spec)
-    # f = x(e^z - 1): Q1 = -x, Q2(u) = u
-    assert sf.q1 == (ExactPolynomial([0, -1]),)
+    # f = x(e^z - 1): one depth-1 factor x, whose tail splits as Q1 = -x,
+    # Q2(u) = u
+    assert sf.factors == ((1, X),)
+    assert _tail_split(sf.factors, sf.m) == ((ExactPolynomial([0, -1]),), X)
     assert sf.q2 == X
     assert sf.m == 1
 
@@ -127,9 +153,12 @@ def test_build_exponent_matches_stored_closed_forms():
     # formula, written out as the reference:
     #   assoc_stirling(s):     f = x (e^z - sum_{j<s} z^j/j!)
     #   r_whitney_assoc(m,r,s): f = r z + (x/m)(e^{mz} - sum_{j<s} (mz)^j/j!)
-    # compared as (Q1, Q2, m), Q1 without trailing zero entries
+    # compared as (Q1, Q2, m) with the factors' tails split term by term, Q1
+    # without trailing zero entries
     def split(sf):
-        return sf.q1, sf.q2, sf.m
+        q1, q2 = _tail_split(sf.factors, sf.m)
+        assert q2 == sf.q2
+        return q1, q2, sf.m
 
     for s in range(1, 5):
         q1 = tuple(monomial(1, Fraction(-1, math.factorial(j))) for j in range(s))
@@ -410,55 +439,57 @@ def test_exponent_matches_its_closed_forms(spec):
                 elif not j and s == p:
                     want[0] += k
         assert g == ExactPolynomial(want), p
-    # the expansion of each factor into Q1 and Q2, term by term
-    q1 = [[Fraction(0)] * 4 for _ in range(order)]
-    q2 = [Fraction(0)] * 4
-    for s, kappa in factors:
-        for j, k in enumerate(kappa.coeffs):
-            if j == 0:
-                q1[s][0] += k / math.factorial(s)
-            else:
-                q2[j] += k / (j * m) ** s
-                for i in range(s):
-                    q1[i][j] -= k * (j * m) ** (i - s) / math.factorial(i)
-    q1 = [ExactPolynomial(q) for q in q1]
-    while q1 and q1[-1].is_zero:
-        q1.pop()
-    assert sf.q1 == tuple(q1)
-    assert sf.q2 == ExactPolynomial(q2)
+    # the tails of the factors, split term by term, sum to the exponent whose
+    # series egf_coefficients steps: G_p = p! Q1[p] + sum_j Q2[j] (j m)^p x^j
+    q1, q2 = _tail_split(factors, m)
+    assert sf.q2 == q2
+    for p, g in enumerate(sf.egf_coefficients(order)):
+        poly = q1[p] if p < len(q1) else ZERO
+        want = [math.factorial(p) * poly.coefficient(j) for j in range(4)]
+        for j, k in enumerate(q2.coeffs):
+            want[j] += k * (j * m) ** p
+        assert g == ExactPolynomial(want), p
 
 
 def test_deep_lags_build_no_q1_for_verify_or_constants():
-    # verify reads G_0..G_5 and the constants read Q2: neither needs Q1,
-    # whose build grows with the depth of the lag
+    # verify reads G_0..G_5 and the constants read Q2: neither builds the
+    # saddle solver's floats, which hold one entry per term, whatever the depth
     assoc = catalog("assoc_stirling", s=10000)
     assert all(check.ok for check in oracle.verify(assoc, 5))
     whitney = catalog("r_whitney_assoc", m=7, r=1, s=10000)
     assert whitney.constants() == (1, Fraction(1, 7), True)
-    assert "q1" not in assoc.saddle.__dict__
-    assert "q1" not in whitney.saddle.__dict__
+    assert "floats" not in assoc.saddle.__dict__
+    assert "floats" not in whitney.saddle.__dict__
+    assert assoc.saddle.floats == (1.0, ((10000, 1, 1.0),))
+    assert whitney.saddle.floats == (7.0, ((1, 0, 1.0), (10000, 1, 1 / 7)))
 
 
-def _fraction_floats(sf):
-    # the saddle floats through Fractions: each coefficient reduced by a gcd,
-    # the first and second x-derivatives built as polynomials
-    derivs = [(q, q.derivative(), q.derivative().derivative()) for q in sf.q1]
-    q1 = tuple(tuple(tuple(map(float, d.coeffs)) for d in ds) for ds in derivs)
-    return float(sf.m), tuple(map(float, sf.q2.coeffs)), q1
+def _int_pair_floats(sf):
+    # the saddle floats through int / int on the unreduced stored pairs, which
+    # rounds correctly: k/(j m)^s = q_j b^s / (den (j a)^s) for m = a/b, k = q_j/den
+    a, b = sf.m.numerator, sf.m.denominator
+    terms = []
+    for s, kappa in sf.factors:
+        den = kappa.denominator
+        for j, q in enumerate(kappa.numerators):
+            c = q * b**s / (den * (j * a) ** s) if j else q / den
+            if c:
+                terms.append((s, j, c))
+    return float(sf.m), tuple(terms)
 
 
 @pytest.mark.parametrize(
     "name,params",
     ALL_DEFAULT_INSTANCES
     + [("assoc_stirling", dict(s=40)), ("r_whitney_assoc", dict(m=3, r=2, s=5))]
-    # a deep lag: 300 Q1 entries, the deepest near 1/300!
+    # a deep lag: the e^{7z} coefficient 7^299/7^300, from 840-bit ints
     + [("r_whitney_assoc", dict(m=7, r=1, s=300))],
 )
 def test_saddle_floats_are_the_fraction_floats(name, params):
-    # int / int rounds correctly, so the unreduced stored pair gives the
-    # reduced pair's float
+    # the reduced Fraction k/(j m)^s and the unreduced int pair give the same
+    # float, one per term, in factor order
     sf = catalog(name, **params).saddle
-    assert sf.floats == _fraction_floats(sf)
+    assert sf.floats == _int_pair_floats(sf)
 
 
 @settings(max_examples=40, deadline=None)
@@ -469,14 +500,14 @@ def test_saddle_floats_are_the_fraction_floats(name, params):
 )
 def test_saddle_floats_are_the_fraction_floats_on_random_specs(spec):
     sf = build_exponent(spec)
-    assert sf.floats == _fraction_floats(sf)
+    assert sf.floats == _int_pair_floats(sf)
 
 
 def test_saddle_floats_overflow_as_the_fraction_floats_do():
     spec = speclang.load("gamma: x + %s; m: 1;" % ("9" * 2200))
     sf = _custom(spec).saddle
     with pytest.raises(OverflowError):
-        _fraction_floats(sf)
+        _int_pair_floats(sf)
     with pytest.raises(SaddleOverflowError):
         sf.floats
 
