@@ -155,7 +155,8 @@ def solve_saddle(sf: SaddleFunction, n: int, x: float = 1.0) -> float:
     """Solve z f_z(z, x) = n for the saddle radius.
 
     Bracketed bisection (initial upper end 2 log n / (m d) + 4, doubled
-    until the residual turns positive) refined by Newton steps.  The
+    until the residual turns positive), run until the bracket is at float
+    resolution or hits an exact root, refined by Newton steps.  The
     residual of the returned root satisfies |rho f_z - n| <= max(1e-9 n,
     1e-12), and b = rho f_z + rho^2 f_zz must come out positive; either
     failure raises SaddleFailureError.
@@ -184,7 +185,7 @@ def solve_saddle(sf: SaddleFunction, n: int, x: float = 1.0) -> float:
     else:
         raise SaddleFailureError(f"could not bracket the saddle for n={n}")
 
-    for _ in range(200):
+    while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # interval at float resolution

@@ -160,33 +160,21 @@ def _safe_bits() -> float:
     return limit * 3321928 // 1000000 if limit else math.inf
 
 
-def _check_texts(polys) -> int:
-    """Raise the ValueError that `_row_texts` would raise on the first
-    coefficient past Python's int-to-str digit limit, if any; otherwise
-    return the length of the longest row.
+def _width(spec, upto: int, csv: bool) -> int:
+    """What the print pass needs: the longest row's length for CSV, 0 for
+    JSON.  Raises the ValueError that `_row_texts` would raise on the first
+    coefficient past Python's int-to-str digit limit, before a byte is
+    written.
 
-    Only rows holding a numerator or denominator with enough bits to reach
-    the limit are converted, so the check is cheap when nothing is near it.
-    """
-    safe_bits = _safe_bits()
-    width = 0
-    for poly in polys:
-        width = max(width, len(poly.numerators))
-        if max(map(int.bit_length, (poly.denominator, *poly.numerators))) > safe_bits:
-            _row_texts(poly)
-    return width
-
-
-def _proved_width(spec, upto: int) -> Optional[int]:
-    """The longest row's length, proved from the majorant without drawing a
-    row; 0 when only the digit limit is proved, None when it is not.
-
-    The digit limit needs every M_n, which bounds each numerator of row n
-    whatever the signs, and the largest row denominator d0 D^(upto - start)
-    within `_safe_bits`; the proof gives up at the first number past it, so
-    it never builds one much longer.  The width is max e_n + 1 when a row at
-    the largest e_n has L_n != 0, read off the largest (e_n, L_n != 0): that
-    row's degree is e_n, and no row's degree passes its e_n.
+    The majorant proves it without drawing a row.  The digit limit needs
+    every M_n, which bounds each numerator of row n whatever the signs, and
+    the largest row denominator d0 D^(upto - start) within `_safe_bits`; the
+    proof gives up at the first number past it, so it never builds one much
+    longer.  The width is max e_n + 1 when a row at the largest e_n has
+    L_n != 0, read off the largest (e_n, L_n != 0): that row's degree is
+    e_n, and no row's degree passes its e_n.  Where the proof gives up, one
+    pass over `int` rows converts only those holding a number with enough
+    bits to reach the limit, and measures the width.
     """
     safe_bits = _safe_bits()
     d = spec.scaled.denominator
@@ -194,17 +182,27 @@ def _proved_width(spec, upto: int) -> Optional[int]:
     lag = max(upto - spec.start_index, 0)
     # d^lag has at least (bits(d) - 1) lag bits, so it is built only when it
     # has at most about twice the limit's
-    if safe_bits < math.inf and (
-        (d.bit_length() - 1) * lag > safe_bits
-        or (spec.start_poly.denominator * d**lag).bit_length() > safe_bits
+    if safe_bits == math.inf or (
+        (d.bit_length() - 1) * lag <= safe_bits
+        and (spec.start_poly.denominator * d**lag).bit_length() <= safe_bits
     ):
-        return None
-    degree, proved = -1, False
-    for _, mass, e, top in recurrence.majorant(spec, upto):
-        if mass.bit_length() > safe_bits:
-            return None
-        degree, proved = max((degree, proved), (e, top != 0))
-    return degree + 1 if proved else 0
+        top = (-1, False)
+        for _, mass, e, lead in recurrence.majorant(spec, upto):
+            if mass.bit_length() > safe_bits:
+                break
+            top = max(top, (e, lead != 0))
+        else:
+            if not csv:
+                return 0
+            if top[1]:
+                return top[0] + 1
+    width = 0
+    for row in recurrence.rows(spec, upto):
+        poly = row.poly
+        width = max(width, len(poly.numerators))
+        if max(map(int.bit_length, (poly.denominator, *poly.numerators))) > safe_bits:
+            _row_texts(poly)
+    return width if csv else 0
 
 
 # exact Decimal arithmetic: a result that would need rounding raises
@@ -253,19 +251,14 @@ def _cmd_triangle(args) -> int:
     """Write the triangle's rows as they are converted to text; no run holds
     the triangle.
 
-    Any conversion failure must surface before the first byte is written,
-    and CSV needs the width of the longest row up front.  When the majorant
-    proves what the format needs (`_proved_width`), whatever the signs, the
-    rows are drawn once: JSON needs only the digit limit, CSV the width too.
-    Otherwise a first pass over `int` rows checks every row against the
-    digit limit and finds the width, and a second pass prints.  Integer data
-    print from exact `Decimal` rows, rational data from the `int` rows of
-    `recurrence.rows` through `_row_texts`.
+    `_width` reads what the print pass needs, and raises any conversion
+    failure, before the first byte is written: from the majorant alone when
+    it proves it, whatever the signs, else after one check pass over `int`
+    rows.  Integer data print from exact `Decimal` rows, rational data from
+    the `int` rows of `recurrence.rows` through `_row_texts`.
     """
     spec = _resolve(args).spec
-    width = _proved_width(spec, args.max_n)
-    if width is None or not width and args.format == "csv":
-        width = _check_texts(row.poly for row in recurrence.rows(spec, args.max_n))
+    width = _width(spec, args.max_n, args.format == "csv")
     if spec.scaled.denominator == spec.start_poly.denominator == 1:
         texts = _decimal_texts(spec, args.max_n)
     else:

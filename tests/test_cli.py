@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from polyrec import cli, families, recurrence
 from polyrec.algebra import ExactPolynomial
 from polyrec.cli import main
-from polyrec.families import catalog
+from polyrec.families import FAMILIES, catalog
 from polyrec.recurrence import LagTerm, RecurrenceSpec, triangle
 from polyrec.speclang import format_spec, load
 
@@ -680,6 +680,77 @@ def test_asymptotics_solves_deep_lags(capsys, s, n):
     assert line.startswith(f"{n},")
 
 
+def test_asymptotics_solves_at_a_tiny_m(capsys):
+    # at m = 10^-100 the first bracket end is about 10^100 and the saddles
+    # sit at 1.5 and 50: the bisection runs to float resolution, where a
+    # fixed 200 steps left Newton a bracket near 10^40
+    m = "1/1" + "0" * 100
+    code, out, err = run_cli(
+        capsys, "asymptotics", "--inline", f"gamma: 2x; m: {m};", "--ns", "3,100"
+    )
+    assert code == 0 and err == ""
+    rows = [line.split(",")[:2] for line in out.splitlines()[1:]]
+    assert rows == [["3", "1.5"], ["100", "50"]]
+
+
+@st.composite
+def _sources(draw):
+    """A drawn spec's --inline text, or a catalog family with small, possibly
+    invalid parameters."""
+    if draw(st.booleans()):
+        spec = draw(st.one_of(_INTEGER_SPECS, _RATIONAL_SPECS, _NONNEGATIVE_RATIONAL_SPECS))
+        return ["--inline", format_spec(spec)]
+    name = draw(st.sampled_from(sorted(FAMILIES)))
+    values = ",".join(f"{k}={draw(st.integers(-1, 4))}" for k in FAMILIES[name].params)
+    return ["--family", f"{name}({values})"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _sources(),
+    st.integers(0, 8),
+    st.lists(st.integers(0, 9), max_size=3).map(lambda ns: ",".join(map(str, ns))),
+    st.sampled_from(["csv", "json"]),
+)
+# row 3 is 2x: zero variance, which only the variance check reports, as its
+# mass is not 1
+@example(["--family", "r_whitney_assoc(m=2,r=0,s=2)"], 3, "3", "csv")
+# a start that is not a monomial has no closed-form exponent to check
+@example(["--inline", "gamma: x; m: 1; start: {index: 0, poly: x + 1};"], 3, "3", "json")
+def test_every_command_exits_as_documented(source, n, ns, fmt):
+    # exit 0-3, or 4 only for the digit limit; an error (exit 2-4) writes
+    # one JSON line to stderr and nothing to stdout; only verify exits 1,
+    # with its report on stdout, and only on its nonnegativity check
+    argvs = [
+        ["triangle", *source, "--max-n", str(n)],
+        ["pmf", *source, "--n", str(n)],
+        ["moments", *source, "--ns", ns],
+        ["clt", *source, "--ns", ns],
+        ["asymptotics", *source, "--ns", ns],
+        ["verify", *source, "--max-n", str(n)],
+        ["families"],
+    ]
+    for argv in argvs:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv + ["--format", fmt])
+        out, err = stdout.getvalue(), stderr.getvalue()
+        assert code in (0, 1, 2, 3) or code == 4 and "Exceeds the limit" in err, (argv, err)
+        if code in (0, 1):
+            assert err == "", argv
+        else:
+            (line,) = err.splitlines()
+            assert set(json.loads(line)) == {"error"} and out == "", argv
+        if argv[0] != "verify":
+            assert code != 1, argv
+        elif code in (0, 1):
+            if fmt == "json":
+                failed = {c["name"] for c in json.loads(out)["checks"] if not c["ok"]}
+            else:
+                failed = {line.split(",")[0] for line in out.splitlines() if ",fail," in line}
+            assert failed <= {"nonnegativity"} and code == (1 if failed else 0), (argv, out)
+
+
 def test_variance_below_the_float_range(capsys):
     # the shape moments are past the float range: pmf works, the normal
     # law's standardization fails
@@ -981,10 +1052,15 @@ def test_triangle_route(capsys, drawn, monkeypatch, text, max_n, passes, fmt):
     assert advanced == list(range(start + 1, max_n + 1)) * len(passes)
 
 
-def test_check_pass_finds_a_width_the_majorant_cannot_prove(capsys):
+def test_check_pass_finds_a_width_the_majorant_cannot_prove(capsys, drawn):
     # every bound degree past row 0 is one more than the row's degree: the
-    # digits are proved, the width is not
-    assert cli._proved_width(load(TOP_BAND_CANCELS), 5) == 0
+    # digits are proved, which is all JSON needs; the width is not, so CSV
+    # takes one check pass
+    generated, _ = drawn
+    assert cli._width(load(TOP_BAND_CANCELS), 5, csv=False) == 0
+    assert generated == []
+    assert cli._width(load(TOP_BAND_CANCELS), 5, csv=True) == 2
+    assert generated == [5]
     code, out, err = run_cli(capsys, "triangle", "--inline", TOP_BAND_CANCELS, "--max-n", "5")
     assert code == 0 and err == ""
     lines = out.splitlines()
@@ -1021,17 +1097,20 @@ def test_proof_stops_at_the_first_bound_past_the_limit(tmp_path, capsys, drawn, 
     assert advanced == list(range(1, 145))
 
 
-def test_proof_checks_the_denominator_first(bounded):
+def test_proof_checks_the_denominator_first(drawn, bounded):
     # row n of gamma = 1/2 is 1/2^n, each M_n = 1: only the last row's
     # denominator, 2^max_n, decides, and past the limit no bound is drawn
+    generated, _ = drawn
     spec = load("gamma: 1/2; m: 1;")
     bits = int(cli._safe_bits())
-    assert cli._proved_width(spec, bits - 1) == 1
-    assert bounded == list(range(bits))
+    assert cli._width(spec, bits - 1, csv=True) == 1
+    assert bounded == list(range(bits)) and generated == []
     bounded.clear()
-    assert cli._proved_width(spec, bits) is None
-    assert cli._proved_width(spec, 10**6) is None
-    assert bounded == []
+    # 2^bits still prints, as the check pass finds; 2^(bits + 1) does not
+    assert cli._width(spec, bits, csv=True) == 1
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        cli._width(spec, 10**6, csv=False)
+    assert bounded == [] and generated == [bits, 10**6]
 
 
 @pytest.mark.skipif(
