@@ -25,13 +25,12 @@ from typing import Optional
 
 from . import recurrence
 from .algebra import ExactPolynomial, Record
-from .distribution import pmf
+from .distribution import float_variance, pmf
 from .errors import (
     ParameterError,
     SaddleFailureError,
     SaddleOverflowError,
     UnitMassError,
-    ZeroVarianceError,
 )
 from .families import FamilyDescriptor, SaddleFunction, theorem_constants
 
@@ -264,9 +263,12 @@ def saddle_report(sf: SaddleFunction, n: int) -> SaddleReport:
 
 
 def log_fraction(q: Fraction) -> float:
-    """log of a positive rational whose parts may exceed double range."""
+    """log of a positive rational whose parts may exceed double range;
+    within 1/2 of 1, log1p of the exact excess, which no rounding loses."""
     if q <= 0:
         raise ParameterError(f"log of non-positive value {q}")
+    if abs(q - 1) <= Fraction(1, 2):
+        return math.log1p(float(q - 1))
     return math.log(q.numerator) - math.log(q.denominator)
 
 
@@ -293,10 +295,11 @@ def compare_exact(
     c x^r the start polynomial: x^r moves the mean up by r
     and leaves the variance alone, and the coefficient estimate is matched
     through log P_n(1) = log c + log n'! + log [z^{n'}] e^{f(z,1)}.  A row
-    with zero variance or with P_n(1) = 1 has no relative error to report
-    and raises ZeroVarianceError or UnitMassError; a row with no mass raises
-    ZeroMassError before the saddle is solved.  `poly`, when given, is the
-    spec's row P_n; otherwise it is drawn from the row source here.
+    whose variance is 0 or below the float range, or whose P_n(1) is exactly
+    1, has no relative error to report and raises ZeroVarianceError or
+    UnitMassError; a row with no mass raises ZeroMassError before the
+    saddle is solved.  `poly`, when given, is the spec's row P_n; otherwise
+    it is drawn from the row source here.
     """
     start = descriptor.spec.start_index
     prefactor = descriptor.spec.start_poly
@@ -310,12 +313,11 @@ def compare_exact(
     table = pmf(poly, n)
     report = saddle_report(descriptor.saddle, series_n)
     exact_mean = float(table.mean)
-    exact_variance = float(table.variance)
-    if exact_variance == 0:
-        raise ZeroVarianceError(f"row {n} has zero variance")
-    exact_log_total = log_fraction(Fraction(poly(Fraction(1))))
-    if exact_log_total == 0:
+    exact_variance = float_variance(table)
+    mass = poly(1)
+    if mass == 1:
         raise UnitMassError(f"row {n} has total mass 1, so its log total is 0")
+    exact_log_total = log_fraction(mass)
     estimate_log_total = (
         report.coeff_estimate_log
         + math.lgamma(series_n + 1)

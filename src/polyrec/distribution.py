@@ -134,56 +134,61 @@ class NormalityReport(Record):
                                    ks_continuity_limit))
 
 
-def _sup_normal_gap(
-    table: PMFTable, center: float, scale: float, half_shift: bool
-) -> float:
-    """sup over lattice points k of |F(k) - Phi((k + shift - center)/scale)|.
-
-    F(k) is an integer partial sum of the weights over their total; int / int
-    rounds correctly, so it is the same float as float(Fraction).
-    """
-    weights, total = table.weights, table.total
-    lo = next(k for k, a in enumerate(weights) if a)
-    shift = 0.5 if half_shift else 0.0
-    cumulative = 0
-    sup = 0.0
-    for k in range(lo - 1, len(weights)):
-        if k >= lo:
-            cumulative += weights[k]
-        gap = abs(cumulative / total - standard_normal_cdf((k + shift - center) / scale))
-        if gap > sup:
-            sup = gap
-    return sup
-
-
-def normality(table: PMFTable, d: int) -> NormalityReport:
-    """Compare an exact PMF to the normal law under both normalizations."""
-    if table.n < 2:
-        raise ParameterError(f"n must be >= 2 (log {table.n} breaks the scaling)")
+def float_variance(table: PMFTable) -> float:
+    """The exact variance as a float for the normal law and the saddle
+    comparison: ZeroVarianceError when it is 0 or below the float range."""
     if table.variance == 0:
         raise ZeroVarianceError(f"row {table.n} has zero variance")
-    if d < 1:
-        raise ParameterError("limit normalization requires d >= 1")
-    mu = float(table.mean)
-    sigma = math.sqrt(float(table.variance))
-    if sigma == 0.0:
+    variance = float(table.variance)
+    if variance == 0.0:
         raise ZeroVarianceError(
             f"row {table.n} has a variance below the float range: "
             "its standard deviation underflows to 0.0"
         )
+    return variance
+
+
+def normality(table: PMFTable, d: int) -> NormalityReport:
+    """Compare an exact PMF to the normal law under both normalizations.
+
+    Each distance is sup over lattice points k of |F(k) - Phi((k + shift -
+    center)/scale)|, shift 0 (plain) or 1/2 (continuity), all four from one
+    pass.  F(k) is an integer partial sum of the weights over their total;
+    int / int rounds correctly, so it is the same float as float(Fraction).
+    """
+    if table.n < 2:
+        raise ParameterError(f"n must be >= 2 (log {table.n} breaks the scaling)")
+    sigma = math.sqrt(float_variance(table))
+    if d < 1:
+        raise ParameterError("limit normalization requires d >= 1")
+    mu = float(table.mean)
     log_n = math.log(table.n)
     center = d * table.n / log_n
     scale = d * math.sqrt(table.n) / log_n
+    weights, total = table.weights, table.total
+    lo = next(k for k, a in enumerate(weights) if a)
+    cumulative = 0
+    plain = continuity = plain_limit = continuity_limit = 0.0
+    for k in range(lo - 1, len(weights)):
+        if k >= lo:
+            cumulative += weights[k]
+        f = cumulative / total
+        plain = max(plain, abs(f - standard_normal_cdf((k - mu) / sigma)))
+        continuity = max(continuity, abs(f - standard_normal_cdf((k + 0.5 - mu) / sigma)))
+        plain_limit = max(plain_limit, abs(f - standard_normal_cdf((k - center) / scale)))
+        continuity_limit = max(
+            continuity_limit, abs(f - standard_normal_cdf((k + 0.5 - center) / scale))
+        )
     return NormalityReport(
         n=table.n,
-        ks_plain=_sup_normal_gap(table, mu, sigma, False),
-        ks_continuity=_sup_normal_gap(table, mu, sigma, True),
+        ks_plain=plain,
+        ks_continuity=continuity,
         standardized_third=table.skewness,
         standardized_fourth=table.excess_kurtosis + 3.0,
         center=center,
         scale=scale,
-        ks_plain_limit=_sup_normal_gap(table, center, scale, False),
-        ks_continuity_limit=_sup_normal_gap(table, center, scale, True),
+        ks_plain_limit=plain_limit,
+        ks_continuity_limit=continuity_limit,
     )
 
 

@@ -22,6 +22,7 @@ from polyrec.errors import (
     PolyrecError,
     SaddleFailureError,
     SaddleOverflowError,
+    ZeroVarianceError,
 )
 from polyrec.families import (
     FamilyDescriptor,
@@ -198,6 +199,9 @@ def test_log_fraction_handles_huge_rationals():
     q = Fraction(10**500 + 3, 7)
     assert math.isclose(log_fraction(q), 500 * math.log(10) - math.log(7), rel_tol=1e-12)
     assert log_fraction(Fraction(1)) == 0.0
+    # near 1 the exact excess goes to log1p: no rounding to 1 first
+    assert math.isclose(log_fraction(1 + Fraction(3, 10**100)), 3e-100, rel_tol=1e-12)
+    assert math.isclose(log_fraction(1 - Fraction(1, 10**30)), -1e-30, rel_tol=1e-12)
 
 
 def test_compare_exact_improves_with_n():
@@ -213,6 +217,13 @@ def test_compare_exact_takes_a_precomputed_row():
     descriptor = catalog("r_stirling", r=2)
     poly = generate(descriptor.spec, 40)[40 - 2]
     assert compare_exact(descriptor, 40, poly) == compare_exact(descriptor, 40)
+
+
+def test_compare_exact_names_a_variance_below_the_float_range():
+    # 1 + 10^-400 x has variance about 10^-400: not zero, but no float
+    poly = ExactPolynomial([1, Fraction(1, 10**400)])
+    with pytest.raises(ZeroVarianceError, match="below the float range"):
+        compare_exact(catalog("dowling", m=2), 5, poly)
 
 
 def test_compare_exact_r_stirling_offset():

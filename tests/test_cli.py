@@ -640,6 +640,8 @@ NINES = f"gamma: x + {'9' * 2200}; m: 1;"
 # f = 10^-400 x (e^z - 1): the saddle of row 3 sits near z = 915, where e^z
 # is past the double range and the coefficient 10^-400 below it
 TINY = f"gamma: 1/1{'0' * 400}x; m: 1;"
+# row 3 has mass 1 + 3 10^-100: its log total is 3e-100, not 0
+NEAR_ONE = f"gamma: x; m: 1/1{'0' * 100};"
 # the depth-1100 term x has the coefficient 2^1100 on its e^{z/2}
 STEEP = "gamma: x; m: 1/2; lag: {s: 1100, coeff: x, binom: true};"
 
@@ -693,6 +695,13 @@ def test_asymptotics_solves_at_a_tiny_m(capsys):
     assert rows == [["3", "1.5"], ["100", "50"]]
 
 
+def test_asymptotics_keeps_a_mass_just_above_one(capsys):
+    code, out, err = run_cli(capsys, "asymptotics", "--inline", NEAR_ONE, "--ns", "3")
+    assert code == 0 and err == ""
+    header, row = out.splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["exact_log_total"] == "3e-100"
+
+
 @st.composite
 def _sources(draw):
     """A drawn spec's --inline text, or a catalog family with small, possibly
@@ -715,6 +724,8 @@ def _sources(draw):
 # row 3 is 2x: zero variance, which only the variance check reports, as its
 # mass is not 1
 @example(["--family", "r_whitney_assoc(m=2,r=0,s=2)"], 3, "3", "csv")
+# row 3's mass is not exactly 1, though a float rounds it to 1
+@example(["--inline", NEAR_ONE], 3, "3", "csv")
 # a start that is not a monomial has no closed-form exponent to check
 @example(["--inline", "gamma: x; m: 1; start: {index: 0, poly: x + 1};"], 3, "3", "json")
 def test_every_command_exits_as_documented(source, n, ns, fmt):

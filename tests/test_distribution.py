@@ -144,6 +144,34 @@ def test_normality_requires_spread():
         normality(pmf(generate(catalog("stirling2").spec, 5)[5], 5), 0)
 
 
+def _sup_gap(table, center, scale, shift):
+    """One distance of the normality report, written out on its own."""
+    lo = min(k for k, a in enumerate(table.weights) if a)
+    sup = 0.0
+    for k in range(lo - 1, len(table.weights)):
+        cdf = sum(table.weights[: k + 1]) / table.total
+        sup = max(sup, abs(cdf - standard_normal_cdf((k + shift - center) / scale)))
+    return sup
+
+
+@pytest.mark.parametrize(
+    "poly,n",
+    [
+        (generate(catalog("stirling2").spec, 30)[30], 30),
+        (generate(catalog("dowling", m=2).spec, 25)[25], 25),
+        (ExactPolynomial([0, 0, 0, 2, 5, 1]), 5),
+    ],
+)
+def test_normality_distances_match_one_pass_each(poly, n):
+    table = pmf(poly, n)
+    report = normality(table, 2)
+    mu, sigma = float(table.mean), math.sqrt(float(table.variance))
+    assert report.ks_plain == _sup_gap(table, mu, sigma, 0.0)
+    assert report.ks_continuity == _sup_gap(table, mu, sigma, 0.5)
+    assert report.ks_plain_limit == _sup_gap(table, report.center, report.scale, 0.0)
+    assert report.ks_continuity_limit == _sup_gap(table, report.center, report.scale, 0.5)
+
+
 def test_normality_report_bounds():
     poly = generate(catalog("stirling2").spec, 60)[60]
     report = normality(pmf(poly, 60), 1)
