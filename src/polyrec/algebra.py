@@ -4,8 +4,8 @@ of a power series in z, both sides given by EGF coefficients.
 `ExactPolynomial`, the package's one row type, is a tuple of `int`
 numerators over one `int` denominator.  The int kernels hand their rows
 over as such pairs without touching a coefficient: `recurrence.advance`
-scales row n by one common denominator d0 D^n, and `series_exp` scales row
-n by c^n for one integer c chosen from the denominators of its input; both
+scales row n by one common denominator d0 D^n, and `exp_rows` scales row n
+by c^n for one integer c chosen from the denominators of its input; both
 build plain `int` lists through the one convolution `add_products`.  For
 integer data the denominator is 1.  A pair is brought to lowest terms when
 the row is built (integer rows skip the gcd), so the stored pair is the
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import NonzeroConstantTermError
 
@@ -292,10 +292,10 @@ def _exp_scale(g: Sequence[ExactPolynomial]) -> int:
     return c
 
 
-def series_exp(g: Sequence[ExactPolynomial]) -> list[ExactPolynomial]:
-    """EGF coefficients of exp(f), given those of f.
+def exp_rows(g: Sequence[ExactPolynomial]) -> Iterator[ExactPolynomial]:
+    """EGF coefficients of exp(f), given those of f, each yielded as it is built.
 
-    `g[p]` is p! [z^p] f(z, x) for p = 0..N; the result T has
+    `g[p]` is p! [z^p] f(z, x) for p = 0..N; row n is
     T[n] = n! [z^n] exp(f) for n = 0..N, from the binomial convolution
 
         T_0 = 1,   T_{n+1} = sum_{i=0..n} C(n, i) g_{i+1} T_{n-i}
@@ -303,12 +303,12 @@ def series_exp(g: Sequence[ExactPolynomial]) -> list[ExactPolynomial]:
     (the Bell-number recurrence, read off from (e^f)' = f' e^f).  It runs
     on `int` lists: with c from `_exp_scale` and h_p = c^p g_p, the rows
     U_n = c^n T_n obey the same recurrence with h in place of g, and each
-    is handed over as the pair (U_n, c^n).  A nonzero constant term is
-    rejected since exp of it is transcendental; an empty g gives an empty
-    result.
+    is handed over as the pair (U_n, c^n); every U is kept for the
+    convolution.  A nonzero constant term is rejected at the first draw
+    since exp of it is transcendental; an empty g gives no rows.
     """
     if not g:
-        return []
+        return
     if not g[0].is_zero:
         raise NonzeroConstantTermError(
             "series_exp needs a zero constant term, got %s" % (g[0],)
@@ -317,8 +317,14 @@ def series_exp(g: Sequence[ExactPolynomial]) -> list[ExactPolynomial]:
     h = [scaled_ints(poly, c**p) for p, poly in enumerate(g)]
     rows: list[list[int]] = [[1]]
     pascal = [1]  # C(n, i) for i = 0..n
+    yield ONE
     for n in range(len(g) - 1):
         # the terms (h_{i+1}, U_{n-i}, C(n, i)) for i = 0..n
         rows.append(add_products(zip(h[1:], reversed(rows), pascal)))
         pascal = [1, *map(operator.add, pascal, pascal[1:]), 1]
-    return [ExactPolynomial.from_scaled(row, c**n) for n, row in enumerate(rows)]
+        yield ExactPolynomial.from_scaled(rows[-1], c ** (n + 1))
+
+
+def series_exp(g: Sequence[ExactPolynomial]) -> list[ExactPolynomial]:
+    """The rows of `exp_rows` as a list."""
+    return list(exp_rows(g))

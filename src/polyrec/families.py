@@ -15,17 +15,17 @@ k x^j of a depth-s factor contributes k z^s/s! to f when j = 0, and
 when j >= 1.  Summed over the depths, the coefficients k/(j m)^s of
 x^j e^{j m z} = u^j, u = x e^{m z}, make up the polynomial Q2(u), with zero
 constant term: the growth-carrying part of f, whose degree d and leading
-coefficient alpha_d drive all of the asymptotics.  `egf_rows` expands e^f
-in the EGF (binomial) domain: `SaddleFunction.egf_coefficients` gives
-p! [z^p] f and `algebra.series_exp` turns them into n! [z^n] e^f, so no
-1/p! denominators appear on the way.
+coefficient alpha_d drive all of the asymptotics.  `egf_series` expands
+e^f in the EGF (binomial) domain: `SaddleFunction.egf_coefficients` gives
+p! [z^p] f and `algebra.exp_rows` turns them into n! [z^n] e^f, one row at
+a time, so no 1/p! denominators appear on the way.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import recurrence
 from .algebra import (
@@ -37,7 +37,7 @@ from .algebra import (
     Record,
     monomial,
     as_fraction,
-    series_exp,
+    exp_rows,
 )
 from .errors import (
     InvalidIndexError,
@@ -193,32 +193,30 @@ class FamilyDescriptor(Record):
         return theorem_constants(self.saddle)
 
 
-def egf_rows(descriptor: FamilyDescriptor, order: int) -> list[ExactPolynomial]:
+def egf_series(descriptor: FamilyDescriptor, order: int) -> Iterator[ExactPolynomial]:
     """Rows predicted by the EGF: start_poly * n! * [z^n] exp(f), n = 0..order."""
     if order < 0:
         raise InvalidIndexError(f"egf_rows needs order >= 0, got {order}")
-    series = series_exp(descriptor.saddle.egf_coefficients(order))
+    series = exp_rows(descriptor.saddle.egf_coefficients(order))
     start_poly = descriptor.spec.start_poly
-    if start_poly == ONE:
-        return series
-    return [start_poly * t for t in series]
+    yield from series if start_poly == ONE else (start_poly * t for t in series)
+
+
+def egf_rows(descriptor: FamilyDescriptor, order: int) -> list[ExactPolynomial]:
+    """The rows of `egf_series` as a list."""
+    return list(egf_series(descriptor, order))
 
 
 def verify_egf_identity(
-    descriptor: FamilyDescriptor,
-    order: int,
-    rows: Optional[Iterable[TriangleRow]] = None,
+    descriptor: FamilyDescriptor, order: int
 ) -> Optional[tuple[int, ExactPolynomial, ExactPolynomial]]:
     """Cross-check the recurrence against the EGF exponent.
 
-    `rows`, when given, are the spec's triangle rows from its start index
-    through at least `order + start_index` (as from `triangle`), else they
-    are drawn here.  Returns None when EGF rows 0..order all match exactly,
-    else the first (row, from_recurrence, from_egf) mismatch.
+    Returns None when EGF rows 0..order all match exactly, else the first
+    (row, from_recurrence, from_egf) mismatch; the series stops there.
     """
-    if rows is None:
-        rows = recurrence.rows(descriptor.spec, order + descriptor.spec.start_index)
-    for row, want in zip(rows, egf_rows(descriptor, order)):
+    rows = recurrence.rows(descriptor.spec, order + descriptor.spec.start_index)
+    for want, row in zip(egf_series(descriptor, order), rows):
         if row.poly != want:
             return (row.n, row.poly, want)
     return None

@@ -17,7 +17,7 @@ the recurrence engine beyond exact integers, which is the point: it is the
 independent witness.
 
 `verify` gathers the three checks of `polyrec verify`: the EGF identity,
-this enumeration and the nonnegativity scan, all on one row list.
+this enumeration and the nonnegativity scan, in one pass over the rows.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 from . import recurrence
 from .algebra import Record
 from .errors import InvalidIndexError, ParameterError, SizeGuardError, UnsupportedShapeError
-from .families import FAMILIES, FamilyDescriptor, validate_nonnegativity, verify_egf_identity
+from .families import FAMILIES, FamilyDescriptor, egf_series, validate_nonnegativity
 from .recurrence import TriangleRow
 
 MAX_ELEMENTS = 14
@@ -180,36 +180,44 @@ def verify(descriptor: FamilyDescriptor, max_n: int) -> tuple[Check, ...]:
     # row n holds r + n - start elements: enumerate no deeper than the guard
     depth = 8 if model is None else min(8, start + MAX_ELEMENTS - model[0])
 
-    # one row list for every check: EGF row j is spec row start + j, so the
-    # EGF check reads rows through max_n + start, the enumeration through
-    # depth and the nonnegativity scan through max_n
+    # one pass: EGF row j is spec row start + j, so the EGF check reads rows
+    # through max_n + start, the enumeration through depth and the scan
+    # through max_n; the series is drawn after the first row checks upto
     try:
         descriptor.saddle  # the shape check, before any row is generated
-        skipped, upto = None, max_n + start
+        series, upto = egf_series(descriptor, max_n), max_n + start
+        egf = Check("egf_identity", True, f"rows 0..{max_n} match")
     except UnsupportedShapeError as err:
-        skipped, upto = err, max_n
+        series, upto = iter(()), max_n
+        egf = Check("egf_identity", True, f"skipped: {err}")
     if upto >= start and model is not None:
         upto = max(upto, depth)
-    rows = recurrence.triangle(spec, upto)
-    if skipped is not None:
-        egf = Check("egf_identity", True, f"skipped: {skipped}")
-    elif (mismatch := verify_egf_identity(descriptor, max_n, rows)) is None:
-        egf = Check("egf_identity", True, f"rows 0..{max_n} match")
-    else:
-        n, got, want = mismatch
-        egf = Check("egf_identity", False, f"row {n}: recurrence {got}, series {want}")
+    held = []
+
+    def checked_rows():
+        nonlocal egf
+        for row in recurrence.rows(spec, upto):
+            # a spent series reads as agreeing
+            if egf.ok and (want := next(series, row.poly)) != row.poly:
+                detail = f"row {row.n}: recurrence {row.poly}, series {want}"
+                egf = Check("egf_identity", False, detail)
+            if row.n <= depth:
+                held.append(row)
+            if row.n <= max_n:
+                yield row
+
+    scan = validate_nonnegativity(checked_rows())
+    # the EGF check's rows reach past max_n, so refuse a max_n below the start
+    if max_n < start:
+        raise InvalidIndexError(f"upper index {max_n} is below start index {start}")
 
     if descriptor.name in FAMILIES:
-        report = verify_family(descriptor, depth, rows)
+        report = verify_family(descriptor, depth, held)
         detail = f"skipped: {report.notice}" if report.skipped else str(report)
         enumeration = Check("enumeration", report.ok, detail)
     else:
         enumeration = Check("enumeration", True, "skipped: custom spec has no model")
 
-    # the EGF check's rows reach past max_n, so refuse a max_n below the start
-    if max_n < start:
-        raise InvalidIndexError(f"upper index {max_n} is below start index {start}")
-    scan = validate_nonnegativity(row for row in rows if row.n <= max_n)
     if not scan.ok:
         detail = f"negative entry at (n,k)={scan.first_negative}"
     elif scan.zero_sum_rows:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyrec import cli, families, recurrence
+from polyrec import cli, oracle, recurrence
 from polyrec.algebra import ExactPolynomial
 from polyrec.cli import main
 from polyrec.families import FAMILIES, catalog
@@ -1144,7 +1144,7 @@ def test_no_digit_limit_needs_no_size_proof(capsys, drawn):
 @pytest.mark.parametrize(
     "argv,upto",
     [
-        # the enumeration reads rows 1..8: one list reaches both checks
+        # the enumeration reads rows 1..8: one pass reaches every check
         (("verify", "--family", "dowling(m=2)", "--max-n", "5"), 8),
         (("verify", "--family", "dowling(m=2)", "--max-n", "0"), 8),
         # no partition model, no enumeration rows
@@ -1175,14 +1175,19 @@ def test_asymptotics_checks_the_range_before_drawing(capsys, drawn, ns, low):
 
 
 def test_verify_reports_an_egf_mismatch(capsys, monkeypatch):
-    def doubled_row_2(descriptor, order, egf_rows=families.egf_rows):
-        rows = egf_rows(descriptor, order)
-        return rows[:2] + [rows[2] + rows[2]] + rows[3:]
+    drawn = []
 
-    monkeypatch.setattr(families, "egf_rows", doubled_row_2)
+    def doubled_row_2(descriptor, order, egf_series=oracle.egf_series):
+        for n, row in enumerate(egf_series(descriptor, order)):
+            drawn.append(n)
+            yield row + row if n == 2 else row
+
+    monkeypatch.setattr(oracle, "egf_series", doubled_row_2)
     code, out, err = run_cli(capsys, "verify", "--family", "stirling2", "--max-n", "5")
     assert code == 1 and err == ""
     assert "egf_identity,fail,row 2: recurrence x^2 + x; series 2x^2 + 2x" in out.splitlines()
+    # the series stops at the first mismatch
+    assert drawn == [0, 1, 2]
 
 
 def test_ns_must_be_integers(capsys):

@@ -81,7 +81,6 @@ def test_verify_egf_identity_reports_the_spec_row(monkeypatch):
     rows = triangle(shifted.spec, 8)
     mismatch = (4, rows[1].poly, monomial(4))
     assert verify_egf_identity(shifted, 5) == mismatch
-    assert verify_egf_identity(shifted, 5, rows) == mismatch
 
 
 def test_the_exponent_follows_the_spec():

@@ -1,6 +1,7 @@
 """The partition-counting oracle against brute-force enumeration and the
 recurrence engine."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -225,6 +226,26 @@ def test_verify_family_reads_the_given_rows():
     assert str(report) == "stirling2: mismatch at (n=3, k=1): triangle 2, oracle 1"
     # rows that stop short of n_max are drawn afresh
     assert verify_family(descriptor, 5, doubled[:4]).ok
+
+
+def test_verify_holds_no_triangle():
+    # one pass: verify holds the enumeration's rows and the series' own
+    # integer rows, which the convolution reads, but no list of spec rows
+    descriptor = catalog("dowling", m=2)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rows = triangle(descriptor.spec, 150)
+        retained = tracemalloc.get_traced_memory()[0] - base
+        del rows
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        checks = verify(descriptor, 150)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert all(check.ok for check in checks)
+    assert peak < 1.5 * retained, (peak, retained)
 
 
 @pytest.mark.parametrize(
