@@ -16,19 +16,16 @@ n rather than the number of partitions.  This module shares no code with
 the recurrence engine beyond exact integers, which is the point: it is the
 independent witness.
 
-`verify` gathers the three checks of `polyrec verify`: the EGF identity,
-this enumeration and the nonnegativity scan, in one pass over the rows.
+`verify` gathers the three checks of `polyrec verify`: the EGF identity and
+the nonnegativity scan, in one pass over the rows, and this enumeration.
 """
 
 from __future__ import annotations
-
-from typing import Optional, Sequence
 
 from . import recurrence
 from .algebra import Record
 from .errors import InvalidIndexError, ParameterError, SizeGuardError, UnsupportedShapeError
 from .families import FAMILIES, FamilyDescriptor, egf_series, validate_nonnegativity
-from .recurrence import TriangleRow
 
 MAX_ELEMENTS = 14
 
@@ -107,21 +104,15 @@ class OracleReport(Record):
         return f"{self.family}: mismatch at (n={n}, k={k}): triangle {got}, oracle {want}"
 
 
-def verify_family(
-    descriptor: FamilyDescriptor,
-    n_max: int,
-    rows: Optional[Sequence[TriangleRow]] = None,
-) -> OracleReport:
+def verify_family(descriptor: FamilyDescriptor, n_max: int) -> OracleReport:
     """Check the recurrence triangle against enumeration for rows <= n_max.
 
     Row `start_index` holds no plain element and equals `start_poly`, so
     row start_index + n counts the model's partitions of n plain elements,
-    shifted up by deg start_poly columns.  `rows` are the spec's triangle
-    rows from its start index on (as from `triangle`); they are drawn here
-    when not given or when they stop short of `n_max`.  Families without a
-    registered combinatorial model (galton, sheffer, whitney with negative
-    c), or with no row up to `n_max`, come back skipped-with-notice rather
-    than failing.
+    shifted up by deg start_poly columns.  Families without a registered
+    combinatorial model (galton, sheffer, whitney with negative c), or with
+    no row up to `n_max`, come back skipped-with-notice rather than
+    failing.
     """
     label = descriptor.label
     model = descriptor.oracle_model
@@ -135,11 +126,7 @@ def verify_family(
         return OracleReport(label, n_max, ok=True, skipped=True, notice=notice)
     r, m, s = model
     col_offset = descriptor.spec.start_poly.degree
-    if not rows or rows[-1].n < n_max:
-        rows = recurrence.rows(descriptor.spec, n_max)
-    for n, poly in rows:
-        if n > n_max:
-            break
+    for n, poly in recurrence.rows(descriptor.spec, n_max):
         counts = count_partitions(PartitionConstraint(n=n - start, r=r, m=m, s=s))
         top = max([poly.degree] + [k + col_offset for k in counts])
         for k in range(top + 1):
@@ -172,17 +159,15 @@ def verify(descriptor: FamilyDescriptor, max_n: int) -> tuple[Check, ...]:
     rows up to max_n.  A spec with no closed-form exponent skips the EGF
     check, and one with no partition model or no row in reach skips the
     enumeration; a skipped check passes.  A `max_n` below the start index
-    raises InvalidIndexError, after the checks.
+    raises InvalidIndexError before any row is drawn.
     """
     spec = descriptor.spec
     start = spec.start_index
-    model = descriptor.oracle_model
-    # row n holds r + n - start elements: enumerate no deeper than the guard
-    depth = 8 if model is None else min(8, start + MAX_ELEMENTS - model[0])
+    if max_n < start:
+        raise InvalidIndexError(f"upper index {max_n} is below start index {start}")
 
     # one pass: EGF row j is spec row start + j, so the EGF check reads rows
-    # through max_n + start, the enumeration through depth and the scan
-    # through max_n; the series is drawn after the first row checks upto
+    # through max_n + start and the scan through max_n
     try:
         descriptor.saddle  # the shape check, before any row is generated
         series, upto = egf_series(descriptor, max_n), max_n + start
@@ -190,9 +175,6 @@ def verify(descriptor: FamilyDescriptor, max_n: int) -> tuple[Check, ...]:
     except UnsupportedShapeError as err:
         series, upto = iter(()), max_n
         egf = Check("egf_identity", True, f"skipped: {err}")
-    if upto >= start and model is not None:
-        upto = max(upto, depth)
-    held = []
 
     def checked_rows():
         nonlocal egf
@@ -201,18 +183,16 @@ def verify(descriptor: FamilyDescriptor, max_n: int) -> tuple[Check, ...]:
             if egf.ok and (want := next(series, row.poly)) != row.poly:
                 detail = f"row {row.n}: recurrence {row.poly}, series {want}"
                 egf = Check("egf_identity", False, detail)
-            if row.n <= depth:
-                held.append(row)
             if row.n <= max_n:
                 yield row
 
     scan = validate_nonnegativity(checked_rows())
-    # the EGF check's rows reach past max_n, so refuse a max_n below the start
-    if max_n < start:
-        raise InvalidIndexError(f"upper index {max_n} is below start index {start}")
 
     if descriptor.name in FAMILIES:
-        report = verify_family(descriptor, depth, held)
+        model = descriptor.oracle_model
+        # row n holds r + n - start elements: enumerate no deeper than the guard
+        depth = 8 if model is None else min(8, start + MAX_ELEMENTS - model[0])
+        report = verify_family(descriptor, depth)
         detail = f"skipped: {report.notice}" if report.skipped else str(report)
         enumeration = Check("enumeration", report.ok, detail)
     else:

@@ -14,13 +14,20 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from polyrec import cli, oracle, recurrence
+from polyrec import cli, families, oracle, recurrence
 from polyrec.algebra import ExactPolynomial
 from polyrec.cli import main
-from polyrec.families import FAMILIES, catalog
+from polyrec.errors import InvalidIndexError, ParameterError, UnsupportedShapeError
+from polyrec.families import (
+    FAMILIES,
+    FamilyDescriptor,
+    catalog,
+    validate_nonnegativity,
+    verify_egf_identity,
+)
 from polyrec.recurrence import LagTerm, RecurrenceSpec, triangle
 from polyrec.speclang import format_spec, load
 
@@ -1003,19 +1010,21 @@ def drawn(monkeypatch):
     "argv,rows",
     [
         (("moments", "--family", "stirling2", "--ns", "10,30,20"), 30),
-        # rows 1..30 once; the enumeration oracle reads rows 1..8 of them
-        (("verify", "--family", "dowling(m=2)", "--max-n", "30"), 30),
+        # rows 1..30 once for the EGF check and the scan, then rows 1..8
+        # again, which the enumeration oracle draws for itself
+        (("verify", "--family", "dowling(m=2)", "--max-n", "30"), 38),
         (("asymptotics", "--family", "stirling2", "--ns", "10,30,20"), 30),
         (("pmf", "--family", "stirling2", "--n", "30"), 30),
         (("clt", "--family", "stirling2", "--ns", "10,30,20"), 30),
     ],
 )
 def test_rows_are_generated_once(capsys, drawn, argv, rows):
-    # every command draws its rows from the one row source, once
+    # every command draws its rows from the one row source, once; verify's
+    # enumeration draws its own rows 1..8 after that pass
     generated, advanced = drawn
     code, _, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
-    assert generated == [30]
+    assert generated == ([30, 8] if argv[0] == "verify" else [30])
     assert len(advanced) == rows
 
 
@@ -1144,9 +1153,10 @@ def test_no_digit_limit_needs_no_size_proof(capsys, drawn):
 @pytest.mark.parametrize(
     "argv,upto",
     [
-        # the enumeration reads rows 1..8: one pass reaches every check
-        (("verify", "--family", "dowling(m=2)", "--max-n", "5"), 8),
-        (("verify", "--family", "dowling(m=2)", "--max-n", "0"), 8),
+        # one pass through max_n reaches the EGF check and the scan; the
+        # enumeration then draws its own rows 1..8
+        (("verify", "--family", "dowling(m=2)", "--max-n", "5"), [5, 8]),
+        (("verify", "--family", "dowling(m=2)", "--max-n", "0"), [0, 8]),
         # no partition model, no enumeration rows
         (("verify", "--family", "sheffer(d=2,a=1)", "--max-n", "5"), 5),
         (("verify", "--inline", "gamma: x; m: 1;", "--max-n", "3"), 3),
@@ -1156,8 +1166,9 @@ def test_verify_draws_rows_once(capsys, drawn, argv, upto):
     generated, advanced = drawn
     code, _, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
-    assert generated == [upto]
-    assert advanced == list(range(1, upto + 1))
+    passes = upto if isinstance(upto, list) else [upto]
+    assert generated == passes
+    assert advanced == [n for last in passes for n in range(1, last + 1)]
 
 
 @pytest.mark.parametrize("ns,low", [("4,40", 4), ("1,40", 1)])
@@ -1190,6 +1201,77 @@ def test_verify_reports_an_egf_mismatch(capsys, monkeypatch):
     assert drawn == [0, 1, 2]
 
 
+@st.composite
+def _verify_descriptors(draw):
+    """A catalog family with small parameters, or a drawn spec as the custom
+    descriptor `polyrec verify --inline` builds."""
+    if draw(st.booleans()):
+        spec = draw(st.one_of(_INTEGER_SPECS, _RATIONAL_SPECS))
+        return FamilyDescriptor(name="custom", parameters={}, spec=spec)
+    name = draw(st.sampled_from(sorted(FAMILIES)))
+    params = {k: draw(st.integers(-1, 3)) for k in FAMILIES[name].params}
+    try:
+        return catalog(name, **params)
+    except ParameterError:
+        reject()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_verify_descriptors(), st.integers(0, 12), st.none() | st.integers(0, 12))
+# row 3 is the first row: EGF row 5 is row 8, which the scan does not read
+@example(catalog("r_stirling", r=3), 5, 5)
+@example(catalog("r_stirling", r=3), 2, None)
+def test_verify_agrees_with_the_public_checks(descriptor, max_n, sabotaged):
+    # verify compares the EGF rows inline, in the pass that feeds the scan:
+    # each check must read as the public function it stands for says, also
+    # when EGF row `sabotaged` of the series is off by one
+    def series(descriptor, order, egf_series=families.egf_series):
+        for j, row in enumerate(egf_series(descriptor, order)):
+            yield row + ExactPolynomial([1]) if j == sabotaged else row
+
+    spec, start = descriptor.spec, descriptor.spec.start_index
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "egf_series", series)
+        patch.setattr(families, "egf_series", series)
+        if max_n < start:
+            with pytest.raises(InvalidIndexError, match=f"upper index {max_n} is below"):
+                oracle.verify(descriptor, max_n)
+            return
+        egf, enumeration, nonnegativity = oracle.verify(descriptor, max_n)
+        try:
+            descriptor.saddle
+        except UnsupportedShapeError as err:
+            assert egf == oracle.Check("egf_identity", True, f"skipped: {err}")
+        else:
+            mismatch = verify_egf_identity(descriptor, max_n)
+            if mismatch is None:
+                assert egf == oracle.Check("egf_identity", True, f"rows 0..{max_n} match")
+            else:
+                detail = "row {}: recurrence {}, series {}".format(*mismatch)
+                assert egf == oracle.Check("egf_identity", False, detail)
+
+    if descriptor.name in FAMILIES:
+        model = descriptor.oracle_model
+        depth = 8 if model is None else min(8, start + oracle.MAX_ELEMENTS - model[0])
+        report = oracle.verify_family(descriptor, depth)
+        detail = f"skipped: {report.notice}" if report.skipped else str(report)
+        assert enumeration == oracle.Check("enumeration", report.ok, detail)
+    else:
+        assert enumeration == oracle.Check(
+            "enumeration", True, "skipped: custom spec has no model"
+        )
+
+    scan = validate_nonnegativity(recurrence.rows(spec, max_n))
+    assert nonnegativity.ok == scan.ok
+    if not scan.ok:
+        assert nonnegativity.detail == f"negative entry at (n,k)={scan.first_negative}"
+    elif scan.zero_sum_rows:
+        zeros = list(scan.zero_sum_rows)
+        assert nonnegativity.detail == f"all entries >= 0; zero-mass rows {zeros}"
+    else:
+        assert nonnegativity.detail == "all entries >= 0"
+
+
 def test_ns_must_be_integers(capsys):
     code, out, err = run_cli(capsys, "clt", "--family", "stirling2", "--ns", "3,x")
     assert code == 2 and out == ""
@@ -1202,8 +1284,7 @@ SHIFTED_CLOSED_FORM = "gamma: x + 1; m: 2; start: {index: 2, poly: 3x^2};"
 @pytest.mark.parametrize(
     "text,max_n,upper",
     [
-        # with a closed form the EGF check names row max_n + start first
-        (SHIFTED_CLOSED_FORM, "-2", 0),
+        (SHIFTED_CLOSED_FORM, "-2", -2),
         (SHIFTED_CLOSED_FORM, "1", 1),
         (NO_CLOSED_FORM + " start: {index: 2, poly: 1};", "-1", -1),
         (NO_CLOSED_FORM + " start: {index: 2, poly: 1};", "1", 1),
@@ -1219,6 +1300,21 @@ def test_verify_refuses_rows_below_the_start(capsys, text, max_n, upper):
         }
     }
     assert code == 2
+
+
+@pytest.mark.parametrize("max_n", ["-1", "2"])
+def test_verify_refuses_rows_below_the_start_before_drawing(capsys, drawn, max_n):
+    # r_stirling(r=3) starts at row 3 and has a closed form: the refusal
+    # names the --max-n given, and no check draws a row first
+    code, out, err = run_cli(
+        capsys, "verify", "--family", "r_stirling(r=3)", "--max-n", max_n
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {
+        "type": "InvalidIndexError",
+        "message": f"upper index {max_n} is below start index 3",
+    }
+    assert drawn == ([], [])
 
 
 def test_asymptotics_json_fields(capsys):
