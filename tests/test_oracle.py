@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyrec import cli
+from polyrec import cli, recurrence
 from polyrec.errors import ParameterError, SizeGuardError
 from polyrec.families import catalog
 from polyrec.oracle import (
@@ -178,6 +178,29 @@ def test_verify_family_ok():
         assert report.ok and not report.skipped, report
     report = verify_family(catalog("stirling2"), 5)
     assert str(report) == "stirling2: rows up to 5 match enumeration"
+
+
+def test_verify_family_reads_the_given_rows(monkeypatch):
+    # verify_family checks the rows `recurrence.rows` hands it, up to n_max
+    descriptor = catalog("stirling2")
+    rows = triangle(descriptor.spec, 7)
+    asked = []
+
+    def given_rows(spec, upto):
+        asked.append(upto)
+        return iter(given[: upto + 1])
+
+    given = rows
+    monkeypatch.setattr(recurrence, "rows", given_rows)
+    report = verify_family(descriptor, 5)
+    assert report.ok
+    assert str(report) == "stirling2: rows up to 5 match enumeration"
+    given = rows[:3] + [rows[3]._replace(poly=rows[3].poly * 2)] + rows[4:]
+    report = verify_family(descriptor, 5)
+    assert not report.ok
+    assert report.first_mismatch == (3, 1, 2, 1)
+    assert str(report) == "stirling2: mismatch at (n=3, k=1): triangle 2, oracle 1"
+    assert asked == [5, 5]
 
 
 @pytest.mark.parametrize("r", range(4))
