@@ -67,9 +67,9 @@ def _resolve(args) -> FamilyDescriptor:
         text = args.family if "(" in args.family else args.family + "()"
         source = SpecSource(f"family: {text};", "<family>")
     elif args.spec is not None:
-        # an undecodable byte is read as a lone surrogate, which no text
-        # encodes: the first one is the spec's parse error
-        with open(args.spec, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        # a byte-order mark is dropped; an undecodable byte reads as a lone
+        # surrogate, which no text encodes: the first is the spec's parse error
+        with open(args.spec, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
             text = handle.read()
         try:
             text.encode("utf-8")
@@ -166,36 +166,29 @@ def _width(spec, upto: int, csv: bool) -> int:
     coefficient past Python's int-to-str digit limit, before a byte is
     written.
 
-    The majorant proves it without drawing a row.  The digit limit needs
-    every M_n, which bounds each numerator of row n whatever the signs, and
-    the largest row denominator d0 D^(upto - start) within `_safe_bits`; the
-    proof gives up at the first number past it, so it never builds one much
-    longer.  The width is max e_n + 1 when a row at the largest e_n has
-    L_n != 0, read off the largest (e_n, L_n != 0): that row's degree is
-    e_n, and no row's degree passes its e_n.  Where the proof gives up, one
-    pass over `int` rows converts only those holding a number with enough
-    bits to reach the limit, and measures the width.
+    One walk of the majorant proves it without drawing a row.  Row n's size
+    is the larger of M_n, which bounds its numerators whatever the signs,
+    and d0 D^(n - start), which its denominator divides; the walk stops at
+    the first size past `_safe_bits`, so it builds no number much longer.
+    The width is max e_n + 1 when a row at the largest e_n has L_n != 0,
+    read off the largest (e_n, L_n != 0): that row's degree is e_n, and no
+    row's degree passes its e_n.  Where the walk stops, one pass over `int`
+    rows measures the width and converts each row that could reach the limit.
     """
     safe_bits = _safe_bits()
-    d = spec.scaled.denominator
+    top = (-1, False)
+    den = spec.start_poly.denominator
     # an upto below the start raises in the majorant
-    lag = max(upto - spec.start_index, 0)
-    # d^lag has at least (bits(d) - 1) lag bits, so it is built only when it
-    # has at most about twice the limit's
-    if safe_bits == math.inf or (
-        (d.bit_length() - 1) * lag <= safe_bits
-        and (spec.start_poly.denominator * d**lag).bit_length() <= safe_bits
-    ):
-        top = (-1, False)
-        for _, mass, e, lead in recurrence.majorant(spec, upto):
-            if mass.bit_length() > safe_bits:
-                break
-            top = max(top, (e, lead != 0))
-        else:
-            if not csv:
-                return 0
-            if top[1]:
-                return top[0] + 1
+    for _, mass, e, lead in recurrence.majorant(spec, upto):
+        if max(mass, den).bit_length() > safe_bits:
+            break
+        top = max(top, (e, lead != 0))
+        den *= spec.scaled.denominator
+    else:
+        if not csv:
+            return 0
+        if top[1]:
+            return top[0] + 1
     width = 0
     for row in recurrence.rows(spec, upto):
         poly = row.poly

@@ -191,10 +191,14 @@ def verify(descriptor: FamilyDescriptor, max_n: int) -> tuple[Check, ...]:
     if descriptor.name in FAMILIES:
         model = descriptor.oracle_model
         # row n holds r + n - start elements: enumerate no deeper than the guard
-        depth = 8 if model is None else min(8, start + MAX_ELEMENTS - model[0])
-        report = verify_family(descriptor, depth)
-        detail = f"skipped: {report.notice}" if report.skipped else str(report)
-        enumeration = Check("enumeration", report.ok, detail)
+        if model is not None and model[0] > MAX_ELEMENTS:
+            detail = f"row {start} holds {model[0]} elements, past the enumeration guard"
+            enumeration = Check("enumeration", True, f"skipped: {detail} ({MAX_ELEMENTS})")
+        else:
+            depth = 8 if model is None else min(8, start + MAX_ELEMENTS - model[0])
+            report = verify_family(descriptor, depth)
+            detail = f"skipped: {report.notice}" if report.skipped else str(report)
+            enumeration = Check("enumeration", report.ok, detail)
     else:
         enumeration = Check("enumeration", True, "skipped: custom spec has no model")
 

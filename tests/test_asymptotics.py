@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from polyrec import asymptotics
 from polyrec.algebra import ExactPolynomial, X, monomial
 from polyrec.asymptotics import (
     compare_exact,
@@ -125,6 +126,25 @@ def test_saddle_residual_and_growth():
             p = f_partials(sf, rho, 1.0)
             assert abs(rho * p.f_z - n) <= max(1e-9 * n, 1e-12)
             assert rho * p.f_z + rho * rho * p.f_zz > 0
+
+
+def test_saddle_bracket_reads_overflow_as_above_the_root(monkeypatch):
+    # the first bracket end, 2 log n + 4 ~ 1385, is past the double range of
+    # e^z: its residual reads as +inf and the bisection runs below it
+    overflowed = []
+
+    def watched(sf, z, x, f_partials=asymptotics.f_partials):
+        try:
+            return f_partials(sf, z, x)
+        except SaddleOverflowError:
+            overflowed.append(z)
+            raise
+
+    monkeypatch.setattr(asymptotics, "f_partials", watched)
+    n = 10**300
+    rho = solve_saddle(STIRLING, n)
+    assert overflowed
+    assert abs(rho * math.exp(rho) / n - 1) <= 1e-12
 
 
 def test_saddle_tracks_log_n():

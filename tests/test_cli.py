@@ -545,6 +545,11 @@ def test_custom_spec_without_closed_form(capsys):
         ("whitney(m=1,c=14)", "whitney(m=1;c=14): rows up to 0 match enumeration"),
         # the first row is 10, past the enumeration's row 8
         ("r_stirling(r=10)", "skipped: no row up to 8: the first row is 10"),
+        # 20 distinguished elements: even the first row is past the guard
+        (
+            "whitney(m=2,c=20)",
+            "skipped: row 0 holds 20 elements; past the enumeration guard (14)",
+        ),
     ],
 )
 def test_verify_enumerates_only_inside_the_guard(capsys, family, detail):
@@ -967,6 +972,20 @@ def test_undecodable_spec_file_exits_2(tmp_path, capsys):
     }
 
 
+def test_spec_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    # as Windows editors write it; a bad byte after it is counted from the
+    # first character of the spec
+    plain, marked, bad = tmp_path / "plain.spec", tmp_path / "marked.spec", tmp_path / "bad.spec"
+    plain.write_bytes(b"gamma: x; m: 1;")
+    marked.write_bytes(b"\xef\xbb\xbfgamma: x; m: 1;")
+    bad.write_bytes(b"\xef\xbb\xbfgamma: x; m: \xff1;")
+    runs = [run_cli(capsys, "triangle", "--spec", str(p), "--max-n", "3") for p in (plain, marked)]
+    assert runs[0] == runs[1] == (0, "n,c0,c1,c2,c3\n0,1,0,0,0\n1,0,1,0,0\n2,0,1,1,0\n3,0,1,3,1\n", "")
+    code, out, err = run_cli(capsys, "triangle", "--spec", str(bad), "--max-n", "3")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["message"] == f"{bad}:1:14: invalid UTF-8 byte 0xff"
+
+
 def test_moments_flag_validation(capsys):
     code, _, err = run_cli(capsys, "moments", "--family", "stirling2")
     assert code == 2
@@ -1118,8 +1137,8 @@ def test_proof_stops_at_the_first_bound_past_the_limit(tmp_path, capsys, drawn, 
 
 
 def test_proof_checks_the_denominator_first(drawn, bounded):
-    # row n of gamma = 1/2 is 1/2^n, each M_n = 1: only the last row's
-    # denominator, 2^max_n, decides, and past the limit no bound is drawn
+    # row n of gamma = 1/2 is 1/2^n, each M_n = 1: only the denominators,
+    # 2^n, decide, and the walk stops at the first one past the limit
     generated, _ = drawn
     spec = load("gamma: 1/2; m: 1;")
     bits = int(cli._safe_bits())
@@ -1130,7 +1149,62 @@ def test_proof_checks_the_denominator_first(drawn, bounded):
     assert cli._width(spec, bits, csv=True) == 1
     with pytest.raises(ValueError, match="Exceeds the limit"):
         cli._width(spec, 10**6, csv=False)
-    assert bounded == [] and generated == [bits, 10**6]
+    assert bounded == list(range(bits + 1)) * 2 and generated == [bits, 10**6]
+
+
+def _width_or_error(width, *args):
+    try:
+        return width(*args)
+    except (ValueError, InvalidIndexError) as err:
+        return type(err), str(err)
+
+
+def _printed_width(spec, upto):
+    """The longest row's length, from every row drawn and converted."""
+    width = 0
+    for row in recurrence.rows(spec, upto):
+        cli._row_texts(row.poly)
+        width = max(width, len(row.poly.numerators))
+    return width
+
+
+_SMALL_DENOMINATORS = st.sampled_from([2, 3, 8, 1024])
+_SIGNED = st.builds(Fraction, st.integers(-9, 9), _SMALL_DENOMINATORS)
+_SIGNED_POLY = st.lists(_SIGNED, min_size=1, max_size=2).map(ExactPolynomial)
+_NEAR_LIMIT_SPECS = st.builds(
+    RecurrenceSpec,
+    gamma=_SIGNED_POLY,
+    m=st.builds(Fraction, st.integers(1, 9), _SMALL_DENOMINATORS),
+    lags=st.lists(st.builds(LagTerm, st.integers(1, 2), _SIGNED_POLY, st.booleans()), max_size=1),
+    start_index=st.integers(0, 3),
+    start_poly=_SIGNED_POLY.filter(lambda poly: not poly.is_zero),
+)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+@settings(max_examples=30, deadline=None)
+@given(_NEAR_LIMIT_SPECS, st.integers(0, 300))
+# 640 digits hold 2^2126 but not 2^2127: the denominator decides
+@example(load("gamma: 1/2; m: 1;"), 2126)
+@example(load("gamma: 1/2; m: 1;"), 2127)
+# the numerators decide, past the limit by row 20
+@example(load(OVERLONG), 30)
+@example(load(TOP_BAND_CANCELS), 5)
+def test_width_is_what_printing_every_row_finds(spec, upto):
+    # at the smallest digit limit _safe_bits is 2126, so the walk and the
+    # check pass both meet it within a few hundred rows
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        want = _width_or_error(_printed_width, spec, upto)
+        assert _width_or_error(cli._width, spec, upto, True) == want
+        # JSON needs no width, only the same error
+        json_want = 0 if isinstance(want, int) else want
+        assert _width_or_error(cli._width, spec, upto, False) == json_want
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.skipif(
