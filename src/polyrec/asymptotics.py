@@ -206,7 +206,7 @@ def solve_saddle(sf: SaddleFunction, n: int, x: float = 1.0) -> float:
             break
         step = residual / slope
         if rho - step <= 0:
-            break
+            break  # rho stays > 0: saddle_report takes its log
         rho -= step
         if abs(step) <= 1e-16 * max(rho, 1.0):
             break
@@ -265,8 +265,6 @@ def saddle_report(sf: SaddleFunction, n: int) -> SaddleReport:
 def log_fraction(q: Fraction) -> float:
     """log of a positive rational whose parts may exceed double range;
     within 1/2 of 1, log1p of the exact excess, which no rounding loses."""
-    if q <= 0:
-        raise ParameterError(f"log of non-positive value {q}")
     if abs(q - 1) <= Fraction(1, 2):
         return math.log1p(float(q - 1))
     return math.log(q.numerator) - math.log(q.denominator)

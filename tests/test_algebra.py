@@ -48,6 +48,18 @@ def test_basic_arithmetic():
     assert p * Fraction(1, 2) == ExactPolynomial([Fraction(1, 2), 1])
 
 
+def test_operators_decline_other_types():
+    # an int added or a float multiplied is neither a polynomial nor an
+    # exact scalar: both sides return NotImplemented, so Python raises, and
+    # == against an int falls back to identity
+    p = ExactPolynomial([1, 2])
+    with pytest.raises(TypeError):
+        p + 1
+    with pytest.raises(TypeError):
+        p * 1.5
+    assert (p == 0) is False
+
+
 def test_rejects_floats():
     with pytest.raises(TypeError):
         as_fraction(0.5)

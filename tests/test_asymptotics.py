@@ -6,7 +6,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polyrec import asymptotics
@@ -191,6 +191,60 @@ def test_saddle_rejects_flat_exponent():
         solve_saddle(flat, 10)
     with pytest.raises(ParameterError):
         saddle_report(STIRLING, 2)
+
+
+def test_saddle_and_partials_reject_bad_arguments():
+    with pytest.raises(ParameterError, match="x must be > 0"):
+        f_partials(STIRLING, 1.0, 0.0)
+    with pytest.raises(ParameterError, match="n must be >= 1"):
+        solve_saddle(STIRLING, 0)
+    with pytest.raises(ParameterError, match="x must be > 0"):
+        solve_saddle(STIRLING, 5, -1.0)
+
+
+def test_saddle_refuses_a_root_where_z_f_z_falls():
+    # z f_z = 12z - 13/2 z^2 + z^3, plus 10^-300 z e^{mz}, too small to move
+    # a float beside it, meets 5 rising at 2 - sqrt 2, falling at 5/2 and
+    # rising at 2 + sqrt 2.  With m = 2 log 5 the first bracket end,
+    # 2 log 5 / m + 4, is 5, so the first bisection midpoint is the falling
+    # root, whose residual is exactly 0.  Newton stops on its slope
+    # f_z + z f_zz = -7/4, and b = rho (f_z + rho f_zz) < 0 is refused
+    sf = SaddleFunction(
+        factors=(
+            (1, ExactPolynomial([12, Fraction(1, 10**300)])),
+            (2, ExactPolynomial([Fraction(-13, 2)])),
+            (3, ExactPolynomial([2])),
+        ),
+        m=Fraction(2.0 * math.log(5)),
+    )
+    assert theorem_constants(sf).hypothesis_ok
+    p = f_partials(sf, 2.5, 1.0)
+    assert (2.5 * p.f_z - 5, p.f_z + 2.5 * p.f_zz) == (0.0, -1.75)
+    with pytest.raises(SaddleFailureError, match=r"b\(rho, x\) <= 0 at n=5"):
+        solve_saddle(sf, 5)
+
+
+def test_saddle_refuses_a_residual_out_of_tolerance(monkeypatch):
+    # a stand-in f_z whose z f_z jumps from n/2 to 3n/2 at z = 1: the
+    # bisection closes on the jump, Newton steps down by z/3 from above it
+    # and up by z from below it, and the last residual, -n/2, is refused
+    n = 10
+
+    def jumping(sf, z, x):
+        f_z = (1.5 if z > 1 else 0.5) * n / z
+        return asymptotics.Partials(f=0.0, f_z=f_z, f_zz=0.0, f_x=0.0, f_zx=0.0, f_xx=0.0)
+
+    monkeypatch.setattr(asymptotics, "f_partials", jumping)
+    with pytest.raises(SaddleFailureError, match="residual -5.0 out of tolerance at n=10"):
+        solve_saddle(STIRLING, n)
+
+
+def test_partials_refuse_a_second_derivative_past_the_double_range():
+    # gamma = x at m = 10^200: near the saddle of n = 10, z ~ 4.6e-198, every
+    # term of f is in range, but f_zz = m^2 (A + B) is not
+    sf = build_exponent(RecurrenceSpec(gamma=X, m=10**200))
+    with pytest.raises(SaddleOverflowError, match="^f exceeds double range at z=4.6e-198"):
+        f_partials(sf, 4.6e-198, 1.0)
 
 
 def test_overflow_paths():
@@ -384,6 +438,10 @@ def _factor_sets(draw):
     _factor_sets(),
     st.floats(min_value=0.01, max_value=20.0),
     st.floats(min_value=0.5, max_value=2.0),
+)
+# x^3 in the direct form, whose u^3 is built by products
+@example(
+    SaddleFunction([(1, ExactPolynomial([0, 1, 0, 1])), (100, ExactPolynomial([0, 1]))], 1), 1.0, 1.0
 )
 def test_partials_match_a_decimal_evaluation_on_random_factors(sf, z, x):
     # each term on its own, so that no form hides behind a larger term, and

@@ -940,6 +940,8 @@ def command_lines(draw):
 @example(["families", "--format", "xml"])
 @example(["triangle", "--family", "-x", "--max-n", "3"])
 @example(["triangle", "--family", "stirling2", "--max-n", "-1"])
+# a required flag left out
+@example(["triangle", "--family", "stirling2", "--format", "csv"])
 def test_reader_gives_the_parsers_namespace_or_none(argv):
     read = cli._read(argv)
     if argv in WELL_FORMED:

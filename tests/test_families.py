@@ -284,6 +284,13 @@ def test_catalog_unknown_and_bad_params():
         catalog("r_stirling", r=-1)
 
 
+def test_catalog_takes_integral_fractions():
+    # `--family "dowling(m=4/2)"` reaches catalog with m = Fraction(2)
+    built = catalog("dowling", m=Fraction(2))
+    assert built == catalog("dowling", m=2)
+    assert type(built.parameters["m"]) is int
+
+
 @pytest.mark.parametrize(
     "name,params,depth",
     [

@@ -110,6 +110,11 @@ def scaled_rows(spec, polys):
     return out
 
 
+def test_triangle_linear_rejects_a_negative_upto():
+    with pytest.raises(InvalidIndexError, match="upto >= 0"):
+        triangle_linear(1, 0, 1, -1)
+
+
 def test_advance_needs_enough_history():
     spec = catalog("assoc_stirling", s=3).spec
     history = [[]]  # Q_4 needs Q_1 via the depth-3 lag

@@ -38,6 +38,10 @@ def test_parse_family_request():
     request = parse("family: dowling(m=2);")
     assert isinstance(request, FamilyRequest)
     assert request.name == "dowling" and request.params == {"m": 2}
+    # an integral value reaches the caller as an int, a fraction as a Fraction
+    assert type(request.params["m"]) is int
+    assert type(parse("family: dowling(m=4/2);").params["m"]) is int
+    assert parse("family: dowling(m=5/2);").params == {"m": Fraction(5, 2)}
     descriptor = load("family: dowling(m=2);")
     assert descriptor.name == "dowling"
 
@@ -179,6 +183,8 @@ def test_exact_positions_for_canonical_failures():
         ("gamma: x m: 1;", 1, 10),
         ("gamma: 1/0; m: 1;", 1, 10),
         ("gamma: x; m: 1; lag: {s: 2, s: 3, coeff: x};", 1, 29),
+        ("gamma: x; m: 1; lag: {s: 2, sign: x};", 1, 29),
+        ("gamma: x; m: 1; start: {index: 0, sign: 1};", 1, 35),
         ("gamma: x; m: 1; lag: {s: 2};", 1, 17),
         ("gamma: x;", 1, 10),
         # number tokens are ASCII digits only; str.isdigit admits superscript
