@@ -96,7 +96,7 @@ class SaddleFunction(Record):
         k x^j of a depth-s factor, in factor order, with c = k/(j m)^s, the
         coefficient of its e^{j m z}, when j >= 1, and c = k when j = 0.  A c
         that rounds to 0 is left out."""
-        m = self.m
+        m, what = self.m, "a coefficient of the EGF exponent"
         try:
             terms = [
                 (s, j, float(k / (j * m) ** s if j else k))
@@ -104,11 +104,11 @@ class SaddleFunction(Record):
                 for j, k in enumerate(kappa.coeffs)
                 if k
             ]
+            what = "m"
+            m = float(m)
         except OverflowError:
-            raise SaddleOverflowError(
-                "a coefficient of the EGF exponent is past the float range"
-            ) from None
-        return float(m), tuple(term for term in terms if term[2])
+            raise SaddleOverflowError(f"{what} is past the float range") from None
+        return m, tuple(term for term in terms if term[2])
 
 
 class TheoremConstants(Record):

@@ -16,11 +16,17 @@ n rather than the number of partitions.  This module shares no code with
 the recurrence engine beyond exact integers, which is the point: it is the
 independent witness.
 
+`verify_family` compares a triangle with one walk, which yields the counts
+of every row and stops at the guard, r + n = 14 elements; the report names
+the last row compared.  Only `count_partitions` raises SizeGuardError.
 `verify` gathers the three checks of `polyrec verify`: the EGF identity and
-the nonnegativity scan, in one pass over the rows, and this enumeration.
+the nonnegativity scan, in one pass over the rows, and this enumeration up
+to row 8.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from . import recurrence
 from .algebra import Record
@@ -44,23 +50,16 @@ class PartitionConstraint(Record):
         return tuple.__new__(cls, (n, r, m, s))
 
 
-def count_partitions(constraint: PartitionConstraint) -> dict[int, int]:
-    """Count the constrained partitions, weighted, over block-size profiles.
-
-    Returns {number of non-distinguished blocks: total weight}, omitting
-    zero entries.  Raises SizeGuardError beyond r + n = 14 elements.
-    """
-    n, r, m, s = constraint.n, constraint.r, constraint.m, constraint.s
-    if r + n > MAX_ELEMENTS:
-        raise SizeGuardError(
-            f"r + n = {r + n} exceeds the enumeration guard ({MAX_ELEMENTS})"
-        )
+def _walk(r: int, m: int, s: int, n: int) -> Iterator[dict[int, int]]:
+    """Yield the counts of 0, 1, ..., n plain elements from one walk, as
+    `count_partitions` returns them; the walk stops at r + n = 14."""
     # profile[i] counts the non-distinguished blocks of size i + 1 for
     # i < s - 1, and profile[s - 1] those of size >= s.  A profile is
-    # dropped once its undersized blocks need more elements than are left,
-    # so every profile left after the last element has zero deficit.
+    # dropped once its undersized blocks need more elements than are left
+    # before the horizon; a row counts the profiles with none.
     layer: dict[tuple[int, ...], int] = {(0,) * s: 1}
-    for left in range(n - 1, -1, -1):
+    yield {0: 1}
+    for left in range(min(n, MAX_ELEMENTS - r) - 1, -1, -1):
         following: dict[tuple[int, ...], int] = {}
         for profile, weight in layer.items():
             # join one of the r distinguished blocks
@@ -80,9 +79,19 @@ def count_partitions(constraint: PartitionConstraint) -> dict[int, int]:
                 if sum(c * (s - 1 - i) for i, c in enumerate(after)) <= left:
                     following[after] = following.get(after, 0) + w
         layer = following
-    counts: dict[int, int] = {}
-    for profile, weight in layer.items():
-        counts[profile[-1]] = counts.get(profile[-1], 0) + weight
+        yield {p[-1]: w for p, w in layer.items() if not any(p[:-1])}
+
+
+def count_partitions(constraint: PartitionConstraint) -> dict[int, int]:
+    """Count the constrained partitions, weighted, over block-size profiles.
+
+    Returns {number of non-distinguished blocks: total weight}, omitting
+    zero entries.  Raises SizeGuardError beyond r + n = 14 elements.
+    """
+    n, r, m, s = constraint
+    if r + n > MAX_ELEMENTS:
+        raise SizeGuardError(f"r + n = {r + n} exceeds the enumeration guard ({MAX_ELEMENTS})")
+    *_, counts = _walk(r, m, s, n)
     return counts
 
 
@@ -109,37 +118,32 @@ def verify_family(descriptor: FamilyDescriptor, n_max: int) -> OracleReport:
 
     Row `start_index` holds no plain element and equals `start_poly`, so
     row start_index + n counts the model's partitions of n plain elements,
-    shifted up by deg start_poly columns.  Families without a registered
-    combinatorial model (galton, sheffer, whitney with negative c), or with
-    no row up to `n_max`, come back skipped-with-notice rather than
-    failing.
+    shifted up by deg start_poly columns.  The report names the last row
+    compared, n_max or the last within the guard.  Families without a
+    registered combinatorial model (galton, sheffer, whitney with negative
+    c), with more distinguished elements than the guard, or with no row up
+    to `n_max`, come back skipped-with-notice rather than failing.
     """
-    label = descriptor.label
-    model = descriptor.oracle_model
+    label, model = descriptor.label, descriptor.oracle_model
     start = descriptor.spec.start_index
-    if model is None or n_max < start:
-        notice = (
-            "no combinatorial model registered"
-            if model is None
-            else f"no row up to {n_max}: the first row is {start}"
-        )
-        return OracleReport(label, n_max, ok=True, skipped=True, notice=notice)
-    r, m, s = model
-    col_offset = descriptor.spec.start_poly.degree
-    for n, poly in recurrence.rows(descriptor.spec, n_max):
-        counts = count_partitions(PartitionConstraint(n=n - start, r=r, m=m, s=s))
-        top = max([poly.degree] + [k + col_offset for k in counts])
-        for k in range(top + 1):
-            want = counts.get(k - col_offset, 0)
-            got = poly.coefficient(k)
-            if got != want:
-                return OracleReport(
-                    family=label,
-                    n_max=n_max,
-                    ok=False,
-                    first_mismatch=(n, k, int(got), want),
-                )
-    return OracleReport(family=label, n_max=n_max, ok=True)
+    if model is None:
+        notice = "no combinatorial model registered"
+    elif (r := model[0]) > MAX_ELEMENTS:
+        notice = f"row {start} holds {r} elements, past the enumeration guard ({MAX_ELEMENTS})"
+    elif n_max < start:
+        notice = f"no row up to {n_max}: the first row is {start}"
+    else:
+        r, m, s = model
+        col_offset = descriptor.spec.start_poly.degree
+        walk = _walk(r, m, s, n_max - start)
+        for counts, (n, poly) in zip(walk, recurrence.rows(descriptor.spec, n_max)):
+            top = max([poly.degree] + [k + col_offset for k in counts])
+            for k in range(top + 1):
+                want = counts.get(k - col_offset, 0)
+                if (got := poly.coefficient(k)) != want:
+                    return OracleReport(label, n_max, False, first_mismatch=(n, k, int(got), want))
+        return OracleReport(label, n, ok=True)
+    return OracleReport(label, n_max, ok=True, skipped=True, notice=notice)
 
 
 class Check(Record):
@@ -189,16 +193,9 @@ def verify(descriptor: FamilyDescriptor, max_n: int) -> tuple[Check, ...]:
     scan = validate_nonnegativity(checked_rows())
 
     if descriptor.name in FAMILIES:
-        model = descriptor.oracle_model
-        # row n holds r + n - start elements: enumerate no deeper than the guard
-        if model is not None and model[0] > MAX_ELEMENTS:
-            detail = f"row {start} holds {model[0]} elements, past the enumeration guard"
-            enumeration = Check("enumeration", True, f"skipped: {detail} ({MAX_ELEMENTS})")
-        else:
-            depth = 8 if model is None else min(8, start + MAX_ELEMENTS - model[0])
-            report = verify_family(descriptor, depth)
-            detail = f"skipped: {report.notice}" if report.skipped else str(report)
-            enumeration = Check("enumeration", report.ok, detail)
+        report = verify_family(descriptor, 8)
+        detail = f"skipped: {report.notice}" if report.skipped else str(report)
+        enumeration = Check("enumeration", report.ok, detail)
     else:
         enumeration = Check("enumeration", True, "skipped: custom spec has no model")
 

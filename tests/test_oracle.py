@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyrec import cli, recurrence
+from polyrec import cli, oracle, recurrence
 from polyrec.errors import ParameterError, SizeGuardError
 from polyrec.families import catalog
 from polyrec.oracle import (
@@ -263,8 +263,20 @@ def test_verify_holds_no_triangle():
     [
         # row 10 is the first row, so rows up to 8 hold nothing to count
         ("r_stirling", dict(r=10), 8, "no row up to 8: the first row is 10"),
-        # 20 distinguished elements: the guard leaves verify no row to check
-        ("whitney", dict(m=2, c=20), MAX_ELEMENTS - 20, "no row up to -6: the first row is 0"),
+        # 20 distinguished elements: the guard is named before the empty range
+        (
+            "whitney",
+            dict(m=2, c=20),
+            -6,
+            "row 0 holds 20 elements, past the enumeration guard (14)",
+        ),
+        # row 15, the first, already holds 15 elements
+        (
+            "r_stirling",
+            dict(r=15),
+            30,
+            "row 15 holds 15 elements, past the enumeration guard (14)",
+        ),
     ],
 )
 def test_verify_family_skips_when_no_row_is_in_reach(name, params, n_max, notice):
@@ -273,11 +285,38 @@ def test_verify_family_skips_when_no_row_is_in_reach(name, params, n_max, notice
     assert report.ok and report.skipped
     assert report.notice == notice
     (_, enumeration, _) = verify(descriptor, 20)
-    r = descriptor.oracle_model[0]
-    if r > MAX_ELEMENTS:
-        # verify names the guard, which leaves it no row to ask for
-        notice = f"row 0 holds {r} elements, past the enumeration guard ({MAX_ELEMENTS})"
     assert enumeration == Check("enumeration", True, f"skipped: {notice}")
+
+
+@pytest.mark.parametrize(
+    "name,params,n_max,text",
+    [
+        # row n holds c + n elements: the walk stops at row 14 - c
+        ("whitney", dict(m=2, c=7), 20, "whitney(m=2,c=7): rows up to 7 match enumeration"),
+        (
+            "r_whitney_assoc",
+            dict(m=2, r=8, s=2),
+            20,
+            "r_whitney_assoc(m=2,r=8,s=2): rows up to 6 match enumeration",
+        ),
+    ],
+)
+def test_verify_family_stops_at_the_guard(name, params, n_max, text):
+    # past the guard verify_family reports the last row it compared
+    report = verify_family(catalog(name, **params), n_max)
+    assert report.ok and not report.skipped
+    assert str(report) == text
+
+
+def test_verify_family_makes_one_walk(monkeypatch):
+    # every row's counts come from one walk, not a count_partitions call per row
+    def refuse(constraint):
+        raise AssertionError(f"count_partitions({constraint}) called")
+
+    monkeypatch.setattr(oracle, "count_partitions", refuse)
+    report = verify_family(catalog("dowling", m=2), 13)
+    assert report.ok and not report.skipped
+    assert str(report) == "dowling(m=2): rows up to 13 match enumeration"
 
 
 # the instances of the frozen acceptance tests
