@@ -34,7 +34,7 @@ class ParameterError(PolyrecError):
 
 
 class SizeGuardError(PolyrecError):
-    """The partition oracle was asked for more elements than its guard allows."""
+    """The partition oracle's walk spent its profile budget short of its row."""
 
 
 class InvalidDistributionError(PolyrecError):

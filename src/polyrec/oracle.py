@@ -17,8 +17,8 @@ the recurrence engine beyond exact integers, which is the point: it is the
 independent witness.
 
 `verify_family` compares a triangle with one walk, which yields the counts
-of every row and stops at the guard, r + n = 14 elements; the report names
-the last row compared.  Only `count_partitions` raises SizeGuardError.
+of every row until its budget of MAX_VISITS profiles is spent; the report
+names the last row compared.  Only `count_partitions` raises SizeGuardError.
 `verify` gathers the three checks of `polyrec verify`: the EGF identity and
 the nonnegativity scan, in one pass over the rows, and this enumeration up
 to row 8.
@@ -33,7 +33,7 @@ from .algebra import Record
 from .errors import InvalidIndexError, ParameterError, SizeGuardError, UnsupportedShapeError
 from .families import FAMILIES, FamilyDescriptor, egf_series, validate_nonnegativity
 
-MAX_ELEMENTS = 14
+MAX_VISITS = 20_000
 
 
 class PartitionConstraint(Record):
@@ -51,15 +51,16 @@ class PartitionConstraint(Record):
 
 
 def _walk(r: int, m: int, s: int, n: int) -> Iterator[dict[int, int]]:
-    """Yield the counts of 0, 1, ..., n plain elements from one walk, as
-    `count_partitions` returns them; the walk stops at r + n = 14."""
+    """Yield the counts of 0, 1, ..., n plain elements, as `count_partitions`
+    returns them, while its layers hold at most MAX_VISITS profiles in all."""
     # profile[i] counts the non-distinguished blocks of size i + 1 for
     # i < s - 1, and profile[s - 1] those of size >= s.  A profile is
     # dropped once its undersized blocks need more elements than are left
-    # before the horizon; a row counts the profiles with none.
+    # before row n; a row counts the profiles with none.
     layer: dict[tuple[int, ...], int] = {(0,) * s: 1}
+    visits = 1
     yield {0: 1}
-    for left in range(min(n, MAX_ELEMENTS - r) - 1, -1, -1):
+    for left in range(n - 1, -1, -1):
         following: dict[tuple[int, ...], int] = {}
         for profile, weight in layer.items():
             # join one of the r distinguished blocks
@@ -78,6 +79,8 @@ def _walk(r: int, m: int, s: int, n: int) -> Iterator[dict[int, int]]:
             for after, w in moves:
                 if sum(c * (s - 1 - i) for i, c in enumerate(after)) <= left:
                     following[after] = following.get(after, 0) + w
+        if (visits := visits + len(following)) > MAX_VISITS:
+            return
         layer = following
         yield {p[-1]: w for p, w in layer.items() if not any(p[:-1])}
 
@@ -86,12 +89,12 @@ def count_partitions(constraint: PartitionConstraint) -> dict[int, int]:
     """Count the constrained partitions, weighted, over block-size profiles.
 
     Returns {number of non-distinguished blocks: total weight}, omitting
-    zero entries.  Raises SizeGuardError beyond r + n = 14 elements.
+    zero entries.  Raises SizeGuardError if the walk's budget ends it early.
     """
     n, r, m, s = constraint
-    if r + n > MAX_ELEMENTS:
-        raise SizeGuardError(f"r + n = {r + n} exceeds the enumeration guard ({MAX_ELEMENTS})")
-    *_, counts = _walk(r, m, s, n)
+    *rows, counts = _walk(r, m, s, n)
+    if len(rows) < n:
+        raise SizeGuardError(f"the walk to n = {n} holds more than {MAX_VISITS} profiles")
     return counts
 
 
@@ -119,17 +122,14 @@ def verify_family(descriptor: FamilyDescriptor, n_max: int) -> OracleReport:
     Row `start_index` holds no plain element and equals `start_poly`, so
     row start_index + n counts the model's partitions of n plain elements,
     shifted up by deg start_poly columns.  The report names the last row
-    compared, n_max or the last within the guard.  Families without a
-    registered combinatorial model (galton, sheffer, whitney with negative
-    c), with more distinguished elements than the guard, or with no row up
-    to `n_max`, come back skipped-with-notice rather than failing.
+    compared: n_max, or the last row within the walk's budget.  Families
+    without a registered combinatorial model (galton, sheffer, whitney with
+    negative c), or with no row up to `n_max`, come back skipped-with-notice.
     """
     label, model = descriptor.label, descriptor.oracle_model
     start = descriptor.spec.start_index
     if model is None:
         notice = "no combinatorial model registered"
-    elif (r := model[0]) > MAX_ELEMENTS:
-        notice = f"row {start} holds {r} elements, past the enumeration guard ({MAX_ELEMENTS})"
     elif n_max < start:
         notice = f"no row up to {n_max}: the first row is {start}"
     else:
@@ -159,7 +159,7 @@ def verify(descriptor: FamilyDescriptor, max_n: int) -> tuple[Check, ...]:
     """The egf_identity, enumeration and nonnegativity checks, in that order.
 
     The EGF identity covers EGF rows 0..max_n, the enumeration rows up to
-    8 (fewer where the guard stops it sooner) and the nonnegativity scan
+    8 (fewer where the walk's budget ends it) and the nonnegativity scan
     rows up to max_n.  A spec with no closed-form exponent skips the EGF
     check, and one with no partition model or no row in reach skips the
     enumeration; a skipped check passes.  A `max_n` below the start index

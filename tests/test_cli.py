@@ -537,24 +537,20 @@ def test_custom_spec_without_closed_form(capsys):
 @pytest.mark.parametrize(
     "family,detail",
     [
-        ("whitney(m=2,c=7)", "whitney(m=2;c=7): rows up to 7 match enumeration"),
+        ("whitney(m=2,c=7)", "whitney(m=2;c=7): rows up to 8 match enumeration"),
         (
             "r_whitney_assoc(m=2,r=8,s=2)",
-            "r_whitney_assoc(m=2;r=8;s=2): rows up to 6 match enumeration",
+            "r_whitney_assoc(m=2;r=8;s=2): rows up to 8 match enumeration",
         ),
-        ("whitney(m=1,c=14)", "whitney(m=1;c=14): rows up to 0 match enumeration"),
+        ("whitney(m=1,c=14)", "whitney(m=1;c=14): rows up to 8 match enumeration"),
         # the first row is 10, past the enumeration's row 8
         ("r_stirling(r=10)", "skipped: no row up to 8: the first row is 10"),
-        # 20 distinguished elements: even the first row is past the guard
-        (
-            "whitney(m=2,c=20)",
-            "skipped: row 0 holds 20 elements; past the enumeration guard (14)",
-        ),
+        ("whitney(m=2,c=20)", "whitney(m=2;c=20): rows up to 8 match enumeration"),
     ],
 )
 def test_verify_enumerates_only_inside_the_guard(capsys, family, detail):
-    # r distinguished elements leave room for 14 - r plain ones: the
-    # enumeration stops there instead of raising SizeGuardError
+    # r distinguished elements are only a weight of the walk: the
+    # enumeration reaches row 8 whatever r is
     code, out, err = run_cli(capsys, "verify", "--family", family, "--max-n", "20")
     assert (code, err) == (0, "")
     assert out.splitlines()[2] == f"enumeration,pass,{detail}"

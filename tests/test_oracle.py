@@ -12,7 +12,6 @@ from polyrec import cli, oracle, recurrence
 from polyrec.errors import ParameterError, SizeGuardError
 from polyrec.families import catalog
 from polyrec.oracle import (
-    MAX_ELEMENTS,
     Check,
     PartitionConstraint,
     count_partitions,
@@ -44,7 +43,6 @@ def test_counts_match_worked_examples():
 
 
 def test_unweighted_totals_are_bell_numbers():
-    assert len(BELL) == MAX_ELEMENTS + 1
     for n in range(len(BELL)):
         counts = count_partitions(PartitionConstraint(n=n))
         assert sum(counts.values()) == BELL[n]
@@ -126,16 +124,17 @@ def test_counts_match_brute_force_with_distinguished_elements():
 @settings(max_examples=30, deadline=None)
 @given(
     m=st.integers(1, 4),
-    r=st.integers(0, 3),
+    r=st.integers(0, 20),
     s=st.integers(1, 4),
 )
 def test_random_models_match_the_recurrence_up_to_the_guard(m, r, s):
-    report = verify_family(catalog("r_whitney_assoc", m=m, r=r, s=s), MAX_ELEMENTS - r)
-    assert report.ok and not report.skipped, report
-    # r_stirling(r) row n counts partitions of n elements, r of them
-    # distinguished
-    report = verify_family(catalog("r_stirling", r=r), MAX_ELEMENTS)
-    assert report.ok and not report.skipped, report
+    # r is only a weight of the walk, so r > 14 reaches row 14 too
+    report = verify_family(catalog("r_whitney_assoc", m=m, r=r, s=s), 14)
+    assert str(report) == f"{report.family}: rows up to 14 match enumeration"
+    # r_stirling(r) row r + n counts partitions of r + n elements, r of
+    # them distinguished
+    report = verify_family(catalog("r_stirling", r=r), r + 14)
+    assert str(report) == f"{report.family}: rows up to {r + 14} match enumeration"
 
 
 def test_constraint_validation():
@@ -151,8 +150,30 @@ def test_constraint_validation():
         PartitionConstraint(n=True)
     with pytest.raises(ParameterError):
         PartitionConstraint(n=2, s=True)
-    with pytest.raises(SizeGuardError):
-        count_partitions(PartitionConstraint(n=13, r=2))
+
+
+def row_counts(name, n, **params):
+    poly = generate(catalog(name, **params).spec, n)[n]
+    return {k: c for k, c in enumerate(poly.coeffs) if c}
+
+
+def test_count_partitions_stops_at_the_budget(monkeypatch):
+    # dowling's walk holds 1 + 2 + ... + 8 = 36 profiles through n = 7,
+    # and 45 through n = 8
+    monkeypatch.setattr(oracle, "MAX_VISITS", 44)
+    assert count_partitions(PartitionConstraint(n=7, r=1, m=2)) == row_counts("dowling", 7, m=2)
+    with pytest.raises(SizeGuardError, match="the walk to n = 8 holds more than 44 profiles"):
+        count_partitions(PartitionConstraint(n=8, r=1, m=2))
+    # verify_family reports the last row inside the budget instead
+    report = verify_family(catalog("dowling", m=2), 20)
+    assert str(report) == "dowling(m=2): rows up to 7 match enumeration"
+
+
+def test_many_distinguished_elements_are_only_a_weight():
+    # 20 distinguished elements and 10 plain ones: 30 elements, well inside
+    # the budget
+    counts = count_partitions(PartitionConstraint(n=10, r=20, m=2))
+    assert counts == row_counts("whitney", 10, m=2, c=20)
 
 
 def test_replace_checks_the_constraint():
@@ -263,20 +284,8 @@ def test_verify_holds_no_triangle():
     [
         # row 10 is the first row, so rows up to 8 hold nothing to count
         ("r_stirling", dict(r=10), 8, "no row up to 8: the first row is 10"),
-        # 20 distinguished elements: the guard is named before the empty range
-        (
-            "whitney",
-            dict(m=2, c=20),
-            -6,
-            "row 0 holds 20 elements, past the enumeration guard (14)",
-        ),
-        # row 15, the first, already holds 15 elements
-        (
-            "r_stirling",
-            dict(r=15),
-            30,
-            "row 15 holds 15 elements, past the enumeration guard (14)",
-        ),
+        # 20 distinguished elements weigh the walk, they do not shorten it
+        ("whitney", dict(m=2, c=20), -6, "no row up to -6: the first row is 0"),
     ],
 )
 def test_verify_family_skips_when_no_row_is_in_reach(name, params, n_max, notice):
@@ -284,25 +293,29 @@ def test_verify_family_skips_when_no_row_is_in_reach(name, params, n_max, notice
     report = verify_family(descriptor, n_max)
     assert report.ok and report.skipped
     assert report.notice == notice
-    (_, enumeration, _) = verify(descriptor, 20)
-    assert enumeration == Check("enumeration", True, f"skipped: {notice}")
+    # verify enumerates the rows up to 8
+    if n_max == 8:
+        (_, enumeration, _) = verify(descriptor, 20)
+        assert enumeration == Check("enumeration", True, f"skipped: {notice}")
 
 
 @pytest.mark.parametrize(
     "name,params,n_max,text",
     [
-        # row n holds c + n elements: the walk stops at row 14 - c
-        ("whitney", dict(m=2, c=7), 20, "whitney(m=2,c=7): rows up to 7 match enumeration"),
+        # row n holds c + n elements, more than 14 from row 8 on
+        ("whitney", dict(m=2, c=7), 20, "whitney(m=2,c=7): rows up to 20 match enumeration"),
         (
             "r_whitney_assoc",
             dict(m=2, r=8, s=2),
             20,
-            "r_whitney_assoc(m=2,r=8,s=2): rows up to 6 match enumeration",
+            "r_whitney_assoc(m=2,r=8,s=2): rows up to 20 match enumeration",
         ),
+        # row 15, the first, already holds 15 elements
+        ("r_stirling", dict(r=15), 30, "r_stirling(r=15): rows up to 30 match enumeration"),
     ],
 )
 def test_verify_family_stops_at_the_guard(name, params, n_max, text):
-    # past the guard verify_family reports the last row it compared
+    # inside the budget verify_family compares every row up to n_max
     report = verify_family(catalog(name, **params), n_max)
     assert report.ok and not report.skipped
     assert str(report) == text
