@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import NonzeroConstantTermError
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 # the largest exponent and lag depth a spec may name, in spec text or as a
 # catalog parameter: a polynomial holds one coefficient per power up to its
@@ -244,7 +244,7 @@ def scaled_ints(poly: ExactPolynomial, factor: int) -> tuple[int, ...]:
     return tuple(q * k for q in poly.numerators)
 
 
-def add_products(terms: Iterable[tuple], out: Optional[list] = None) -> list:
+def add_products(terms: Iterable[tuple], out: list | None = None) -> list:
     """out plus the sum of scale * a * b over the (a, b, scale) terms, as a
     coefficient list (lowest power first) without trailing zeros: the one
     convolution kernel of the package.

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
 
 from . import recurrence
 from .algebra import ExactPolynomial, Record
@@ -284,7 +283,7 @@ class ComparisonRecord(Record):
 
 
 def compare_exact(
-    descriptor: FamilyDescriptor, n: int, poly: Optional[ExactPolynomial] = None
+    descriptor: FamilyDescriptor, n: int, poly: ExactPolynomial | None = None
 ) -> ComparisonRecord:
     """Compare row n's exact mean, variance, and log total mass with the
     saddle-point predictions.

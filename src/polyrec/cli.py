@@ -33,10 +33,10 @@ import decimal
 import gc
 import math
 import sys
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import nullcontext
 from itertools import chain
 from types import SimpleNamespace
-from typing import Iterable, Iterator, Optional, Sequence
 
 from . import asymptotics as asym
 from . import distribution as dist
@@ -448,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+def _read(argv: Sequence[str]) -> SimpleNamespace | None:
     """The attributes `build_parser().parse_args(argv)` sets, read from
     `_COMMANDS` alone, or None unless `argv` is a well-formed line.
 
@@ -496,7 +496,7 @@ def _error_payload(err: Exception) -> dict:
     return {"error": payload}
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     # a well-formed line is read without a parser; any other line, help and
     # usage errors included, goes to the parser
     argv = sys.argv[1:] if argv is None else argv

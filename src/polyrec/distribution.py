@@ -21,9 +21,9 @@ from __future__ import annotations
 import decimal
 import functools
 import math
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import pairwise
-from typing import Iterator, Sequence
 
 from . import recurrence
 from .algebra import ExactPolynomial, ONE, Record

@@ -24,8 +24,8 @@ a time, so no 1/p! denominators appear on the way.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
 
 from . import recurrence
 from .algebra import (
@@ -209,7 +209,7 @@ def egf_rows(descriptor: FamilyDescriptor, order: int) -> list[ExactPolynomial]:
 
 def verify_egf_identity(
     descriptor: FamilyDescriptor, order: int
-) -> Optional[tuple[int, ExactPolynomial, ExactPolynomial]]:
+) -> tuple[int, ExactPolynomial, ExactPolynomial] | None:
     """Cross-check the recurrence against the EGF exponent.
 
     Returns None when EGF rows 0..order all match exactly, else the first
@@ -250,7 +250,7 @@ def validate_nonnegativity(rows: Iterable[TriangleRow]) -> NonnegativityReport:
 
 
 def _require_int(
-    params: dict, key: str, minimum: Optional[int] = None, maximum: Optional[int] = None
+    params: dict, key: str, minimum: int | None = None, maximum: int | None = None
 ) -> int:
     if key not in params:
         raise ParameterError(f"missing parameter {key!r}")

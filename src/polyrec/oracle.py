@@ -26,7 +26,8 @@ to row 8.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
+from operator import mul
 
 from . import recurrence
 from .algebra import Record
@@ -55,29 +56,28 @@ def _walk(r: int, m: int, s: int, n: int) -> Iterator[dict[int, int]]:
     returns them, while its layers hold at most MAX_VISITS profiles in all."""
     # profile[i] counts the non-distinguished blocks of size i + 1 for
     # i < s - 1, and profile[s - 1] those of size >= s.  A profile is
-    # dropped once its undersized blocks need more elements than are left
-    # before row n; a row counts the profiles with none.
+    # dropped once its need, the elements its undersized blocks lack, passes
+    # the elements left before row n; a row counts the profiles with none.
     layer: dict[tuple[int, ...], int] = {(0,) * s: 1}
     visits = 1
     yield {0: 1}
     for left in range(n - 1, -1, -1):
         following: dict[tuple[int, ...], int] = {}
         for profile, weight in layer.items():
-            # join one of the r distinguished blocks
-            moves = [(profile, weight * r)] if r else []
-            # join one of the c blocks of size i + 1 (a non-smallest member,
-            # hence one color factor m); a block of size >= s stays put
-            for i, c in enumerate(profile):
+            need = sum(map(mul, profile, range(s - 1, -1, -1)))
+            # join one of the r distinguished blocks or, as a non-smallest
+            # member (one color factor m), one of the blocks of size >= s:
+            # the profile stays put (a move of weight 0 is no move)
+            moves = [(profile, weight * (r + profile[-1] * m), need)]
+            # join one of the c blocks of size i + 1 < s, likewise
+            for i, c in enumerate(profile[:-1]):
                 if c:
-                    grown = list(profile)
-                    if i < s - 1:
-                        grown[i] -= 1
-                        grown[i + 1] += 1
-                    moves.append((tuple(grown), weight * c * m))
+                    grown = profile[:i] + (c - 1, profile[i + 1] + 1) + profile[i + 2 :]
+                    moves.append((grown, weight * c * m, need - 1))
             # open a new non-distinguished block
-            moves.append(((profile[0] + 1,) + profile[1:], weight))
-            for after, w in moves:
-                if sum(c * (s - 1 - i) for i, c in enumerate(after)) <= left:
+            moves.append(((profile[0] + 1,) + profile[1:], weight, need + s - 1))
+            for after, w, short in moves:
+                if w and short <= left:
                     following[after] = following.get(after, 0) + w
         if (visits := visits + len(following)) > MAX_VISITS:
             return

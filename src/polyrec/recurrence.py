@@ -39,8 +39,8 @@ import functools
 import math
 import operator
 from collections import deque
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from typing import Iterator, Sequence
 
 from .algebra import ONE, ExactPolynomial, Record, Scalar, add_products, as_fraction, scaled_ints
 from .errors import InvalidIndexError

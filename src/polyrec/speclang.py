@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from typing import Optional, Union
 
 from .algebra import MAX_EXPONENT, ONE, ExactPolynomial, Record
 from .errors import ParseError
@@ -149,7 +148,7 @@ class _Parser:
             value /= den
         return value
 
-    def integer(self, what: str, minimum: int, maximum: Optional[int] = None) -> int:
+    def integer(self, what: str, minimum: int, maximum: int | None = None) -> int:
         tok = self.expect("number", f"{what} (a nonnegative integer)")
         value = self.number(tok)
         if value < minimum:
@@ -264,7 +263,7 @@ class _Parser:
                 f"(known: {', '.join(catalog_names())})",
             )
         allowed = family_parameters(name_tok.text)
-        params: dict[str, Union[int, Fraction]] = {}
+        params: dict[str, int | Fraction] = {}
         self.expect("(", "'('")
         if self.peek().kind != ")":
             while True:
@@ -288,7 +287,7 @@ class _Parser:
         self.expect(")", "')'")
         return FamilyRequest(name=name_tok.text, params=params)
 
-    def parse(self) -> Union[RecurrenceSpec, FamilyRequest]:
+    def parse(self) -> RecurrenceSpec | FamilyRequest:
         handlers = {
             "gamma": lambda key: self.polynomial(),
             "m": self.m_value,
@@ -330,14 +329,14 @@ class _Parser:
         )
 
 
-def parse(src: Union[SpecSource, str]) -> Union[RecurrenceSpec, FamilyRequest]:
+def parse(src: SpecSource | str) -> RecurrenceSpec | FamilyRequest:
     """Parse spec text into a RecurrenceSpec or a FamilyRequest."""
     if isinstance(src, str):
         src = SpecSource(src)
     return _Parser(src).parse()
 
 
-def load(src: Union[SpecSource, str]) -> Union[RecurrenceSpec, FamilyDescriptor]:
+def load(src: SpecSource | str) -> RecurrenceSpec | FamilyDescriptor:
     """Parse, and additionally build the descriptor for family requests."""
     parsed = parse(src)
     if isinstance(parsed, FamilyRequest):
@@ -345,7 +344,7 @@ def load(src: Union[SpecSource, str]) -> Union[RecurrenceSpec, FamilyDescriptor]
     return parsed
 
 
-def format_spec(obj: Union[RecurrenceSpec, FamilyRequest, FamilyDescriptor]) -> str:
+def format_spec(obj: RecurrenceSpec | FamilyRequest | FamilyDescriptor) -> str:
     """Canonical rendering; parse(format_spec(s)) reproduces s when no
     degree or lag depth exceeds MAX_EXPONENT.
 

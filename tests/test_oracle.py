@@ -169,6 +169,19 @@ def test_count_partitions_stops_at_the_budget(monkeypatch):
     assert str(report) == "dowling(m=2): rows up to 7 match enumeration"
 
 
+def test_walk_stops_at_the_real_budget_for_large_blocks():
+    # blocks of size >= 20: profiles of 20 counts, MAX_VISITS unpatched.  A
+    # walk asked for row 200 keeps every profile its 200 elements can
+    # complete; count_partitions prunes to its own n, and so reaches further
+    assert oracle.MAX_VISITS == 20_000
+    for args, last in [((0, 1, 20, 200), 29), ((1, 2, 20, 200), 22)]:
+        assert len(list(oracle._walk(*args))) - 1 == last, args
+    with pytest.raises(SizeGuardError, match="the walk to n = 83 holds more than 20000"):
+        count_partitions(PartitionConstraint(n=83, s=20))
+    counts = count_partitions(PartitionConstraint(n=82, s=20))
+    assert counts == row_counts("assoc_stirling", 82, s=20)
+
+
 def test_many_distinguished_elements_are_only_a_weight():
     # 20 distinguished elements and 10 plain ones: 30 elements, well inside
     # the budget
