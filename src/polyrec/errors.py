@@ -5,20 +5,24 @@ class PolyrecError(Exception):
     """Base class for all package-specific errors.
 
     `exit_code` is the status the command line exits with: 2 for usage
-    errors (the default), 3 for numeric failures.
+    errors (the default), 3 for the numeric failures of `_NumericFailure`.
     """
 
     exit_code = 2
+
+
+class _NumericFailure(PolyrecError):
+    """Base class for the numeric failures: exit code 3."""
+
+    exit_code = 3
 
 
 class InvalidIndexError(PolyrecError):
     """A recurrence was asked for an index outside its valid range."""
 
 
-class NonzeroConstantTermError(PolyrecError):
+class NonzeroConstantTermError(_NumericFailure):
     """series_exp requires an exponent whose EGF coefficient g[0] is zero."""
-
-    exit_code = 3
 
 
 class UnsupportedShapeError(PolyrecError):
@@ -37,41 +41,29 @@ class SizeGuardError(PolyrecError):
     """The partition oracle's walk spent its profile budget short of its row."""
 
 
-class InvalidDistributionError(PolyrecError):
+class InvalidDistributionError(_NumericFailure):
     """A polynomial with a negative coefficient cannot define a PMF."""
 
-    exit_code = 3
 
-
-class ZeroMassError(PolyrecError):
+class ZeroMassError(_NumericFailure):
     """A zero polynomial carries no probability mass."""
 
-    exit_code = 3
 
-
-class ZeroVarianceError(PolyrecError):
+class ZeroVarianceError(_NumericFailure):
     """Normality diagnostics need strictly positive variance."""
 
-    exit_code = 3
 
-
-class UnitMassError(PolyrecError):
+class UnitMassError(_NumericFailure):
     """A row of total mass 1 has log total 0, so no relative error of the
     log-total estimate exists for it."""
 
-    exit_code = 3
 
-
-class SaddleFailureError(PolyrecError):
+class SaddleFailureError(_NumericFailure):
     """The saddle-point equation could not be solved for this input."""
 
-    exit_code = 3
 
-
-class SaddleOverflowError(PolyrecError):
+class SaddleOverflowError(_NumericFailure):
     """A float the saddle solver needs is past the double range."""
-
-    exit_code = 3
 
 
 class ParseError(PolyrecError):

@@ -1,11 +1,11 @@
 """Catalog of named polynomial families.
 
-Each family is one record in FAMILIES: its parameters, recurrence, OEIS
-cross-references and enumeration model.  A descriptor bundles the recurrence
-data, the OEIS ids, and, built from the recurrence by `build_exponent` on
-first read, the closed-form exponent of the exponential generating function
-and the constants (d, alpha_d) that decide whether the n/log n normal limit
-applies.
+Each family is one record in FAMILIES: its parameters, OEIS ids, partition
+model (r, m, s), and its own recurrence where the model's is not the family's.
+A descriptor bundles the recurrence data, the OEIS ids, and, built from the
+recurrence by `build_exponent` on first read, the closed-form exponent of
+the exponential generating function and the constants (d, alpha_d) that
+decide whether the n/log n normal limit applies.
 
 The exponent is stored as the factors of the equation it solves.  A term
 k x^j of a depth-s factor contributes k z^s/s! to f when j = 0, and
@@ -272,9 +272,13 @@ def _ids(table: dict, key) -> tuple[str, ...]:
     return (table[key],) if key in table else ()
 
 
-def _wang(m: int, c: int) -> RecurrenceSpec:
-    """gamma = x + c: the Whitney/Dowling/Galton shape."""
-    return RecurrenceSpec(gamma=ExactPolynomial((c, 1)), m=m)
+def _model_spec(r: int, m: int, s: int) -> RecurrenceSpec:
+    """The recurrence of the partition model (r, m, s): gamma = x + r when
+    s = 1, else gamma = r and the binomial lag m^(s-1) x at depth s."""
+    if s == 1:
+        return RecurrenceSpec(gamma=ExactPolynomial((r, 1)), m=m)
+    lag = LagTerm(s=s, kappa=monomial(1, m ** (s - 1)), binom_weight=True)
+    return RecurrenceSpec(gamma=ExactPolynomial((r,)), m=m, lags=(lag,))
 
 
 _DOWLING_ROWSUM_IDS = {
@@ -311,44 +315,44 @@ class Family(Record):
 
     `params` maps each parameter, in label order, to its minimum (None for
     any integer); `depths` names those that set a start degree or a lag
-    depth, each at most MAX_EXPONENT as in spec text.  `spec`, `oeis` and
-    `model` take the parameters as keywords and give the recurrence, the
-    OEIS ids and the enumeration oracle's partition model (None when the
-    family has none).  `listed` is the instance whose ids `polyrec families`
-    shows.
+    depth, each at most MAX_EXPONENT as in spec text.  `listed` is the
+    instance whose ids `polyrec families` shows.  `spec`, `oeis` and `model`
+    take the parameters as keywords and give the recurrence, the OEIS ids
+    and the enumeration oracle's partition model (r, m, s) (None when the
+    family has none).  A family names its spec, its model, or both: with no
+    spec, the recurrence is the model's, `_model_spec(r, m, s)`.
     """
 
     __slots__ = ()
 
-    def __new__(cls, params, spec, listed, oeis=lambda **_: (), model=lambda **_: None, depths=()):
-        return tuple.__new__(cls, (params, spec, listed, oeis, model, depths))
+    def __new__(
+        cls, params, listed, spec=None, oeis=lambda **_: (), model=lambda **_: None, depths=()
+    ):
+        return tuple.__new__(cls, (params, listed, spec, oeis, model, depths))
 
 
 FAMILIES: dict[str, Family] = {
     "stirling2": Family(
         params={},
-        spec=lambda: _wang(1, 0),
         listed={},
         oeis=lambda: ("A048993",),
         model=lambda: (0, 1, 1),
     ),
     "whitney": Family(
         params={"m": 1, "c": None},
-        spec=_wang,
         listed={"m": 2, "c": 1},
+        spec=lambda m, c: _model_spec(c, m, 1),
         oeis=lambda m, c: ("A039755", "A039756") if (m, c) == (2, 1) else (),
         model=lambda m, c: (c, m, 1) if c >= 0 else None,
     ),
     "translated_whitney": Family(
         params={"m": 1},
-        spec=lambda m: _wang(m, 0),
         listed={"m": 2},
         oeis=lambda m: _ids(_TRANSLATED_WHITNEY_IDS, m),
         model=lambda m: (0, m, 1),
     ),
     "dowling": Family(
         params={"m": 1},
-        spec=lambda m: _wang(m, 1),
         listed={"m": 2},
         oeis=lambda m: _ids(_DOWLING_ROWSUM_IDS, m)
         + (("A039755",) if m == 2 else ()),
@@ -356,56 +360,44 @@ FAMILIES: dict[str, Family] = {
     ),
     "r_stirling": Family(
         params={"r": 0},
-        spec=lambda r: RecurrenceSpec(
-            gamma=X, m=1, start_index=r, start_poly=monomial(r)
-        ),
         listed={"r": 2},
+        spec=lambda r: RecurrenceSpec(gamma=X, m=1, start_index=r, start_poly=monomial(r)),
         oeis=lambda r: _ids(_R_STIRLING_IDS, r),
         model=lambda r: (r, 1, 1),
         depths=("r",),
     ),
     "sheffer": Family(
         params={"d": 1, "a": 0},
-        spec=lambda d, a: RecurrenceSpec(gamma=ExactPolynomial((a, d)), m=d),
         listed={"d": 2, "a": 1},
+        spec=lambda d, a: RecurrenceSpec(gamma=ExactPolynomial((a, d)), m=d),
         oeis=lambda d, a: _ids(_SHEFFER_IDS, (d, a)),
     ),
     "stirling_frobenius": Family(
         params={"m": 1},
-        spec=lambda m: _wang(m, m - 1),
         listed={"m": 2},
         oeis=lambda m: _ids(_SHEFFER_IDS, (m, m - 1)),
         model=lambda m: (m - 1, m, 1),
     ),
     "galton": Family(
         params={"m": 1, "c": None},
-        spec=_wang,
         listed={"m": 2, "c": -1},
+        spec=lambda m, c: _model_spec(c, m, 1),
         oeis=lambda m, c: _ids(_GALTON_IDS, (m, c)),
     ),
     "assoc_stirling": Family(
         params={"s": 1},
-        spec=lambda s: RecurrenceSpec(
-            gamma=ZERO, m=1, lags=(LagTerm(s=s, kappa=X, binom_weight=True),)
-        ),
         listed={"s": 2},
         model=lambda s: (0, 1, s),
         depths=("s",),
     ),
     "r_whitney_assoc": Family(
         params={"m": 1, "r": 0, "s": 1},
-        spec=lambda m, r, s: RecurrenceSpec(
-            gamma=ExactPolynomial((r,)),
-            m=m,
-            lags=(LagTerm(s=s, kappa=monomial(1, m ** (s - 1)), binom_weight=True),),
-        ),
         listed={"m": 2, "r": 1, "s": 2},
         model=lambda m, r, s: (r, m, s),
         depths=("s",),
     ),
     "type_b": Family(
         params={"m": 1, "c": 1},
-        spec=_wang,
         listed={"m": 2, "c": 1},
         model=lambda m, c: (c, m, 1),
     ),
@@ -443,10 +435,11 @@ def catalog(name: str, **params) -> FamilyDescriptor:
         )
         for key, minimum in family.params.items()
     }
+    model = family.model(**values)
     return FamilyDescriptor(
         name=name,
         parameters=values,
-        spec=family.spec(**values),
+        spec=family.spec(**values) if family.spec else _model_spec(*model),
         oeis_refs=family.oeis(**values),
-        oracle_model=family.model(**values),
+        oracle_model=model,
     )

@@ -31,7 +31,7 @@ from operator import mul
 
 from . import recurrence
 from .algebra import Record
-from .errors import InvalidIndexError, ParameterError, SizeGuardError, UnsupportedShapeError
+from .errors import ParameterError, SizeGuardError, UnsupportedShapeError
 from .families import FAMILIES, FamilyDescriptor, egf_series, validate_nonnegativity
 
 MAX_VISITS = 20_000
@@ -167,8 +167,7 @@ def verify(descriptor: FamilyDescriptor, max_n: int) -> tuple[Check, ...]:
     """
     spec = descriptor.spec
     start = spec.start_index
-    if max_n < start:
-        raise InvalidIndexError(f"upper index {max_n} is below start index {start}")
+    recurrence._check_upto(spec, max_n)
 
     # one pass: EGF row j is spec row start + j, so the EGF check reads rows
     # through max_n + start and the scan through max_n

@@ -7,18 +7,20 @@ the key of every command line whose digest changed, is new or is gone.
 test_corpus.py runs the same lines in process through `cli.main` and names
 every line whose digest differs from the file.
 
-The lines: every command on every catalog family (bare and at its `listed`
-parameters), on the named edge specs of test_cli.py and on seeded signed
-and rational specs with lags and shifted starts; each in CSV and JSON, to
-stdout and to `--out`; plus `families`, the edges of `verify`'s
-enumeration and a few usage errors.
+The lines: every command on every catalog family (bare, at its `listed`
+parameters and at the instances of EXTRA_INSTANCES), on the named edge
+specs of test_cli.py, on seeded signed and rational specs with lags and
+shifted starts and on the spec files of SPEC_FILES; each in CSV and JSON,
+to stdout and to `--out`; plus `families`, the edges of `verify`'s
+enumeration, a missing spec file, a few usage errors and USAGE_COUNT lines
+drawn from test_cli.py's reader words, most of them usage errors.
 
-A digest covers the exit code, stdout, the `--out` file's bytes and
-polyrec's one-line JSON stderr.  Of an error that is not a PolyrecError
-(Python's own, such as the digit limit's ValueError) only the type counts,
-and of argparse's help and usage errors only the exit code: their texts
-differ between Python versions, and the corpus runs on every version CI
-does.
+A digest covers the exit code, stdout, the bytes of any file the line
+writes (the `--out` file, or a stray one) and polyrec's one-line JSON
+stderr.  Of an error that is not a PolyrecError (Python's own, such as the
+digit limit's ValueError) only the type counts, and of argparse's help and
+usage errors only the exit code: their texts differ between Python
+versions, and the corpus runs on every version CI does.
 """
 
 import contextlib
@@ -60,8 +62,37 @@ EDGE_SPECS = [
     ("DENOMINATOR", test_cli.DENOMINATOR, (2, 2, 1, "1,2")),
 ]
 CATALOG_DEPTHS = (12, 12, 9, "5,12")
+
+# catalog instances off `listed`: the s = 1 edges of the lag families, the
+# model families at other parameters, and the families with c < 0 or no model
+EXTRA_INSTANCES = [
+    "assoc_stirling(s=1)",
+    "assoc_stirling(s=3)",
+    "r_whitney_assoc(m=2,r=1,s=1)",
+    "r_whitney_assoc(m=3,r=0,s=1)",
+    "r_whitney_assoc(m=2,r=2,s=3)",
+    "stirling_frobenius(m=3)",
+    "type_b(m=3,c=2)",
+    "translated_whitney(m=5)",
+    "dowling(m=4)",
+    "whitney(m=3,c=-2)",
+    "galton(m=3,c=2)",
+]
+
+# spec files, written under these names in the scratch directory the lines
+# run in: NEGATIVE_START as is, after a byte-order mark and with CRLF line
+# ends; a bad byte after a two-byte character on line 2; a family request
+SPEC_FILES = {
+    "negative_start.spec": test_cli.NEGATIVE_START.encode(),
+    "marked.spec": b"\xef\xbb\xbf" + test_cli.NEGATIVE_START.encode(),
+    "crlf.spec": test_cli.NEGATIVE_START.replace("; ", ";\r\n").encode() + b"\r\n",
+    "undecodable.spec": "gamma: x;\nm: 1; λ".encode() + b"\xff",
+    "family.spec": b"family: dowling(m=3);",
+}
+SPEC_FILE_DEPTHS = (6, 6, 4, "2,6")
+MISSING_SPEC = ["triangle", "--spec", "missing.spec", "--max-n", "3"]
 SEEDED_DEPTHS = (7, 7, 5, "3,7")
-SEED, SEEDED_COUNT = 39, 64
+SEED, SEEDED_COUNT, USAGE_COUNT = 39, 64, 200
 
 # verify's enumeration edges: many distinguished elements, a first row at
 # or past the enumeration's row 8, a --max-n below the first row
@@ -148,10 +179,39 @@ def _sources():
         yield name, ["--family", name], CATALOG_DEPTHS
         listed = ",".join(f"{k}={v}" for k, v in family.listed.items())
         yield f"{name}({listed})", ["--family", f"{name}({listed})"], CATALOG_DEPTHS
+    for label in EXTRA_INSTANCES:
+        yield label, ["--family", label], CATALOG_DEPTHS
     for name, text, depths in EDGE_SPECS:
         yield name, ["--inline", text], depths
     for i, text in enumerate(seeded_specs()):
         yield f"seeded[{i}]", ["--inline", text], SEEDED_DEPTHS
+    for name in SPEC_FILES:
+        yield name, ["--spec", name], SPEC_FILE_DEPTHS
+
+
+def drawn_lines() -> list[list[str]]:
+    """USAGE_COUNT distinct lines drawn as test_cli.py's reader property
+    draws them: words at random, or a well-formed line with up to three
+    words replaced, inserted or dropped and a flag-value pair added."""
+    rng = random.Random(SEED)
+    words = test_cli.READER_WORDS + test_cli.READER_FLAGS + test_cli.READER_VALUES
+    drawn = {}
+    while len(drawn) < USAGE_COUNT:
+        if rng.random() < 0.5:
+            argv = [rng.choice(words) for _ in range(rng.randint(0, 8))]
+        else:
+            argv = list(rng.choice(test_cli.WELL_FORMED))
+            for _ in range(rng.randint(0, 3)):
+                i = rng.randint(0, len(argv))
+                edit = rng.choice(["replace", "insert", "drop", "pair"])
+                if edit == "insert":
+                    argv.insert(i, rng.choice(words))
+                elif edit == "pair":
+                    argv += [rng.choice(test_cli.READER_FLAGS), rng.choice(test_cli.READER_VALUES)]
+                elif i < len(argv):
+                    argv[i : i + 1] = [rng.choice(words)] if edit == "replace" else []
+        drawn.setdefault(shlex.join(argv), argv)
+    return list(drawn.values())
 
 
 def command_lines() -> dict[str, list[str]]:
@@ -182,24 +242,29 @@ def command_lines() -> dict[str, list[str]]:
     for family, max_n in VERIFY_EDGES:
         argv = ["verify", "--family", family, "--max-n", str(max_n)]
         add(argv, argv)
-    for argv in USAGE_LINES:
-        lines[shlex.join(argv)] = argv
+    # a drawn line may be one of the lines above, argv for argv
+    for argv in [MISSING_SPEC, *USAGE_LINES, *drawn_lines()]:
+        lines.setdefault(shlex.join(argv), argv)
     return lines
 
 
 def digest(argv: list[str]) -> str:
     """The first 16 hex digits of the sha256 of what `cli.main(argv)` does,
-    run in the current directory."""
+    run in the current directory.  The files it writes there are read, in
+    name order, and removed."""
+    before = set(os.listdir())
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
             code = cli.main(argv)
         except SystemExit as stop:  # argparse's own text
-            return hashlib.sha256(f"argparse {stop.code}".encode()).hexdigest()[:16]
+            code = f"argparse {stop.code}"
     written = b""
-    if os.path.exists(OUT):
-        written = Path(OUT).read_bytes()
-        os.remove(OUT)
+    for name in sorted(set(os.listdir()) - before):
+        written += Path(name).read_bytes()
+        os.remove(name)
+    if isinstance(code, str):
+        return hashlib.sha256(code.encode()).hexdigest()[:16]
     err = stderr.getvalue()
     if err:
         (line,) = err.splitlines()
@@ -211,11 +276,14 @@ def digest(argv: list[str]) -> str:
 
 
 def digests(lines: dict[str, list[str]]) -> dict[str, str]:
-    """{key: digest}, every line run in process in one scratch directory."""
+    """{key: digest}, every line run in process in one scratch directory
+    that holds SPEC_FILES."""
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
         try:
+            for name, data in SPEC_FILES.items():
+                Path(name).write_bytes(data)
             return {key: digest(argv) for key, argv in lines.items()}
         finally:
             os.chdir(here)

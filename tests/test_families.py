@@ -358,6 +358,57 @@ def test_sheffer_scales_stirling_frobenius():
             assert p_s == rescaled
 
 
+def _binom_lag(s, *kappa):
+    return (LagTerm(s=s, kappa=ExactPolynomial(kappa), binom_weight=True),)
+
+
+# each family's recurrence as its source states it, written out by hand:
+# two instances each (stirling2 has one), independent of how the catalog
+# builds them
+TEXTBOOK_SPECS = [
+    ("stirling2()", RecurrenceSpec(gamma=X, m=1)),
+    ("whitney(m=2,c=1)", RecurrenceSpec(gamma=ExactPolynomial((1, 1)), m=2)),
+    ("whitney(m=3,c=-2)", RecurrenceSpec(gamma=ExactPolynomial((-2, 1)), m=3)),
+    ("translated_whitney(m=2)", RecurrenceSpec(gamma=X, m=2)),
+    ("translated_whitney(m=5)", RecurrenceSpec(gamma=X, m=5)),
+    ("dowling(m=2)", RecurrenceSpec(gamma=ExactPolynomial((1, 1)), m=2)),
+    ("dowling(m=3)", RecurrenceSpec(gamma=ExactPolynomial((1, 1)), m=3)),
+    ("r_stirling(r=0)", RecurrenceSpec(gamma=X, m=1)),
+    ("r_stirling(r=2)", RecurrenceSpec(gamma=X, m=1, start_index=2, start_poly=monomial(2))),
+    ("sheffer(d=2,a=1)", RecurrenceSpec(gamma=ExactPolynomial((1, 2)), m=2)),
+    ("sheffer(d=3,a=0)", RecurrenceSpec(gamma=ExactPolynomial((0, 3)), m=3)),
+    ("stirling_frobenius(m=2)", RecurrenceSpec(gamma=ExactPolynomial((1, 1)), m=2)),
+    ("stirling_frobenius(m=3)", RecurrenceSpec(gamma=ExactPolynomial((2, 1)), m=3)),
+    ("galton(m=2,c=-1)", RecurrenceSpec(gamma=ExactPolynomial((-1, 1)), m=2)),
+    ("galton(m=3,c=2)", RecurrenceSpec(gamma=ExactPolynomial((2, 1)), m=3)),
+    ("assoc_stirling(s=2)", RecurrenceSpec(gamma=ZERO, m=1, lags=_binom_lag(2, 0, 1))),
+    ("assoc_stirling(s=3)", RecurrenceSpec(gamma=ZERO, m=1, lags=_binom_lag(3, 0, 1))),
+    (
+        "r_whitney_assoc(m=2,r=1,s=2)",
+        RecurrenceSpec(gamma=ONE, m=2, lags=_binom_lag(2, 0, 2)),
+    ),
+    (
+        "r_whitney_assoc(m=2,r=1,s=3)",
+        RecurrenceSpec(gamma=ONE, m=2, lags=_binom_lag(3, 0, 4)),
+    ),
+    ("type_b(m=2,c=1)", RecurrenceSpec(gamma=ExactPolynomial((1, 1)), m=2)),
+    ("type_b(m=3,c=2)", RecurrenceSpec(gamma=ExactPolynomial((2, 1)), m=3)),
+]
+
+
+def test_every_family_has_its_textbook_recurrence():
+    assert {label.split("(")[0] for label, _ in TEXTBOOK_SPECS} == set(families.FAMILIES)
+    for label, want in TEXTBOOK_SPECS:
+        request = speclang.parse(f"family: {label};")
+        assert catalog(request.name, **request.params).spec == want, label
+
+
+def test_an_s_1_lag_family_is_its_gamma_form_twin():
+    # at s = 1 the binomial lag m^0 x at depth 1 is the gamma term x itself
+    assert catalog("assoc_stirling", s=1).spec == catalog("stirling2").spec
+    assert catalog("r_whitney_assoc", m=2, r=1, s=1).spec == catalog("whitney", m=2, c=1).spec
+
+
 def test_equal_descriptors_hash_equal():
     # the parameters dict takes no part in the hash, so descriptors can be
     # set members and dict keys

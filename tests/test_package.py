@@ -12,6 +12,7 @@ import weakref
 import pytest
 
 import polyrec
+from polyrec import errors
 
 PUBLIC_NAMES = [
     "Check",
@@ -87,6 +88,36 @@ def test_public_names():
     # name, say) would show up here as an extra public name
     assert len(PUBLIC_NAMES) == 65
     assert polyrec.__all__ == PUBLIC_NAMES
+
+
+# every exception class of polyrec.errors and the exit code README gives it:
+# 3 for a numeric failure, 2 for the rest
+EXIT_CODES = {
+    "PolyrecError": 2,
+    "InvalidIndexError": 2,
+    "UnsupportedShapeError": 2,
+    "UnknownFamilyError": 2,
+    "ParameterError": 2,
+    "SizeGuardError": 2,
+    "ParseError": 2,
+    "NonzeroConstantTermError": 3,
+    "InvalidDistributionError": 3,
+    "ZeroMassError": 3,
+    "ZeroVarianceError": 3,
+    "UnitMassError": 3,
+    "SaddleFailureError": 3,
+    "SaddleOverflowError": 3,
+}
+
+
+def test_every_error_class_has_its_documented_exit_code():
+    classes = {
+        name: cls
+        for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, Exception) and not name.startswith("_")
+    }
+    assert {name: cls.exit_code for name, cls in classes.items()} == EXIT_CODES
+    assert all(issubclass(cls, errors.PolyrecError) for cls in classes.values())
 
 
 SUBMODULES = [
@@ -290,8 +321,8 @@ RECORDS = [
     (
         "families",
         "Family",
-        "params spec listed oeis model depths",
-        {"oeis": (), "model": None, "depths": ()},
+        "params listed spec oeis model depths",
+        {"spec": None, "oeis": (), "model": None, "depths": ()},
     ),
     ("families", "NonnegativityReport", "ok first_negative zero_sum_rows", {}),
     ("families", "TheoremConstants", "d alpha_d hypothesis_ok", {}),
