@@ -106,6 +106,19 @@ VERIFY_EDGES = [
     ("r_stirling(r=15)", 20),
     ("r_stirling(r=3)", -1),
     ("galton(m=2,c=-1)", 20),
+    ("dowling(m=2)", 20),
+    ("r_whitney_assoc(m=2,r=1,s=3)", 20),
+    ("r_stirling(r=10)", 20),
+    # models with a negative r or with w != 1
+    ("whitney(m=2,c=-7)", 12),
+    ("galton(m=3,c=-2)", 12),
+    ("sheffer(d=3,a=2)", 12),
+]
+# specs of partition shape written out: dowling(m=2), and a rational model
+# with w = 2/3 and a shifted monomial start
+VERIFY_INLINE = [
+    ("gamma: x + 1; m: 2;", 12),
+    ("gamma: 2/3x - 1/2; m: 3/2; start: {index: 2, poly: 4/3x^2};", 12),
 ]
 
 # argparse's lines: help, and usage errors the reader leaves to the parser
@@ -239,8 +252,9 @@ def command_lines() -> dict[str, list[str]]:
             ("verify", ["--max-n", str(verify_n)]),
         ]:
             add([command, *source, *flags], [command, *shown, *flags])
-    for family, max_n in VERIFY_EDGES:
-        argv = ["verify", "--family", family, "--max-n", str(max_n)]
+    edges = [(["--family", family], max_n) for family, max_n in VERIFY_EDGES]
+    for source, max_n in edges + [(["--inline", text], max_n) for text, max_n in VERIFY_INLINE]:
+        argv = ["verify", *source, "--max-n", str(max_n)]
         add(argv, argv)
     # a drawn line may be one of the lines above, argv for argv
     for argv in [MISSING_SPEC, *USAGE_LINES, *drawn_lines()]:
