@@ -1,7 +1,7 @@
 """Catalog of named polynomial families.
 
-Each family is one record in FAMILIES: its parameters, OEIS ids, partition
-model (r, m, s), and its own recurrence where the model's is not the family's.
+Each family is one record in FAMILIES: its parameters, OEIS ids, and its
+partition model (r, m, s, w), or its own recurrence where it has no model.
 A descriptor bundles the recurrence data, the OEIS ids, and, built from the
 recurrence by `build_exponent` on first read, the closed-form exponent of
 the exponential generating function and the constants (d, alpha_d) that
@@ -162,19 +162,18 @@ class FamilyDescriptor(Record):
 
     Row `spec.start_index + n` of the spec equals
     `spec.start_poly * n! * [z^n] exp(f)`, where f is `saddle`.
-    `parameters` maps each parameter name to its value, in order.
-    `oracle_model` is the partition model (r, m, s) the enumeration oracle
-    checks the triangle against, or None when the family has none.
+    `parameters` maps each parameter name to its value, in order.  The
+    partition model that the enumeration oracle checks is read off `spec`.
     """
 
     # no __slots__: the cached `saddle` lives in the instance dict
 
-    def __new__(cls, name, parameters, spec, oeis_refs=(), oracle_model=None):
-        return tuple.__new__(cls, (name, parameters, spec, oeis_refs, oracle_model))
+    def __new__(cls, name, parameters, spec, oeis_refs=()):
+        return tuple.__new__(cls, (name, parameters, spec, oeis_refs))
 
     def __hash__(self) -> int:
         # leave out the parameters: a dict has no hash
-        return hash((self.name, self.spec, self.oeis_refs, self.oracle_model))
+        return hash((self.name, self.spec, self.oeis_refs))
 
     @property
     def label(self) -> str:
@@ -249,9 +248,7 @@ def validate_nonnegativity(rows: Iterable[TriangleRow]) -> NonnegativityReport:
     return NonnegativityReport(first_negative is None, first_negative, tuple(zero_sums))
 
 
-def _require_int(
-    params: dict, key: str, minimum: int | None = None, maximum: int | None = None
-) -> int:
+def _require_int(params: dict, key: str, minimum: int | None, maximum: int | None) -> int:
     if key not in params:
         raise ParameterError(f"missing parameter {key!r}")
     value = params[key]
@@ -272,25 +269,18 @@ def _ids(table: dict, key) -> tuple[str, ...]:
     return (table[key],) if key in table else ()
 
 
-def _model_spec(r: int, m: int, s: int) -> RecurrenceSpec:
-    """The recurrence of the partition model (r, m, s): gamma = x + r when
-    s = 1, else gamma = r and the binomial lag m^(s-1) x at depth s."""
+def _model_spec(r: int, m: int, s: int, w: int) -> RecurrenceSpec:
+    """The recurrence of the partition model (r, m, s, w): gamma = r + w x
+    when s = 1, else gamma = r and the binomial lag w m^(s-1) x at depth s."""
     if s == 1:
-        return RecurrenceSpec(gamma=ExactPolynomial((r, 1)), m=m)
-    lag = LagTerm(s=s, kappa=monomial(1, m ** (s - 1)), binom_weight=True)
+        return RecurrenceSpec(gamma=ExactPolynomial((r, w)), m=m)
+    lag = LagTerm(s=s, kappa=monomial(1, w * m ** (s - 1)), binom_weight=True)
     return RecurrenceSpec(gamma=ExactPolynomial((r,)), m=m, lags=(lag,))
 
 
 _DOWLING_ROWSUM_IDS = {
     2: "A007405",
-    3: "A003575",
-    4: "A003576",
-    5: "A003577",
-    6: "A003578",
-    7: "A003579",
-    8: "A003580",
-    9: "A003581",
-    10: "A003582",
+    **{m: f"A{3575 + m - 3:06d}" for m in range(3, 11)},
     64: "A364069",
     624: "A364070",
 }
@@ -318,16 +308,13 @@ class Family(Record):
     depth, each at most MAX_EXPONENT as in spec text.  `listed` is the
     instance whose ids `polyrec families` shows.  `spec`, `oeis` and `model`
     take the parameters as keywords and give the recurrence, the OEIS ids
-    and the enumeration oracle's partition model (r, m, s) (None when the
-    family has none).  A family names its spec, its model, or both: with no
-    spec, the recurrence is the model's, `_model_spec(r, m, s)`.
+    and the partition model (r, m, s, w).  A family names its spec or its
+    model; the recurrence of a model is `_model_spec(r, m, s, w)`.
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls, params, listed, spec=None, oeis=lambda **_: (), model=lambda **_: None, depths=()
-    ):
+    def __new__(cls, params, listed, spec=None, oeis=lambda **_: (), model=None, depths=()):
         return tuple.__new__(cls, (params, listed, spec, oeis, model, depths))
 
 
@@ -336,70 +323,68 @@ FAMILIES: dict[str, Family] = {
         params={},
         listed={},
         oeis=lambda: ("A048993",),
-        model=lambda: (0, 1, 1),
+        model=lambda: (0, 1, 1, 1),
     ),
     "whitney": Family(
         params={"m": 1, "c": None},
         listed={"m": 2, "c": 1},
-        spec=lambda m, c: _model_spec(c, m, 1),
         oeis=lambda m, c: ("A039755", "A039756") if (m, c) == (2, 1) else (),
-        model=lambda m, c: (c, m, 1) if c >= 0 else None,
+        model=lambda m, c: (c, m, 1, 1),
     ),
     "translated_whitney": Family(
         params={"m": 1},
         listed={"m": 2},
         oeis=lambda m: _ids(_TRANSLATED_WHITNEY_IDS, m),
-        model=lambda m: (0, m, 1),
+        model=lambda m: (0, m, 1, 1),
     ),
     "dowling": Family(
         params={"m": 1},
         listed={"m": 2},
         oeis=lambda m: _ids(_DOWLING_ROWSUM_IDS, m)
         + (("A039755",) if m == 2 else ()),
-        model=lambda m: (1, m, 1),
+        model=lambda m: (1, m, 1, 1),
     ),
     "r_stirling": Family(
         params={"r": 0},
         listed={"r": 2},
         spec=lambda r: RecurrenceSpec(gamma=X, m=1, start_index=r, start_poly=monomial(r)),
         oeis=lambda r: _ids(_R_STIRLING_IDS, r),
-        model=lambda r: (r, 1, 1),
         depths=("r",),
     ),
     "sheffer": Family(
         params={"d": 1, "a": 0},
         listed={"d": 2, "a": 1},
-        spec=lambda d, a: RecurrenceSpec(gamma=ExactPolynomial((a, d)), m=d),
         oeis=lambda d, a: _ids(_SHEFFER_IDS, (d, a)),
+        model=lambda d, a: (a, d, 1, d),
     ),
     "stirling_frobenius": Family(
         params={"m": 1},
         listed={"m": 2},
         oeis=lambda m: _ids(_SHEFFER_IDS, (m, m - 1)),
-        model=lambda m: (m - 1, m, 1),
+        model=lambda m: (m - 1, m, 1, 1),
     ),
     "galton": Family(
         params={"m": 1, "c": None},
         listed={"m": 2, "c": -1},
-        spec=lambda m, c: _model_spec(c, m, 1),
         oeis=lambda m, c: _ids(_GALTON_IDS, (m, c)),
+        model=lambda m, c: (c, m, 1, 1),
     ),
     "assoc_stirling": Family(
         params={"s": 1},
         listed={"s": 2},
-        model=lambda s: (0, 1, s),
+        model=lambda s: (0, 1, s, 1),
         depths=("s",),
     ),
     "r_whitney_assoc": Family(
         params={"m": 1, "r": 0, "s": 1},
         listed={"m": 2, "r": 1, "s": 2},
-        model=lambda m, r, s: (r, m, s),
+        model=lambda m, r, s: (r, m, s, 1),
         depths=("s",),
     ),
     "type_b": Family(
         params={"m": 1, "c": 1},
         listed={"m": 2, "c": 1},
-        model=lambda m, c: (c, m, 1),
+        model=lambda m, c: (c, m, 1, 1),
     ),
 }
 
@@ -424,22 +409,15 @@ def catalog(name: str, **params) -> FamilyDescriptor:
     The parameters keep record order.
     """
     family = _family(name)
-    extra = set(params) - set(family.params)
-    if extra:
-        raise ParameterError(
-            f"family {name!r} does not take parameter(s) {sorted(extra)}"
-        )
+    if extra := set(params) - set(family.params):
+        raise ParameterError(f"family {name!r} does not take parameter(s) {sorted(extra)}")
     values = {
-        key: _require_int(
-            params, key, minimum, MAX_EXPONENT if key in family.depths else None
-        )
+        key: _require_int(params, key, minimum, MAX_EXPONENT if key in family.depths else None)
         for key, minimum in family.params.items()
     }
-    model = family.model(**values)
     return FamilyDescriptor(
         name=name,
         parameters=values,
-        spec=family.spec(**values) if family.spec else _model_spec(*model),
+        spec=family.spec(**values) if family.spec else _model_spec(*family.model(**values)),
         oeis_refs=family.oeis(**values),
-        oracle_model=model,
     )

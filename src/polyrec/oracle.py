@@ -1,20 +1,21 @@
 """Weighted partition counting for validating triangles at small n.
 
-The counting model: partitions of r + n elements where the first r
-(distinguished) elements lie in pairwise different blocks, every block
-containing no distinguished element has at least s elements, and each such
-non-distinguished block B carries multiplicative weight m^(|B| - 1).
-Counts are grouped by the number of non-distinguished blocks.
+The counting model (r, m, s, w): partitions of r + n elements where the
+first r (distinguished) elements lie in pairwise different blocks, every
+block containing no distinguished element has at least s elements, and each
+such non-distinguished block B carries weight w m^(|B| - 1).  Counts are
+grouped by the number of non-distinguished blocks.
 
 The n plain elements are placed one at a time, each making one of three
 choices: join one of the r distinguished blocks, join an existing
-non-distinguished block (one more color factor m), or open a new block.
+non-distinguished block (one more color factor m), or open a new block (w).
 Only the block-size profile matters to what follows, so the walk keeps one
 weight per profile (how many blocks have size 1, 2, ..., s - 1 and at least
 s) and merges equal profiles after each element; its cost is polynomial in
-n rather than the number of partitions.  This module shares no code with
-the recurrence engine beyond exact integers, which is the point: it is the
-independent witness.
+n rather than the number of partitions.  `_model` reads the model off the
+coefficients of any spec; it and the walk share no code with the recurrence
+engine or the EGF route beyond exact numbers, which is the point: they are
+the independent witness.
 
 `verify_family` compares a triangle with one walk, which yields the counts
 of every row until its budget of MAX_VISITS profiles is spent; the report
@@ -30,9 +31,9 @@ from collections.abc import Iterator
 from operator import mul
 
 from . import recurrence
-from .algebra import Record
+from .algebra import ZERO, Record
 from .errors import ParameterError, SizeGuardError, UnsupportedShapeError
-from .families import FAMILIES, FamilyDescriptor, egf_series, validate_nonnegativity
+from .families import FamilyDescriptor, egf_series, validate_nonnegativity
 
 MAX_VISITS = 20_000
 
@@ -51,9 +52,9 @@ class PartitionConstraint(Record):
         return tuple.__new__(cls, (n, r, m, s))
 
 
-def _walk(r: int, m: int, s: int, n: int) -> Iterator[dict[int, int]]:
-    """Yield the counts of 0, 1, ..., n plain elements, as `count_partitions`
-    returns them, while its layers hold at most MAX_VISITS profiles in all."""
+def _walk(r, m, s: int, w, n: int) -> Iterator[dict]:
+    """Yield the counts of 0, 1, ..., n plain elements in the model (r, m, s,
+    w), exact numbers, while its layers hold at most MAX_VISITS profiles."""
     # profile[i] counts the non-distinguished blocks of size i + 1 for
     # i < s - 1, and profile[s - 1] those of size >= s.  A profile is
     # dropped once its need, the elements its undersized blocks lack, passes
@@ -75,14 +76,14 @@ def _walk(r: int, m: int, s: int, n: int) -> Iterator[dict[int, int]]:
                     grown = profile[:i] + (c - 1, profile[i + 1] + 1) + profile[i + 2 :]
                     moves.append((grown, weight * c * m, need - 1))
             # open a new non-distinguished block
-            moves.append(((profile[0] + 1,) + profile[1:], weight, need + s - 1))
-            for after, w, short in moves:
-                if w and short <= left:
-                    following[after] = following.get(after, 0) + w
+            moves.append(((profile[0] + 1,) + profile[1:], weight * w, need + s - 1))
+            for after, value, short in moves:
+                if value and short <= left:
+                    following[after] = following.get(after, 0) + value
         if (visits := visits + len(following)) > MAX_VISITS:
             return
         layer = following
-        yield {p[-1]: w for p, w in layer.items() if not any(p[:-1])}
+        yield {p[-1]: value for p, value in layer.items() if not any(p[:-1])}
 
 
 def count_partitions(constraint: PartitionConstraint) -> dict[int, int]:
@@ -92,10 +93,35 @@ def count_partitions(constraint: PartitionConstraint) -> dict[int, int]:
     zero entries.  Raises SizeGuardError if the walk's budget ends it early.
     """
     n, r, m, s = constraint
-    *rows, counts = _walk(r, m, s, n)
+    *rows, counts = _walk(r, m, s, 1, n)
     if len(rows) < n:
         raise SizeGuardError(f"the walk to n = {n} holds more than {MAX_VISITS} profiles")
     return counts
+
+
+def _model(spec: recurrence.RecurrenceSpec) -> tuple | None:
+    """(r, m, s, w, c0, d), integral numbers as ints, when `spec` is the model
+    (r, m, s, w) started at c0 x^d, else None.  Lags must be binomial, and
+    absent past start index 0.  Folded as `build_exponent` folds it (m d in
+    gamma, a depth-1 lag merged in), it reads gamma = r + w x, or gamma = r
+    and one lag c x of depth s >= 2, w = c / m^(s - 1)."""
+    start, m, deep = spec.start_poly, spec.m, {lag.s: lag.kappa for lag in spec.lags}
+    one = deep.pop(1, ZERO)
+    r, w = (spec.gamma.coefficient(j) + one.coefficient(j) for j in (0, 1))
+    (s, kappa), *more = deep.items() or [(1, None)]
+    if (
+        any(start.numerators[:-1])
+        or (spec.lags and spec.start_index)
+        or not all(lag.binom_weight for lag in spec.lags)
+        or max(spec.gamma.degree, one.degree) > 1
+        or more
+        or (s > 1 and (w or kappa.degree != 1 or kappa.numerators[0]))
+    ):
+        return None
+    if s > 1:
+        w = kappa.coefficient(1) / m ** (s - 1)
+    model = (r + m * start.degree, m, s, w, start.leading_coefficient, start.degree)
+    return tuple(q.numerator if q.denominator == 1 else q for q in model)
 
 
 class OracleReport(Record):
@@ -119,29 +145,28 @@ class OracleReport(Record):
 def verify_family(descriptor: FamilyDescriptor, n_max: int) -> OracleReport:
     """Check the recurrence triangle against enumeration for rows <= n_max.
 
-    Row `start_index` holds no plain element and equals `start_poly`, so
-    row start_index + n counts the model's partitions of n plain elements,
-    shifted up by deg start_poly columns.  The report names the last row
-    compared: n_max, or the last row within the walk's budget.  Families
-    without a registered combinatorial model (galton, sheffer, whitney with
-    negative c), or with no row up to `n_max`, come back skipped-with-notice.
+    The model (r, m, s, w) is read off the spec by `_model`.  Row
+    `start_index` holds no plain element and equals the start c0 x^d, so
+    row start_index + n is c0 times the model's counts of n plain elements,
+    shifted up by d columns.  The report names the last row compared: n_max,
+    or the last row within the walk's budget; a mismatch gives both entries
+    exactly.  A spec with no partition model, or with no row up to `n_max`,
+    comes back skipped-with-notice.
     """
-    label, model = descriptor.label, descriptor.oracle_model
-    start = descriptor.spec.start_index
+    label, spec = descriptor.label, descriptor.spec
+    model, start = _model(spec), spec.start_index
     if model is None:
-        notice = "no combinatorial model registered"
+        notice = "custom spec has no model"
     elif n_max < start:
         notice = f"no row up to {n_max}: the first row is {start}"
     else:
-        r, m, s = model
-        col_offset = descriptor.spec.start_poly.degree
-        walk = _walk(r, m, s, n_max - start)
-        for counts, (n, poly) in zip(walk, recurrence.rows(descriptor.spec, n_max)):
-            top = max([poly.degree] + [k + col_offset for k in counts])
+        *weights, c0, d = model
+        for counts, (n, poly) in zip(_walk(*weights, n_max - start), recurrence.rows(spec, n_max)):
+            top = max([poly.degree] + [k + d for k in counts])
             for k in range(top + 1):
-                want = counts.get(k - col_offset, 0)
+                want = c0 * counts.get(k - d, 0)
                 if (got := poly.coefficient(k)) != want:
-                    return OracleReport(label, n_max, False, first_mismatch=(n, k, int(got), want))
+                    return OracleReport(label, n_max, False, first_mismatch=(n, k, got, want))
         return OracleReport(label, n, ok=True)
     return OracleReport(label, n_max, ok=True, skipped=True, notice=notice)
 
@@ -161,9 +186,9 @@ def verify(descriptor: FamilyDescriptor, max_n: int) -> tuple[Check, ...]:
     The EGF identity covers EGF rows 0..max_n, the enumeration rows up to
     8 (fewer where the walk's budget ends it) and the nonnegativity scan
     rows up to max_n.  A spec with no closed-form exponent skips the EGF
-    check, and one with no partition model or no row in reach skips the
-    enumeration; a skipped check passes.  A `max_n` below the start index
-    raises InvalidIndexError before any row is drawn.
+    check, and one, catalog or custom, with no partition model or no row in
+    reach skips the enumeration; a skipped check passes.  A `max_n` below
+    the start index raises InvalidIndexError before any row is drawn.
     """
     spec = descriptor.spec
     start = spec.start_index
@@ -191,12 +216,9 @@ def verify(descriptor: FamilyDescriptor, max_n: int) -> tuple[Check, ...]:
 
     scan = validate_nonnegativity(checked_rows())
 
-    if descriptor.name in FAMILIES:
-        report = verify_family(descriptor, 8)
-        detail = f"skipped: {report.notice}" if report.skipped else str(report)
-        enumeration = Check("enumeration", report.ok, detail)
-    else:
-        enumeration = Check("enumeration", True, "skipped: custom spec has no model")
+    report = verify_family(descriptor, 8)
+    detail = f"skipped: {report.notice}" if report.skipped else str(report)
+    enumeration = Check("enumeration", report.ok, detail)
 
     if not scan.ok:
         detail = f"negative entry at (n,k)={scan.first_negative}"

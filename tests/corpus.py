@@ -64,7 +64,7 @@ EDGE_SPECS = [
 CATALOG_DEPTHS = (12, 12, 9, "5,12")
 
 # catalog instances off `listed`: the s = 1 edges of the lag families, the
-# model families at other parameters, and the families with c < 0 or no model
+# model families at other parameters, and whitney and galton at another c
 EXTRA_INSTANCES = [
     "assoc_stirling(s=1)",
     "assoc_stirling(s=3)",

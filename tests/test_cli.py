@@ -102,13 +102,15 @@ GOLDEN_DIGESTS = {
     ("triangle", "--family", "r_stirling(r=3)", "--max-n", "20", "--format", "json"):
         "700060140b4f77eafaa8d872b3b5d2589d5bc0036a65fc4cd537cd82e63bfcd1",
     # recorded while the result records were dataclasses: the enumeration
-    # detail is str(OracleReport), and sheffer has no model (skipped, exit 0)
+    # detail is str(OracleReport)
     ("verify", "--family", "dowling(m=2)", "--max-n", "30", "--format", "csv"):
         "8e28ddb633133fdfc55b2bbbd824a804c320bfd99edb6079320c90adfcb3fe03",
     ("verify", "--family", "dowling(m=2)", "--max-n", "30", "--format", "json"):
         "ac4cba1ceac54471c059058310efc6fbda3a4eed4032300c37d1f482f8cb0204",
+    # re-recorded once the model was read off the spec: sheffer(d, a) is the
+    # model (a, d, 1, d), enumerated through row 8 (exit 0)
     ("verify", "--family", "sheffer(d=2,a=1)", "--max-n", "10", "--format", "csv"):
-        "34bedf6478aaaffc65c817e8aca7a1e9417ff4a93766dfef3e394fe928e7a602",
+        "968a93b1f70ca309f73d6180e4dcdb93d2d6ea8843c0d899c68ed03a3fd95a5f",
     # recorded while integer triangles were printed with str(int): signed
     # entries, and galton(m=1,c=-1) has zero entries amid negative ones
     ("triangle", "--inline", SIGNED_BINOMIAL, "--max-n", "40", "--format", "csv"):
@@ -1232,9 +1234,13 @@ def test_no_digit_limit_needs_no_size_proof(capsys, drawn):
         # enumeration then draws its own rows 1..8
         (("verify", "--family", "dowling(m=2)", "--max-n", "5"), [5, 8]),
         (("verify", "--family", "dowling(m=2)", "--max-n", "0"), [0, 8]),
-        # no partition model, no enumeration rows
-        (("verify", "--family", "sheffer(d=2,a=1)", "--max-n", "5"), 5),
-        (("verify", "--inline", "gamma: x; m: 1;", "--max-n", "3"), 3),
+        # no partition model, no enumeration rows: a unit-weight lag, and
+        # gamma of degree 2
+        (("verify", "--inline", NO_CLOSED_FORM, "--max-n", "5"), 5),
+        (("verify", "--inline", "gamma: x^2; m: 1;", "--max-n", "3"), 3),
+        # the model is read off any spec, catalog or custom
+        (("verify", "--family", "sheffer(d=2,a=1)", "--max-n", "5"), [5, 8]),
+        (("verify", "--inline", "gamma: x; m: 1;", "--max-n", "3"), [3, 8]),
     ],
 )
 def test_verify_draws_rows_once(capsys, drawn, argv, upto):
@@ -1325,14 +1331,10 @@ def test_verify_agrees_with_the_public_checks(descriptor, max_n, sabotaged):
                 detail = "row {}: recurrence {}, series {}".format(*mismatch)
                 assert egf == oracle.Check("egf_identity", False, detail)
 
-    if descriptor.name in FAMILIES:
-        report = oracle.verify_family(descriptor, 8)
-        detail = f"skipped: {report.notice}" if report.skipped else str(report)
-        assert enumeration == oracle.Check("enumeration", report.ok, detail)
-    else:
-        assert enumeration == oracle.Check(
-            "enumeration", True, "skipped: custom spec has no model"
-        )
+    # catalog or custom, the enumeration is verify_family's
+    report = oracle.verify_family(descriptor, 8)
+    detail = f"skipped: {report.notice}" if report.skipped else str(report)
+    assert enumeration == oracle.Check("enumeration", report.ok, detail)
 
     scan = validate_nonnegativity(recurrence.rows(spec, max_n))
     assert nonnegativity.ok == scan.ok

@@ -5,12 +5,13 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from polyrec import cli, oracle, recurrence
+from polyrec.algebra import ONE, X, ExactPolynomial, monomial
 from polyrec.errors import ParameterError, SizeGuardError
-from polyrec.families import catalog
+from polyrec.families import FamilyDescriptor, catalog
 from polyrec.oracle import (
     Check,
     PartitionConstraint,
@@ -18,7 +19,7 @@ from polyrec.oracle import (
     verify,
     verify_family,
 )
-from polyrec.recurrence import generate, triangle
+from polyrec.recurrence import LagTerm, RecurrenceSpec, generate, triangle
 
 BELL = [
     1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975,
@@ -174,7 +175,7 @@ def test_walk_stops_at_the_real_budget_for_large_blocks():
     # walk asked for row 200 keeps every profile its 200 elements can
     # complete; count_partitions prunes to its own n, and so reaches further
     assert oracle.MAX_VISITS == 20_000
-    for args, last in [((0, 1, 20, 200), 29), ((1, 2, 20, 200), 22)]:
+    for args, last in [((0, 1, 20, 1, 200), 29), ((1, 2, 20, 1, 200), 22)]:
         assert len(list(oracle._walk(*args))) - 1 == last, args
     with pytest.raises(SizeGuardError, match="the walk to n = 83 holds more than 20000"):
         count_partitions(PartitionConstraint(n=83, s=20))
@@ -240,36 +241,114 @@ def test_verify_family_reads_the_given_rows(monkeypatch):
 @pytest.mark.parametrize("r", range(4))
 def test_r_stirling_offsets_come_from_the_spec(r):
     # row r holds no plain element and equals x^r: the oracle's row and
-    # column offsets are the start index and the start degree, both r
+    # column offsets are the start index and the start degree, both r; the
+    # start degree folds m r = r into gamma = x, so the model is (r, 1, 1, 1)
     descriptor = catalog("r_stirling", r=r)
-    assert descriptor.oracle_model == (r, 1, 1)
+    assert oracle._model(descriptor.spec) == (r, 1, 1, 1, 1, r)
     report = verify_family(descriptor, r + 7)
     assert report.ok and not report.skipped, report
 
 
-def test_verify_family_skips_unmodelled_shapes():
-    for name, params in [
-        ("galton", dict(m=2, c=-1)),
-        ("sheffer", dict(d=3, a=1)),
-        ("whitney", dict(m=2, c=-1)),
+def test_the_model_is_read_off_the_spec():
+    # every family is modelled; sheffer(d, a) opens a block with weight d
+    for name, params, model in [
+        ("galton", dict(m=3, c=-2), (-2, 3, 1, 1, 1, 0)),
+        ("whitney", dict(m=2, c=-7), (-7, 2, 1, 1, 1, 0)),
+        ("sheffer", dict(d=3, a=2), (2, 3, 1, 3, 1, 0)),
+        ("r_whitney_assoc", dict(m=2, r=1, s=3), (1, 2, 3, 1, 1, 0)),
     ]:
-        report = verify_family(catalog(name, **params), 6)
+        assert oracle._model(catalog(name, **params).spec) == model
+    # w = c / m^(s - 1), a depth-1 lag merged into gamma, m d folded into r
+    lags = (LagTerm(1, ONE, True), LagTerm(3, monomial(1, 3), True))
+    spec = RecurrenceSpec(gamma=ExactPolynomial((Fraction(1, 2),)), m=2, lags=lags)
+    assert oracle._model(spec) == (Fraction(3, 2), 2, 3, Fraction(3, 4), 1, 0)
+    spec = RecurrenceSpec(gamma=X, m=Fraction(1, 2), start_index=2, start_poly=monomial(2, 5))
+    assert oracle._model(spec) == (1, Fraction(1, 2), 1, 1, 5, 2)
+
+
+# specs that have no partition model
+UNMODELLED = [
+    # a unit-weight lag
+    RecurrenceSpec(gamma=X, m=1, lags=(LagTerm(2, ONE),)),
+    # two lags
+    RecurrenceSpec(gamma=ONE, m=1, lags=(LagTerm(2, X, True), LagTerm(3, X, True))),
+    # gamma of degree 2
+    RecurrenceSpec(gamma=monomial(2), m=1),
+    # a start that is not a monomial
+    RecurrenceSpec(gamma=X, m=1, start_poly=ExactPolynomial((1, 1))),
+    # a lag with a start index above 0
+    RecurrenceSpec(gamma=ONE, m=1, lags=(LagTerm(2, X, True),), start_index=1),
+]
+
+
+def test_verify_family_skips_unmodelled_shapes():
+    for spec in UNMODELLED:
+        assert oracle._model(spec) is None, spec
+        descriptor = FamilyDescriptor("custom", {}, spec)
+        report = verify_family(descriptor, 6)
         assert report.skipped and report.ok
-        assert report.notice
-    report = verify_family(catalog("galton", m=2, c=-1), 6)
-    assert str(report) == "galton(m=2,c=-1): skipped (no combinatorial model registered)"
+        assert str(report) == "custom: skipped (custom spec has no model)"
+        (_, enumeration, _) = verify(descriptor, 6)
+        assert enumeration == Check("enumeration", True, "skipped: custom spec has no model")
 
 
-def test_verify_family_reports_mismatch():
-    # sabotage the spec so row 1 disagrees with the partition model
+_SIGNED = st.fractions(-5, 5, max_denominator=3)
+
+
+@st.composite
+def _partition_specs(draw):
+    """The spec of a drawn model (r, m, s, w): gamma = r + w x for s = 1,
+    else gamma = r and the binomial lag w m^(s-1) x; a monomial start on a
+    third of the draws, and a start index above 0 on some s = 1 draws."""
+    r, s = draw(_SIGNED), draw(st.integers(1, 4))
+    m = draw(st.fractions(Fraction(1, 3), 4, max_denominator=3))
+    # a zero lag is no lag: w = 0 is drawn for s = 1 only
+    w = draw(_SIGNED if s == 1 else _SIGNED.filter(bool))
+    start = {}
+    if draw(st.integers(0, 2)) == 0:
+        start["start_poly"] = monomial(draw(st.integers(0, 3)), draw(_SIGNED.filter(bool)))
+    if s == 1 and draw(st.booleans()):
+        start["start_index"] = draw(st.integers(1, 3))
+    if s == 1:
+        return RecurrenceSpec(gamma=ExactPolynomial((r, w)), m=m, **start)
+    lag = LagTerm(s, monomial(1, w * m ** (s - 1)), True)
+    return RecurrenceSpec(gamma=ExactPolynomial((r,)), m=m, lags=(lag,), **start)
+
+
+@seed(2024)
+@settings(max_examples=60, deadline=None)
+@given(_partition_specs())
+def test_signed_rational_models_match_the_recurrence(spec):
+    # the walk only multiplies and adds weights: signed and rational r, m
+    # and w count as well as the catalog's integers
+    report = verify_family(FamilyDescriptor("custom", {}, spec), 25)
+    assert report.ok and not report.skipped, report
+
+
+def test_verify_family_reports_mismatch(monkeypatch):
+    # the model is read off the spec, so a sabotaged spec agrees with its
+    # own model: sabotage the rows, those of stirling2's spec with m = 2
     descriptor = catalog("stirling2")
-    broken = descriptor._replace(spec=descriptor.spec._replace(m=Fraction(2)))
-    report = verify_family(broken, 5)
+    broken = triangle(descriptor.spec._replace(m=Fraction(2)), 5)
+    # a rational model, gamma = 1/2 + 2/3 x and m = 3/2, with row 2 halved
+    gamma = ExactPolynomial((Fraction(1, 2), Fraction(2, 3)))
+    spec = RecurrenceSpec(gamma=gamma, m=Fraction(3, 2))
+    rows = triangle(spec, 2)
+    assert rows[2].poly == ExactPolynomial((Fraction(1, 4), Fraction(5, 3), Fraction(4, 9)))
+    halved = rows[:2] + [rows[2]._replace(poly=rows[2].poly * Fraction(1, 2))]
+
+    monkeypatch.setattr(recurrence, "rows", lambda spec, upto: iter(broken[: upto + 1]))
+    report = verify_family(descriptor, 5)
     assert not report.ok and not report.skipped
     assert report.first_mismatch is not None
     n, k, got, want = report.first_mismatch
     assert got != want
     assert str(report) == "stirling2: mismatch at (n=2, k=1): triangle 2, oracle 1"
+    # both entries are given exactly, not truncated
+    monkeypatch.setattr(recurrence, "rows", lambda spec, upto: iter(halved))
+    report = verify_family(FamilyDescriptor("custom", {}, spec), 2)
+    assert report.first_mismatch == (2, 0, Fraction(1, 8), Fraction(1, 4))
+    assert str(report) == "custom: mismatch at (n=2, k=0): triangle 1/8, oracle 1/4"
 
 
 def test_verify_holds_no_triangle():

@@ -348,8 +348,8 @@ def test_records_are_plain_tuples(module, name, fields, defaults):
     cls = getattr(importlib.import_module("polyrec." + module), name)
     fields = tuple(fields.split())
     assert cls._fields == fields
-    # Family's `oeis` and `model` defaults are functions of the parameters:
-    # compare what they give for none
+    # Family's `oeis` default is a function of the parameters: compare what
+    # it gives for none
     given = cls._field_defaults.items()
     assert {key: value() if callable(value) else value for key, value in given} == defaults
     values = tuple(range(len(fields)))
@@ -368,6 +368,13 @@ def test_records_are_plain_tuples(module, name, fields, defaults):
     with pytest.raises(ValueError):
         record._replace(bogus=1)
     assert cls.__match_args__ == fields
+
+
+def test_family_descriptor_carries_no_model():
+    # the partition model is read off `spec`: the descriptor holds no copy
+    cls = polyrec.FamilyDescriptor
+    assert cls._fields == ("name", "parameters", "spec", "oeis_refs")
+    assert cls._field_defaults == {"oeis_refs": ()}
 
 
 @pytest.mark.parametrize("module", SUBMODULES)
