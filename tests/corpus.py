@@ -11,9 +11,10 @@ The lines: every command on every catalog family (bare, at its `listed`
 parameters and at the instances of EXTRA_INSTANCES), on the named edge
 specs of test_cli.py, on seeded signed and rational specs with lags and
 shifted starts and on the spec files of SPEC_FILES; each in CSV and JSON,
-to stdout and to `--out`; plus `families`, the edges of `verify`'s
-enumeration, a missing spec file, a few usage errors and USAGE_COUNT lines
-drawn from test_cli.py's reader words, most of them usage errors.
+to stdout and to `--out`; the same for the malformed specs of MALFORMED;
+plus `families`, the edges of `verify`'s enumeration, the PROBES once each,
+a missing spec file, a few usage errors and USAGE_COUNT lines drawn from
+test_cli.py's reader words, most of them usage errors.
 
 A digest covers the exit code, stdout, the bytes of any file the line
 writes (the `--out` file, or a stray one) and polyrec's one-line JSON
@@ -90,6 +91,49 @@ SPEC_FILES = {
     "family.spec": b"family: dowling(m=3);",
 }
 SPEC_FILE_DEPTHS = (6, 6, 4, "2,6")
+
+# specs the reader refuses, each shown as its own text in the keys: one or
+# more for every rejection of speclang, and a family parameter value the
+# catalog refuses after parsing
+MALFORMED = [
+    "",
+    "gamma: x m: 1;",
+    "gamma: x; m: 1",
+    "gamma x; m: 1;",
+    "gamma: x; m: 0;",
+    "gamma: x; m: -1/2;",
+    "gamma: x; gamma: x; m: 1;",
+    "gamma: x;",
+    "m: 1;",
+    "gamma: x; m: 1; bogus: 2;",
+    "gamma: ; m: 1;",
+    "gamma: 1.5x; m: 1;",
+    "gamma: x^; m: 1;",
+    "gamma: y; m: 1;",
+    "gamma: 1/0x; m: 1;",
+    "gamma: x; m: 1/0;",
+    "gamma: x; m: 1; lag: {s: 0, coeff: x};",
+    "gamma: x; m: 1; lag: {s: 1, coeff: x, binom: maybe};",
+    "gamma: x; m: 1; lag: {s: 1, coeff: x, binom: 1};",
+    "gamma: x; m: 1; lag: {s: 1, coef: x};",
+    "gamma: x; m: 1; lag: {s: 1, s: 2, coeff: x};",
+    "gamma: x; m: 1; lag: {coeff: x};",
+    "gamma: x; m: 1; lag: {s: 1};",
+    "gamma: x; m: 1; lag: {s: 1, coeff: x;",
+    "gamma: x; m: 1; lag: {s: 1, coeff: x}; lag: {s: 1, coeff: 1};",
+    "gamma: x; m: 1; start: {poly: 0};",
+    "gamma: x; m: 1; start: {index: -1};",
+    "family: stirling2(); m: 1;",
+    "gamma: x; family: stirling2();",
+    "family: bogus();",
+    "family: 3;",
+    "family: dowling(q=2);",
+    "family: dowling(m);",
+    "family: dowling(m=2, m=3);",
+    "family: dowling(m=2",
+    "family: dowling(m=2/3);",
+]
+MALFORMED_DEPTHS = (3, 3, 2, "3")
 MISSING_SPEC = ["triangle", "--spec", "missing.spec", "--max-n", "3"]
 SEEDED_DEPTHS = (7, 7, 5, "3,7")
 SEED, SEEDED_COUNT, USAGE_COUNT = 39, 64, 200
@@ -119,6 +163,40 @@ VERIFY_EDGES = [
 VERIFY_INLINE = [
     ("gamma: x + 1; m: 2;", 12),
     ("gamma: 2/3x - 1/2; m: 3/2; start: {index: 2, poly: 4/3x^2};", 12),
+]
+
+# the console-script probes CI ran in a process before the corpus held
+# them, each run once as its argv plus the default --format csv; a word that
+# names a spec of PROBE_SPECS stands for its text, in the argv only
+PROBE_SPECS = {
+    **{name: text for name, text, _ in EDGE_SPECS},
+    "LONG_LITERAL": f"gamma: {'1' * 5000}; m: 1;",
+    "SMALL_M": f"gamma: 2x; m: 1/1{'0' * 100};",
+}
+PROBES = [
+    # a zero entry over a power of two prints as 0; gamma's constant folded
+    # into the rate; a constant gamma; signed data the majorant proves
+    "triangle --family stirling2 --max-n 5 --format json",
+    "triangle --inline HALVES_WITH_ZERO --max-n 3",
+    "triangle --family dowling(m=2) --max-n 3",
+    "triangle --family r_whitney_assoc(m=2,r=1,s=2) --max-n 4",
+    "triangle --family galton(m=1,c=-1) --max-n 5",
+    # row 14285's denominator is the first past the digit limit: exit 4; a
+    # literal past it, an exponent and a lag depth past the cap: exit 2
+    "triangle --inline 'gamma: 1/2; m: 1;' --max-n 15000",
+    "triangle --inline LONG_LITERAL --max-n 2",
+    "triangle --inline 'gamma: x^1000000000; m: 1;' --max-n 1",
+    "verify --inline 'gamma: x; m: 1; lag: {s: 1000000000, coeff: x, binom: true};' --max-n 3",
+    # deep lags: verify and clt never build Q1; the saddle of s = 60 solves
+    "verify --family assoc_stirling(s=10000) --max-n 5",
+    "clt --family r_whitney_assoc(m=7,r=1,s=10000) --ns 5",
+    "asymptotics --family assoc_stirling(s=60) --ns 200",
+    # a bracket end near 10^100, a log total of 3e-100, a row with no mass
+    # and an exponent coefficient past the float range
+    "asymptotics --inline SMALL_M --ns 3",
+    "asymptotics --inline NEAR_ONE --ns 3",
+    "asymptotics --family assoc_stirling(s=40) --ns 10",
+    "asymptotics --inline NINES --ns 10",
 ]
 
 # argparse's lines: help, and usage errors the reader leaves to the parser
@@ -200,6 +278,8 @@ def _sources():
         yield f"seeded[{i}]", ["--inline", text], SEEDED_DEPTHS
     for name in SPEC_FILES:
         yield name, ["--spec", name], SPEC_FILE_DEPTHS
+    for text in MALFORMED:
+        yield text, ["--inline", text], MALFORMED_DEPTHS
 
 
 def drawn_lines() -> list[list[str]]:
@@ -229,7 +309,8 @@ def drawn_lines() -> list[list[str]]:
 
 def command_lines() -> dict[str, list[str]]:
     """{key: argv}; a key is the argv with each spec text replaced by its
-    name: EDGE_SPECS' names, and seeded[i] for seeded_specs()[i]."""
+    name: EDGE_SPECS' and PROBE_SPECS' names, and seeded[i] for
+    seeded_specs()[i]."""
     lines = {}
 
     def add(argv, shown):
@@ -256,6 +337,11 @@ def command_lines() -> dict[str, list[str]]:
     for source, max_n in edges + [(["--inline", text], max_n) for text, max_n in VERIFY_INLINE]:
         argv = ["verify", *source, "--max-n", str(max_n)]
         add(argv, argv)
+    for probe in PROBES:
+        shown = shlex.split(probe) + ["--format", "csv"] * ("--format" not in probe)
+        key = shlex.join(shown)
+        assert key not in lines, key
+        lines[key] = [PROBE_SPECS.get(word, word) for word in shown]
     # a drawn line may be one of the lines above, argv for argv
     for argv in [MISSING_SPEC, *USAGE_LINES, *drawn_lines()]:
         lines.setdefault(shlex.join(argv), argv)
