@@ -320,6 +320,7 @@ def _cmd_asymptotics(args) -> int:
     ns = set(args.ns)
     if ns and min(ns) < descriptor.spec.start_index + 3:
         asym.compare_exact(descriptor, min(ns))  # raises before any row is drawn
+    descriptor.saddle.floats  # as does an exponent term past the float range
     # one pass over the rows serves every n
     rows = recurrence.rows(descriptor.spec, max(ns)) if ns else ()
     records = [asym.compare_exact(descriptor, r.n, r.poly) for r in rows if r.n in ns]

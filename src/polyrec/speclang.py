@@ -18,8 +18,9 @@ z-power per lag depth.
 
 "family" cannot be combined with the other keys.  Defaults: start index 0,
 start polynomial 1, no lags, binom false.  Coefficients are exact rationals;
-floating literals are rejected.  Every rejection carries the 1-based
-line:column of the offending token.
+floating literals are rejected.  A ParseError carries the 1-based
+line:column of the offending token; a family's parameter values are checked
+by `catalog` after parsing, and its ParameterError carries no position.
 """
 
 from __future__ import annotations

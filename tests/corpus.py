@@ -165,9 +165,10 @@ VERIFY_INLINE = [
     ("gamma: 2/3x - 1/2; m: 3/2; start: {index: 2, poly: 4/3x^2};", 12),
 ]
 
-# the console-script probes CI ran in a process before the corpus held
-# them, each run once as its argv plus the default --format csv; a word that
-# names a spec of PROBE_SPECS stands for its text, in the argv only
+# single lines, each run as written plus the default --format csv: edges of
+# printing, of the digit limit and the caps, of deep lags and of the saddle's
+# float range; a word that names a spec of PROBE_SPECS stands for its text,
+# in the argv only
 PROBE_SPECS = {
     **{name: text for name, text, _ in EDGE_SPECS},
     "LONG_LITERAL": f"gamma: {'1' * 5000}; m: 1;",

@@ -853,6 +853,20 @@ def test_help_of_one_command_is_the_full_parsers(capsys, command):
 
 
 @pytest.mark.parametrize(
+    "argv,shown",
+    [
+        # a help flag before the command is the top level's: every command
+        (["-h", "triangle"], "{" + ",".join(COMMANDS) + "}"),
+        (["triangle", "--help"], "--max-n"),
+    ],
+)
+def test_help_names_the_commands_or_the_flags(capsys, argv, shown):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert shown in out
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         [],
@@ -1262,6 +1276,18 @@ def test_asymptotics_checks_the_range_before_drawing(capsys, drawn, ns, low):
     assert json.loads(err)["error"] == {
         "type": "ParameterError",
         "message": f"n must be >= 6, got {low}",
+    }
+    assert drawn == ([], [])
+
+
+def test_asymptotics_checks_the_float_range_before_drawing(capsys, drawn):
+    # NINES' exponent coefficient is past the float range at every n: the
+    # refusal comes before the rows and the PMF that the saddle would follow
+    code, out, err = run_cli(capsys, "asymptotics", "--inline", NINES, "--ns", "40")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == {
+        "type": "SaddleOverflowError",
+        "message": "a coefficient of the EGF exponent is past the float range",
     }
     assert drawn == ([], [])
 

@@ -129,7 +129,8 @@ def test_counts_match_brute_force_with_distinguished_elements():
     s=st.integers(1, 4),
 )
 def test_random_models_match_the_recurrence_up_to_the_guard(m, r, s):
-    # r is only a weight of the walk, so r > 14 reaches row 14 too
+    # r is only a weight of the walk: its profiles, and so its budget of
+    # MAX_VISITS, are the same for every r, and each r reaches row 14
     report = verify_family(catalog("r_whitney_assoc", m=m, r=r, s=s), 14)
     assert str(report) == f"{report.family}: rows up to 14 match enumeration"
     # r_stirling(r) row r + n counts partitions of r + n elements, r of
