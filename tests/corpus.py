@@ -173,6 +173,7 @@ PROBE_SPECS = {
     **{name: text for name, text, _ in EDGE_SPECS},
     "LONG_LITERAL": f"gamma: {'1' * 5000}; m: 1;",
     "SMALL_M": f"gamma: 2x; m: 1/1{'0' * 100};",
+    "FLAT_NINES": f"gamma: {'9' * 2200}; m: 1;",
 }
 PROBES = [
     # a zero entry over a power of two prints as 0; gamma's constant folded
@@ -198,6 +199,12 @@ PROBES = [
     "asymptotics --inline NEAR_ONE --ns 3",
     "asymptotics --family assoc_stirling(s=40) --ns 10",
     "asymptotics --inline NINES --ns 10",
+    # specs with several faults: no closed form and a row below the saddle's
+    # first; a row below it and an exponent coefficient past the float
+    # range; that coefficient and a constant gamma, which fails the theorem
+    "asymptotics --inline NO_CLOSED_FORM --ns 2",
+    "asymptotics --inline NINES --ns 2",
+    "asymptotics --inline FLAT_NINES --ns 5",
 ]
 
 # argparse's lines: help, and usage errors the reader leaves to the parser
