@@ -30,6 +30,7 @@ from .asymptotics import (
     Partials,
     SaddleReport,
     compare_exact,
+    compare_scan,
     f_partials,
     saddle_report,
     solve_saddle,

@@ -10,6 +10,8 @@ The pipeline: solve z f_z(z, x) = n for the saddle radius rho, then read off
 
 with leading terms d n / log n for the mean and d^2 n / log^2 n for the
 variance, where d and alpha_d are the degree and leading coefficient of Q2.
+compare_scan sets exact rows beside them in one row pass, after refusing, in
+turn: no closed form, n < start_index + 3, an overflow, a failed hypothesis.
 
 Everything here is floating point, summed term by term over the exact
 factors: each tail T_s is taken in the form that cancels at most about 4
@@ -20,6 +22,7 @@ degrade into an explicit overflow error instead of silently producing inf.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 
 from . import recurrence
@@ -92,7 +95,7 @@ def f_partials(sf: SaddleFunction, z: float, x: float) -> Partials:
                 lo, mid, hi = mid, hi, hi + t
                 t = t * w / i
             if w <= 0 or math.log(hi) - w <= _LOG_MOST_CANCELLED:
-                cx = c * x**j
+                cx = c * (x**j if j * math.log(x) < _FLOAT_LOG_MAX else math.inf)
                 g, gz, gzz = -cx * hi, -cx * jm * mid, -cx * jm * jm * lo
                 if scaled:
                     t = math.copysign(_exp(math.log(abs(c)) + j * log_u, z, x), c)
@@ -127,14 +130,14 @@ def f_partials(sf: SaddleFunction, z: float, x: float) -> Partials:
         f_zz += gzz
         f_x += j * g / x
         f_zx += j * gz / x
-        f_xx += j * (j - 1) * g / (x * x)
+        f_xx += j * (j - 1) * g / x / x
 
     f += e
     f_z += m * a
     f_x += a / x
     f_zz += m * m * (a + b)
     f_zx += m * (a + b) / x
-    f_xx += b / (x * x)
+    f_xx += b / x / x
     partials = Partials(f=f, f_z=f_z, f_zz=f_zz, f_x=f_x, f_zx=f_zx, f_xx=f_xx)
     if not all(map(math.isfinite, partials)):
         raise SaddleOverflowError(f"f exceeds double range at z={z!r}, x={x!r}")
@@ -161,6 +164,8 @@ def solve_saddle(sf: SaddleFunction, n: int, x: float = 1.0) -> float:
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
+    if math.log(n) > _FLOAT_LOG_MAX:
+        raise SaddleOverflowError("n is past the float range")
     if x <= 0:
         raise ParameterError(f"x must be > 0, got {x!r}")
     constants = theorem_constants(sf)
@@ -282,33 +287,39 @@ class ComparisonRecord(Record):
                                    estimate_log_total, log_total_rel_err, report))
 
 
-def compare_exact(
-    descriptor: FamilyDescriptor, n: int, poly: ExactPolynomial | None = None
-) -> ComparisonRecord:
+def compare_exact(descriptor: FamilyDescriptor, n: int) -> ComparisonRecord:
     """Compare row n's exact mean, variance, and log total mass with the
-    saddle-point predictions.
-
-    Row n is c x^r times n'! [z^{n'}] e^f with n' = n - start_index and
-    c x^r the start polynomial: x^r moves the mean up by r
-    and leaves the variance alone, and the coefficient estimate is matched
-    through log P_n(1) = log c + log n'! + log [z^{n'}] e^{f(z,1)}.  A row
-    whose variance is 0 or below the float range, or whose P_n(1) is exactly
-    1, has no relative error to report and raises ZeroVarianceError or
-    UnitMassError; a row with no mass raises ZeroMassError before the
-    saddle is solved.  `poly`, when given, is the spec's row P_n; otherwise
-    it is drawn from the row source here.
+    saddle-point predictions: `compare_scan(descriptor, [n])[0]`.  Before the
+    row is drawn it refuses, in order, a spec with no closed form
+    (UnsupportedShapeError), n below start_index + 3 (ParameterError), an
+    exponent term past the float range (SaddleOverflowError) and a failed
+    theorem hypothesis (SaddleFailureError).  Row n is c x^r n'! [z^{n'}] e^f
+    with n' = n - start_index and c x^r the start polynomial: x^r moves the
+    mean up by r and leaves the variance alone, and log P_n(1) is matched as
+    log c + log n'! + log [z^{n'}] e^{f(z,1)}.  A row whose variance is 0 or
+    below the float range, or whose P_n(1) is exactly 1, has no relative error
+    and raises ZeroVarianceError or UnitMassError; a row with no mass raises
+    ZeroMassError before the saddle is solved.
     """
-    start = descriptor.spec.start_index
+    return compare_scan(descriptor, [n])[0]
+
+
+def compare_scan(descriptor: FamilyDescriptor, ns: Sequence[int]) -> list[ComparisonRecord]:
+    """compare_exact of each distinct n in ns, ascending: its refusals, then one row pass."""
+    sf, wanted, start = descriptor.saddle, set(ns), descriptor.spec.start_index
+    if wanted and min(wanted) < start + 3:
+        raise ParameterError(f"n must be >= {start + 3}, got {min(wanted)}")
+    sf.floats  # raises past the float range
+    if wanted and not theorem_constants(sf).hypothesis_ok:
+        solve_saddle(sf, 3)  # raises the hypothesis' failure, whatever the n
+    rows = recurrence.rows(descriptor.spec, max(wanted)) if wanted else ()
+    return [_compare_row(descriptor, r.n, r.poly) for r in rows if r.n in wanted]
+
+
+def _compare_row(descriptor: FamilyDescriptor, n: int, poly: ExactPolynomial) -> ComparisonRecord:
     prefactor = descriptor.spec.start_poly
-    series_n = n - start
-    if series_n < 3:
-        raise ParameterError(f"n must be >= {start + 3}, got {n}")
-    if not theorem_constants(descriptor.saddle).hypothesis_ok:
-        solve_saddle(descriptor.saddle, series_n)  # the spec's failure before the row's
-    if poly is None:
-        poly = next(r.poly for r in recurrence.rows(descriptor.spec, n) if r.n == n)
     table = pmf(poly, n)
-    report = saddle_report(descriptor.saddle, series_n)
+    report = saddle_report(descriptor.saddle, n - descriptor.spec.start_index)
     exact_mean = float(table.mean)
     exact_variance = float_variance(table)
     mass = poly(1)
@@ -317,7 +328,7 @@ def compare_exact(
     exact_log_total = log_fraction(mass)
     estimate_log_total = (
         report.coeff_estimate_log
-        + math.lgamma(series_n + 1)
+        + math.lgamma(report.n + 1)
         + log_fraction(abs(prefactor.leading_coefficient))
     )
     predicted_mean = report.predicted_mean + prefactor.degree

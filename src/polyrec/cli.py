@@ -315,15 +315,7 @@ def _cmd_clt(args) -> int:
 
 
 def _cmd_asymptotics(args) -> int:
-    descriptor = _resolve(args)
-    descriptor.saddle  # a spec without a closed form fails before any work
-    ns = set(args.ns)
-    if ns and min(ns) < descriptor.spec.start_index + 3:
-        asym.compare_exact(descriptor, min(ns))  # raises before any row is drawn
-    descriptor.saddle.floats  # as does an exponent term past the float range
-    # one pass over the rows serves every n
-    rows = recurrence.rows(descriptor.spec, max(ns)) if ns else ()
-    records = [asym.compare_exact(descriptor, r.n, r.poly) for r in rows if r.n in ns]
+    records = asym.compare_scan(_resolve(args), args.ns)
     # the columns after n are the records' own fields, in their order; a
     # comparison's last field is the saddle report itself.  The flat CSV
     # prefixes the report's own predictions, so the header is unambiguous

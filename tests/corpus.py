@@ -173,7 +173,7 @@ PROBE_SPECS = {
     **{name: text for name, text, _ in EDGE_SPECS},
     "LONG_LITERAL": f"gamma: {'1' * 5000}; m: 1;",
     "SMALL_M": f"gamma: 2x; m: 1/1{'0' * 100};",
-    "FLAT_NINES": f"gamma: {'9' * 2200}; m: 1;",
+    "FLAT_NINES": test_cli.FLAT_NINES,
 }
 PROBES = [
     # a zero entry over a power of two prints as 0; gamma's constant folded

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from polyrec import asymptotics
+from polyrec import asymptotics, recurrence
 from polyrec.algebra import ExactPolynomial, X, monomial
 from polyrec.asymptotics import (
     compare_exact,
+    compare_scan,
     f_partials,
     log_fraction,
     saddle_report,
@@ -26,13 +27,14 @@ from polyrec.errors import (
     ZeroVarianceError,
 )
 from polyrec.families import (
+    FAMILIES,
     FamilyDescriptor,
     SaddleFunction,
     build_exponent,
     catalog,
     theorem_constants,
 )
-from polyrec.recurrence import LagTerm, RecurrenceSpec, generate
+from polyrec.recurrence import LagTerm, RecurrenceSpec, TriangleRow
 
 
 STIRLING = catalog("stirling2").saddle
@@ -287,17 +289,26 @@ def test_compare_exact_improves_with_n():
     assert far.log_total_rel_err < 1e-3
 
 
-def test_compare_exact_takes_a_precomputed_row():
-    descriptor = catalog("r_stirling", r=2)
-    poly = generate(descriptor.spec, 40)[40 - 2]
-    assert compare_exact(descriptor, 40, poly) == compare_exact(descriptor, 40)
-
-
-def test_compare_exact_names_a_variance_below_the_float_range():
-    # 1 + 10^-400 x has variance about 10^-400: not zero, but no float
-    poly = ExactPolynomial([1, Fraction(1, 10**400)])
+def test_compare_exact_names_a_variance_below_the_float_range(monkeypatch):
+    # a row source whose row 5 is 1 + 10^-400 x, of variance about 10^-400:
+    # not zero, but no float
+    row = TriangleRow(5, ExactPolynomial([1, Fraction(1, 10**400)]))
+    monkeypatch.setattr(recurrence, "rows", lambda spec, upto: iter([row]))
     with pytest.raises(ZeroVarianceError, match="below the float range"):
-        compare_exact(catalog("dowling", m=2), 5, poly)
+        compare_exact(catalog("dowling", m=2), 5)
+
+
+def test_compare_exact_refuses_the_float_range_before_drawing(monkeypatch):
+    # the exponent's coefficient 10^2200 - 1 is past the float range at every
+    # n: the spec alone refuses row 40, so no row or PMF is built for it
+    def no_rows(spec, upto):
+        raise AssertionError("a row was drawn")
+
+    monkeypatch.setattr(recurrence, "rows", no_rows)
+    spec = RecurrenceSpec(gamma=ExactPolynomial([10**2200 - 1, 1]), m=1)
+    descriptor = FamilyDescriptor(name="custom", parameters={}, spec=spec)
+    with pytest.raises(SaddleOverflowError, match="past the float range"):
+        compare_exact(descriptor, 40)
 
 
 def test_compare_exact_r_stirling_offset():
@@ -346,6 +357,64 @@ def test_saddle_meets_its_tolerance_on_random_specs(descriptor):
         p = f_partials(sf, rho, 1.0)
         assert abs(rho * p.f_z - n) <= max(1e-9 * n, 1e-12)
         assert rho * p.f_z + rho * rho * p.f_zz > 0
+
+
+_CATALOG_SADDLES = [catalog(name, **family.listed).saddle for name, family in FAMILIES.items()]
+# x log-uniform from the least subnormal to 1e300
+_X = st.floats(math.log(5e-324), math.log(1e300)).map(lambda t: min(max(math.exp(t), 5e-324), 1e300))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(st.sampled_from(_CATALOG_SADDLES), _admissible().map(lambda d: d.saddle)),
+    st.floats(0.0, 1000.0),
+    _X,
+    st.integers(1, 10**400),
+)
+# x * x is 0.0 below about 1e-162; n = 10^400 and (10^200)^2 have no float
+@example(STIRLING, 1.0, 1e-170, 5)
+@example(STIRLING, 1.0, 5e-324, 5)
+@example(STIRLING, 1.0, 1.0, 10**400)
+@example(SaddleFunction([(1, ExactPolynomial([0, 0, 1]))], 1), 0.0, 1e200, 5)
+def test_saddle_raises_only_documented_errors(sf, z, x, n):
+    # a value past the float range ends in SaddleOverflowError, not in
+    # Python's ZeroDivisionError or OverflowError
+    for call in (lambda: f_partials(sf, z, x), lambda: solve_saddle(sf, n, x)):
+        try:
+            call()
+        except PolyrecError:
+            pass
+
+
+def test_saddle_refuses_an_n_past_the_float_range():
+    with pytest.raises(SaddleOverflowError, match="^n is past the float range$"):
+        solve_saddle(STIRLING, 10**400)
+    with pytest.raises(SaddleOverflowError, match="^n is past the float range$"):
+        saddle_report(STIRLING, 10**5000)  # more digits than int-to-str allows
+    # 10^300 is inside it: z e^z = 10^300
+    assert math.isclose(solve_saddle(STIRLING, 10**300), 684.2472086297608, rel_tol=1e-12)
+
+
+def test_partials_divide_by_a_tiny_x():
+    # x * x is 0.0 below about x = 1e-162; dividing by x twice is not
+    p = f_partials(STIRLING, 1.0, 1e-170)
+    assert math.isclose(p.f_x, math.e - 1, rel_tol=1e-12) and p.f_xx == 0.0
+    assert all(map(math.isfinite, f_partials(STIRLING, 1.0, 5e-324)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_admissible(), st.lists(st.integers(1, 30), max_size=4))
+def test_compare_scan_matches_single_comparisons(descriptor, ns):
+    # one row pass gives what a row source per n gives, in ascending order;
+    # a failure is the first failure of those calls, message and all
+    try:
+        want = [compare_exact(descriptor, n) for n in sorted(set(ns))]
+    except PolyrecError as err:
+        with pytest.raises(type(err)) as caught:
+            compare_scan(descriptor, ns)
+        assert str(caught.value) == str(err)
+    else:
+        assert compare_scan(descriptor, ns) == want
 
 
 @settings(max_examples=60, deadline=None)

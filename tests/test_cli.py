@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from polyrec import cli, families, oracle, recurrence
+from polyrec import asymptotics, cli, errors, families, oracle, recurrence
 from polyrec.algebra import ExactPolynomial
 from polyrec.cli import main
 from polyrec.errors import InvalidIndexError, ParameterError, UnsupportedShapeError
@@ -656,6 +656,8 @@ NEAR_ONE = f"gamma: x; m: 1/1{'0' * 100};"
 STEEP = "gamma: x; m: 1/2; lag: {s: 1100, coeff: x, binom: true};"
 # m = 10^400 is past the double range
 HUGE_M = f"gamma: x; m: 1{'0' * 400};"
+# a constant gamma fails the saddle theorem, and 10^2200 - 1 the float range
+FLAT_NINES = f"gamma: {'9' * 2200}; m: 1;"
 
 
 @pytest.mark.parametrize(
@@ -1290,6 +1292,27 @@ def test_asymptotics_checks_the_float_range_before_drawing(capsys, drawn):
         "message": "a coefficient of the EGF exponent is past the float range",
     }
     assert drawn == ([], [])
+
+
+@pytest.mark.parametrize(
+    "text,n,error",
+    [
+        (FLAT_NINES, 5, "SaddleOverflowError"),
+        (NO_CLOSED_FORM, 2, "UnsupportedShapeError"),
+        (NINES, 2, "ParameterError"),
+    ],
+    ids=["FLAT_NINES", "NO_CLOSED_FORM", "NINES"],
+)
+def test_asymptotics_refuses_as_compare_exact_does(capsys, text, n, error):
+    # each spec has several faults: the library and the command refuse the
+    # same one, so they name the same class
+    code, out, err = run_cli(capsys, "asymptotics", "--inline", text, "--ns", str(n))
+    assert code in (2, 3) and out == ""
+    assert json.loads(err)["error"]["type"] == error
+    descriptor = FamilyDescriptor(name="custom", parameters={}, spec=load(text))
+    with pytest.raises(errors.PolyrecError) as caught:
+        asymptotics.compare_exact(descriptor, n)
+    assert type(caught.value).__name__ == error
 
 
 def test_verify_reports_an_egf_mismatch(capsys, monkeypatch):

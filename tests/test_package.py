@@ -57,6 +57,7 @@ PUBLIC_NAMES = [
     "catalog_names",
     "clt_scan",
     "compare_exact",
+    "compare_scan",
     "count_partitions",
     "egf_rows",
     "f_partials",
@@ -86,7 +87,7 @@ PUBLIC_NAMES = [
 def test_public_names():
     # an independent list: a helper imported into the package (a typing
     # name, say) would show up here as an extra public name
-    assert len(PUBLIC_NAMES) == 65
+    assert len(PUBLIC_NAMES) == 66
     assert polyrec.__all__ == PUBLIC_NAMES
 
 
