@@ -205,6 +205,14 @@ PROBES = [
     "asymptotics --inline NO_CLOSED_FORM --ns 2",
     "asymptotics --inline NINES --ns 2",
     "asymptotics --inline FLAT_NINES --ns 5",
+    # refusals a command reaches after the reader: moments with neither --n
+    # nor --ns; a row below the start; a row of unit mass; family parameters
+    # below and above their bounds
+    "moments --family stirling2",
+    "moments --family r_stirling(r=3) --ns 2",
+    "asymptotics --inline 'gamma: 1/8x + 3/8; m: 2;' --ns 3",
+    "triangle --family dowling(m=0) --max-n 3",
+    "triangle --family assoc_stirling(s=10001) --max-n 3",
 ]
 
 # argparse's lines: help, and usage errors the reader leaves to the parser
