@@ -75,7 +75,7 @@ from .families import (
     validate_nonnegativity,
     verify_egf_identity,
 )
-from .oracle import Check, OracleReport, PartitionConstraint, count_partitions, verify, verify_family
+from .oracle import Check, OracleReport, count_partitions, verify, verify_family
 from .recurrence import (
     LagTerm,
     RecurrenceSpec,

@@ -242,7 +242,8 @@ class SaddleReport(Record):
 def saddle_report(sf: SaddleFunction, n: int) -> SaddleReport:
     """Full prediction set at x = 1: saddle radius, its x-derivative,
     predicted mean and variance, and the log of the coefficient estimate
-    rho^{-n} e^{f(rho,1)} / sqrt(2 pi b)."""
+    rho^{-n} e^{f(rho,1)} / sqrt(2 pi b).  A field past the float range
+    raises SaddleOverflowError."""
     if n < 3:
         raise ParameterError(f"n must be >= 3, got {n}")
     rho = solve_saddle(sf, n, 1.0)
@@ -253,17 +254,24 @@ def saddle_report(sf: SaddleFunction, n: int) -> SaddleReport:
     predicted_variance = p.f_x + rho_prime * p.f_zx + p.f_xx
     d = theorem_constants(sf).d
     log_n = math.log(n)
-    return SaddleReport(
-        n=n,
-        rho=rho,
-        rho_prime=rho_prime,
-        predicted_mean=predicted_mean,
-        predicted_variance=predicted_variance,
-        b_value=b,
-        coeff_estimate_log=-n * math.log(rho) + p.f - 0.5 * math.log(2.0 * math.pi * b),
-        leading_mean=d * n / log_n,
-        leading_variance=d * d * n / (log_n * log_n),
-    )
+    try:
+        report = SaddleReport(
+            n=n,
+            rho=rho,
+            rho_prime=rho_prime,
+            predicted_mean=predicted_mean,
+            predicted_variance=predicted_variance,
+            b_value=b,
+            coeff_estimate_log=-n * math.log(rho) + p.f - 0.5 * math.log(2.0 * math.pi * b),
+            leading_mean=d * n / log_n,
+            leading_variance=d * d * n / (log_n * log_n),
+        )
+        finite = all(map(math.isfinite, report[1:]))
+    except OverflowError:  # d n past the float range
+        finite = False
+    if not finite:
+        raise SaddleOverflowError("a saddle-point prediction is past the float range")
+    return report
 
 
 def log_fraction(q: Fraction) -> float:

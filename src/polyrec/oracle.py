@@ -20,9 +20,9 @@ the independent witness.
 `verify_family` compares a triangle with one walk, which yields the counts
 of every row until its budget of MAX_VISITS profiles is spent; the report
 names the last row compared.  Only `count_partitions` raises SizeGuardError.
-`verify` gathers the three checks of `polyrec verify`: the EGF identity and
-the nonnegativity scan, in one pass over the rows, and this enumeration up
-to row 8.
+`verify` gathers the three checks of `polyrec verify` in one pass over the
+rows: the EGF identity, the nonnegativity scan, and this enumeration of the
+rows up to 8, which the pass keeps for it.
 """
 
 from __future__ import annotations
@@ -36,20 +36,6 @@ from .errors import ParameterError, SizeGuardError, UnsupportedShapeError
 from .families import FamilyDescriptor, egf_series, validate_nonnegativity
 
 MAX_VISITS = 20_000
-
-
-class PartitionConstraint(Record):
-    """Enumeration parameters: n non-distinguished elements, r distinguished
-    elements (pairwise separated), m colors, minimum non-distinguished block
-    size s; all ints."""
-
-    __slots__ = ()
-
-    def __new__(cls, n, r=0, m=1, s=1):
-        for name, value, minimum in zip("nrms", (n, r, m, s), (0, 0, 1, 1)):
-            if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-                raise ParameterError(f"{name} must be an integer >= {minimum}")
-        return tuple.__new__(cls, (n, r, m, s))
 
 
 def _walk(r, m, s: int, w, n: int) -> Iterator[dict]:
@@ -86,13 +72,17 @@ def _walk(r, m, s: int, w, n: int) -> Iterator[dict]:
         yield {p[-1]: value for p, value in layer.items() if not any(p[:-1])}
 
 
-def count_partitions(constraint: PartitionConstraint) -> dict[int, int]:
-    """Count the constrained partitions, weighted, over block-size profiles.
+def count_partitions(n: int, r: int = 0, m: int = 1, s: int = 1) -> dict[int, int]:
+    """Count the partitions of n plain elements in the model (r, m, s, 1),
+    weighted, over block-size profiles; n, r >= 0 and m, s >= 1 are ints,
+    else ParameterError.
 
     Returns {number of non-distinguished blocks: total weight}, omitting
     zero entries.  Raises SizeGuardError if the walk's budget ends it early.
     """
-    n, r, m, s = constraint
+    for name, value, minimum in zip("nrms", (n, r, m, s), (0, 0, 1, 1)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+            raise ParameterError(f"{name} must be an integer >= {minimum}")
     *rows, counts = _walk(r, m, s, 1, n)
     if len(rows) < n:
         raise SizeGuardError(f"the walk to n = {n} holds more than {MAX_VISITS} profiles")
@@ -143,15 +133,19 @@ class OracleReport(Record):
 
 
 def verify_family(descriptor: FamilyDescriptor, n_max: int) -> OracleReport:
-    """Check the recurrence triangle against enumeration for rows <= n_max.
+    """Check the recurrence triangle against enumeration for rows <= n_max."""
+    return _enumeration(descriptor, n_max, recurrence.rows(descriptor.spec, n_max))
 
-    The model (r, m, s, w) is read off the spec by `_model`.  Row
+
+def _enumeration(descriptor: FamilyDescriptor, n_max: int, rows) -> OracleReport:
+    """Compare the walk with `rows`, the spec's rows from its start through
+    n_max.  The model (r, m, s, w) is read off the spec by `_model`.  Row
     `start_index` holds no plain element and equals the start c0 x^d, so
     row start_index + n is c0 times the model's counts of n plain elements,
     shifted up by d columns.  The report names the last row compared: n_max,
     or the last row within the walk's budget; a mismatch gives both entries
     exactly.  A spec with no partition model, or with no row up to `n_max`,
-    comes back skipped-with-notice.
+    comes back skipped-with-notice and reads no row.
     """
     label, spec = descriptor.label, descriptor.spec
     model, start = _model(spec), spec.start_index
@@ -161,7 +155,7 @@ def verify_family(descriptor: FamilyDescriptor, n_max: int) -> OracleReport:
         notice = f"no row up to {n_max}: the first row is {start}"
     else:
         *weights, c0, d = model
-        for counts, (n, poly) in zip(_walk(*weights, n_max - start), recurrence.rows(spec, n_max)):
+        for counts, (n, poly) in zip(_walk(*weights, n_max - start), rows):
             top = max([poly.degree] + [k + d for k in counts])
             for k in range(top + 1):
                 want = c0 * counts.get(k - d, 0)
@@ -185,17 +179,19 @@ def verify(descriptor: FamilyDescriptor, max_n: int) -> tuple[Check, ...]:
 
     The EGF identity covers EGF rows 0..max_n, the enumeration rows up to
     8 (fewer where the walk's budget ends it) and the nonnegativity scan
-    rows up to max_n.  A spec with no closed-form exponent skips the EGF
-    check, and one, catalog or custom, with no partition model or no row in
-    reach skips the enumeration; a skipped check passes.  A `max_n` below
-    the start index raises InvalidIndexError before any row is drawn.
+    rows up to max_n, all read in one pass.  A spec with no closed-form
+    exponent skips the EGF check, and one, catalog or custom, with no
+    partition model or no row in reach skips the enumeration; a skipped
+    check passes.  A `max_n` below the start index raises InvalidIndexError
+    before any row is drawn.
     """
     spec = descriptor.spec
     start = spec.start_index
     recurrence._check_upto(spec, max_n)
 
     # one pass: EGF row j is spec row start + j, so the EGF check reads rows
-    # through max_n + start and the scan through max_n
+    # through max_n + start, the scan through max_n and a model's
+    # enumeration through 8 (none when the spec starts past 8)
     try:
         descriptor.saddle  # the shape check, before any row is generated
         series, upto = egf_series(descriptor, max_n), max_n + start
@@ -203,20 +199,23 @@ def verify(descriptor: FamilyDescriptor, max_n: int) -> tuple[Check, ...]:
     except UnsupportedShapeError as err:
         series, upto = iter(()), max_n
         egf = Check("egf_identity", True, f"skipped: {err}")
+    kept = []
 
     def checked_rows():
         nonlocal egf
-        for row in recurrence.rows(spec, upto):
+        for row in recurrence.rows(spec, max(upto, 8) if _model(spec) else upto):
             # a spent series reads as agreeing
             if egf.ok and (want := next(series, row.poly)) != row.poly:
                 detail = f"row {row.n}: recurrence {row.poly}, series {want}"
                 egf = Check("egf_identity", False, detail)
+            if row.n <= 8:
+                kept.append(row)
             if row.n <= max_n:
                 yield row
 
     scan = validate_nonnegativity(checked_rows())
 
-    report = verify_family(descriptor, 8)
+    report = _enumeration(descriptor, 8, kept)
     detail = f"skipped: {report.notice}" if report.skipped else str(report)
     enumeration = Check("enumeration", report.ok, detail)
 

@@ -395,6 +395,19 @@ def test_saddle_refuses_an_n_past_the_float_range():
     assert math.isclose(solve_saddle(STIRLING, 10**300), 684.2472086297608, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("degree", [1, 3])
+def test_saddle_report_refuses_a_prediction_past_the_float_range(degree):
+    # gamma = x^d: every field is finite at 10^300; just inside solve_saddle's
+    # guard b overflows at 10^307, and at 8 10^307 so does d n for d = 3
+    sf = build_exponent(RecurrenceSpec(gamma=monomial(degree), m=1))
+    report = saddle_report(sf, 10**300)
+    assert all(map(math.isfinite, report[1:]))
+    assert report.leading_mean == degree * 10**300 / math.log(10**300)
+    for n in (10**307, 8 * 10**307):
+        with pytest.raises(SaddleOverflowError, match="^a saddle-point prediction is past"):
+            saddle_report(sf, n)
+
+
 def test_partials_divide_by_a_tiny_x():
     # x * x is 0.0 below about x = 1e-162; dividing by x twice is not
     p = f_partials(STIRLING, 1.0, 1e-170)

@@ -1048,22 +1048,20 @@ def drawn(monkeypatch):
     "argv,rows",
     [
         (("moments", "--family", "stirling2", "--ns", "10,30,20"), 30),
-        # rows 1..30 once for the EGF check and the scan, then rows 1..8
-        # again, which the enumeration oracle draws for itself
-        (("verify", "--family", "dowling(m=2)", "--max-n", "30"), 38),
+        # rows 1..30 once for the EGF check, the scan and the enumeration
+        (("verify", "--family", "dowling(m=2)", "--max-n", "30"), 30),
         (("asymptotics", "--family", "stirling2", "--ns", "10,30,20"), 30),
         (("pmf", "--family", "stirling2", "--n", "30"), 30),
         (("clt", "--family", "stirling2", "--ns", "10,30,20"), 30),
     ],
 )
 def test_rows_are_generated_once(capsys, drawn, argv, rows):
-    # every command draws its rows from the one row source, once; verify's
-    # enumeration draws its own rows 1..8 after that pass
+    # every command draws its rows from the one row source, once
     generated, advanced = drawn
     code, _, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
-    assert generated == ([30, 8] if argv[0] == "verify" else [30])
-    assert len(advanced) == rows
+    assert generated == [30]
+    assert advanced == list(range(1, rows + 1))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -1246,17 +1244,17 @@ def test_no_digit_limit_needs_no_size_proof(capsys, drawn):
 @pytest.mark.parametrize(
     "argv,upto",
     [
-        # one pass through max_n reaches the EGF check and the scan; the
-        # enumeration then draws its own rows 1..8
-        (("verify", "--family", "dowling(m=2)", "--max-n", "5"), [5, 8]),
-        (("verify", "--family", "dowling(m=2)", "--max-n", "0"), [0, 8]),
+        # one pass reaches the EGF check, the scan and the enumeration: for a
+        # model it runs through row 8 even when max_n is below it
+        (("verify", "--family", "dowling(m=2)", "--max-n", "5"), [8]),
+        (("verify", "--family", "dowling(m=2)", "--max-n", "0"), [8]),
         # no partition model, no enumeration rows: a unit-weight lag, and
         # gamma of degree 2
         (("verify", "--inline", NO_CLOSED_FORM, "--max-n", "5"), 5),
         (("verify", "--inline", "gamma: x^2; m: 1;", "--max-n", "3"), 3),
         # the model is read off any spec, catalog or custom
-        (("verify", "--family", "sheffer(d=2,a=1)", "--max-n", "5"), [5, 8]),
-        (("verify", "--inline", "gamma: x; m: 1;", "--max-n", "3"), [3, 8]),
+        (("verify", "--family", "sheffer(d=2,a=1)", "--max-n", "5"), [8]),
+        (("verify", "--inline", "gamma: x; m: 1;", "--max-n", "3"), [8]),
     ],
 )
 def test_verify_draws_rows_once(capsys, drawn, argv, upto):
@@ -1266,6 +1264,45 @@ def test_verify_draws_rows_once(capsys, drawn, argv, upto):
     passes = upto if isinstance(upto, list) else [upto]
     assert generated == passes
     assert advanced == [n for last in passes for n in range(1, last + 1)]
+
+
+@pytest.mark.parametrize(
+    "text,max_n,budget,upto",
+    [
+        # max_n below 8 on a model: the pass runs on to row 8 for it
+        ("family: dowling(m=2);", 3, None, 8),
+        ("gamma: 2/3x - 1/2; m: 3/2; start: {index: 2, poly: 4/3x^2};", 2, None, 8),
+        # a start past 8: nothing to enumerate, and no row past the EGF
+        # check's max_n + start
+        ("family: r_stirling(r=15);", 20, None, 35),
+        # no model: the pass stops at max_n
+        (NO_CLOSED_FORM, 5, None, 5),
+        # dowling's walk holds 45 profiles through row 8: a budget of 44
+        # stops it after row 7
+        ("family: dowling(m=2);", 20, 44, 20),
+        ("family: dowling(m=2);", 4, 44, 8),
+    ],
+    ids=["below_8", "rational_below_8", "start_past_8", "no_model", "budget", "budget_below_8"],
+)
+def test_verify_enumerates_the_rows_of_its_pass(
+    capsys, drawn, monkeypatch, text, max_n, budget, upto
+):
+    # the one pass hands the enumeration its rows, and the check reads as
+    # verify_family's own report on rows up to 8
+    generated, advanced = drawn
+    if budget is not None:
+        monkeypatch.setattr(oracle, "MAX_VISITS", budget)
+    code, out, err = run_cli(capsys, "verify", "--inline", text, "--max-n", str(max_n))
+    assert (code, err) == (0, "")
+    descriptor = load(text)
+    if isinstance(descriptor, RecurrenceSpec):
+        descriptor = FamilyDescriptor("custom", {}, descriptor)
+    start = descriptor.spec.start_index
+    assert generated == [upto]
+    assert advanced == list(range(start + 1, upto + 1))
+    report = oracle.verify_family(descriptor, 8)
+    detail = f"skipped: {report.notice}" if report.skipped else str(report)
+    assert out.splitlines()[2] == f"enumeration,pass,{detail.replace(',', ';')}"
 
 
 @pytest.mark.parametrize("ns,low", [("4,40", 4), ("1,40", 1)])

@@ -12,13 +12,7 @@ from polyrec import cli, oracle, recurrence
 from polyrec.algebra import ONE, X, ExactPolynomial, monomial
 from polyrec.errors import ParameterError, SizeGuardError
 from polyrec.families import FamilyDescriptor, catalog
-from polyrec.oracle import (
-    Check,
-    PartitionConstraint,
-    count_partitions,
-    verify,
-    verify_family,
-)
+from polyrec.oracle import Check, count_partitions, verify, verify_family
 from polyrec.recurrence import LagTerm, RecurrenceSpec, generate, triangle
 
 BELL = [
@@ -29,13 +23,13 @@ BELL = [
 
 def test_counts_match_worked_examples():
     # unrestricted 4-set: Stirling row 4
-    assert count_partitions(PartitionConstraint(n=4)) == {1: 1, 2: 7, 3: 6, 4: 1}
+    assert count_partitions(n=4) == {1: 1, 2: 7, 3: 6, 4: 1}
     # 4 plain elements, blocks of size >= 2
-    assert count_partitions(PartitionConstraint(n=4, s=2)) == {1: 1, 2: 3}
+    assert count_partitions(n=4, s=2) == {1: 1, 2: 3}
     # 2 elements, 2 colors: one 2-block with weight 2, one 1+1 with weight 1
-    assert count_partitions(PartitionConstraint(n=2, m=2)) == {1: 2, 2: 1}
+    assert count_partitions(n=2, m=2) == {1: 2, 2: 1}
     # weighted: 4 elements, weight 2 per extra element in a plain block
-    assert count_partitions(PartitionConstraint(n=4, m=2)) == {
+    assert count_partitions(n=4, m=2) == {
         1: 8,
         2: 28,
         3: 12,
@@ -45,7 +39,7 @@ def test_counts_match_worked_examples():
 
 def test_unweighted_totals_are_bell_numbers():
     for n in range(len(BELL)):
-        counts = count_partitions(PartitionConstraint(n=n))
+        counts = count_partitions(n=n)
         assert sum(counts.values()) == BELL[n]
 
 
@@ -54,7 +48,7 @@ def test_dowling_totals():
     expected = [1, 2, 6, 24, 116, 648, 4088]
     polys = generate(catalog("dowling", m=2).spec, len(expected) - 1)
     for n, value in enumerate(expected):
-        counts = count_partitions(PartitionConstraint(n=n, r=1, m=2))
+        counts = count_partitions(n=n, r=1, m=2)
         assert sum(counts.values()) == value
         assert polys[n](Fraction(1)) == value
 
@@ -87,7 +81,7 @@ def test_counts_match_independent_rgs_enumeration():
         for m in (1, 2, 3):
             for s in (1, 2):
                 expected = rgs_counts(n, m, s)
-                got = count_partitions(PartitionConstraint(n=n, m=m, s=s))
+                got = count_partitions(n=n, m=m, s=s)
                 assert got == expected, (n, m, s)
 
 
@@ -118,7 +112,7 @@ def test_counts_match_brute_force_with_distinguished_elements():
             for s in (1, 2, 3):
                 for n in range(9 - r):
                     expected = brute_force(n, r, m, s)
-                    got = count_partitions(PartitionConstraint(n=n, r=r, m=m, s=s))
+                    got = count_partitions(n=n, r=r, m=m, s=s)
                     assert got == expected, (n, r, m, s)
 
 
@@ -140,18 +134,20 @@ def test_random_models_match_the_recurrence_up_to_the_guard(m, r, s):
 
 
 def test_constraint_validation():
-    with pytest.raises(ParameterError):
-        PartitionConstraint(n=-1)
-    with pytest.raises(ParameterError):
-        PartitionConstraint(n=2, m=0)
-    with pytest.raises(ParameterError):
-        PartitionConstraint(n=2, s=0)
-    with pytest.raises(ParameterError):
-        PartitionConstraint(n=2, r=-1)
-    with pytest.raises(ParameterError):
-        PartitionConstraint(n=True)
-    with pytest.raises(ParameterError):
-        PartitionConstraint(n=2, s=True)
+    # the four integers are checked before the walk starts
+    for arguments, message in [
+        (dict(n=-1), "n must be an integer >= 0"),
+        (dict(n=2, m=0), "m must be an integer >= 1"),
+        (dict(n=2, s=0), "s must be an integer >= 1"),
+        (dict(n=2, r=-1), "r must be an integer >= 0"),
+        (dict(n=True), "n must be an integer >= 0"),
+        (dict(n=2, s=True), "s must be an integer >= 1"),
+        (dict(n=2, m=2.0), "m must be an integer >= 1"),
+    ]:
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            count_partitions(**arguments)
+    # positional and keyword calls count the same partitions
+    assert count_partitions(3, 0, 1, 2) == count_partitions(n=3, s=2) == {1: 1}
 
 
 def row_counts(name, n, **params):
@@ -163,9 +159,9 @@ def test_count_partitions_stops_at_the_budget(monkeypatch):
     # dowling's walk holds 1 + 2 + ... + 8 = 36 profiles through n = 7,
     # and 45 through n = 8
     monkeypatch.setattr(oracle, "MAX_VISITS", 44)
-    assert count_partitions(PartitionConstraint(n=7, r=1, m=2)) == row_counts("dowling", 7, m=2)
+    assert count_partitions(n=7, r=1, m=2) == row_counts("dowling", 7, m=2)
     with pytest.raises(SizeGuardError, match="the walk to n = 8 holds more than 44 profiles"):
-        count_partitions(PartitionConstraint(n=8, r=1, m=2))
+        count_partitions(n=8, r=1, m=2)
     # verify_family reports the last row inside the budget instead
     report = verify_family(catalog("dowling", m=2), 20)
     assert str(report) == "dowling(m=2): rows up to 7 match enumeration"
@@ -179,23 +175,16 @@ def test_walk_stops_at_the_real_budget_for_large_blocks():
     for args, last in [((0, 1, 20, 1, 200), 29), ((1, 2, 20, 1, 200), 22)]:
         assert len(list(oracle._walk(*args))) - 1 == last, args
     with pytest.raises(SizeGuardError, match="the walk to n = 83 holds more than 20000"):
-        count_partitions(PartitionConstraint(n=83, s=20))
-    counts = count_partitions(PartitionConstraint(n=82, s=20))
+        count_partitions(n=83, s=20)
+    counts = count_partitions(n=82, s=20)
     assert counts == row_counts("assoc_stirling", 82, s=20)
 
 
 def test_many_distinguished_elements_are_only_a_weight():
     # 20 distinguished elements and 10 plain ones: 30 elements, well inside
     # the budget
-    counts = count_partitions(PartitionConstraint(n=10, r=20, m=2))
+    counts = count_partitions(n=10, r=20, m=2)
     assert counts == row_counts("whitney", 10, m=2, c=20)
-
-
-def test_replace_checks_the_constraint():
-    # `_replace` goes through the constructor's checks
-    with pytest.raises(ParameterError, match="r must be an integer >= 0"):
-        PartitionConstraint(3)._replace(r=-1)
-    assert PartitionConstraint(3)._replace(s=2) == PartitionConstraint(n=3, s=2)
 
 
 def test_verify_family_ok():
@@ -416,8 +405,8 @@ def test_verify_family_stops_at_the_guard(name, params, n_max, text):
 
 def test_verify_family_makes_one_walk(monkeypatch):
     # every row's counts come from one walk, not a count_partitions call per row
-    def refuse(constraint):
-        raise AssertionError(f"count_partitions({constraint}) called")
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"count_partitions{args} called")
 
     monkeypatch.setattr(oracle, "count_partitions", refuse)
     report = verify_family(catalog("dowling", m=2), 13)
