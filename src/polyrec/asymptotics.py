@@ -10,8 +10,9 @@ The pipeline: solve z f_z(z, x) = n for the saddle radius rho, then read off
 
 with leading terms d n / log n for the mean and d^2 n / log^2 n for the
 variance, where d and alpha_d are the degree and leading coefficient of Q2.
-compare_scan sets exact rows beside them in one row pass, after refusing, in
-turn: no closed form, n < start_index + 3, an overflow, a failed hypothesis.
+compare_scan sets exact rows beside them, each with its PMF from
+distribution's one row scan, after refusing, in turn: no closed form,
+n < start_index + 3, an overflow, a failed hypothesis.
 
 Everything here is floating point, summed term by term over the exact
 factors: each tail T_s is taken in the form that cancels at most about 4
@@ -25,9 +26,8 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from . import recurrence
-from .algebra import ExactPolynomial, Record
-from .distribution import float_variance, pmf
+from .algebra import Record
+from .distribution import PMFTable, _row_pmfs, float_variance
 from .errors import (
     ParameterError,
     SaddleFailureError,
@@ -320,17 +320,15 @@ def compare_scan(descriptor: FamilyDescriptor, ns: Sequence[int]) -> list[Compar
     sf.floats  # raises past the float range
     if wanted and not theorem_constants(sf).hypothesis_ok:
         solve_saddle(sf, 3)  # raises the hypothesis' failure, whatever the n
-    rows = recurrence.rows(descriptor.spec, max(wanted)) if wanted else ()
-    return [_compare_row(descriptor, r.n, r.poly) for r in rows if r.n in wanted]
+    rows = _row_pmfs(descriptor.spec, wanted)
+    return [_compare_row(descriptor, table, row.row_sum()) for row, table in rows]
 
 
-def _compare_row(descriptor: FamilyDescriptor, n: int, poly: ExactPolynomial) -> ComparisonRecord:
-    prefactor = descriptor.spec.start_poly
-    table = pmf(poly, n)
+def _compare_row(descriptor: FamilyDescriptor, table: PMFTable, mass: Fraction) -> ComparisonRecord:
+    n, prefactor = table.n, descriptor.spec.start_poly
     report = saddle_report(descriptor.saddle, n - descriptor.spec.start_index)
     exact_mean = float(table.mean)
     exact_variance = float_variance(table)
-    mass = poly(1)
     if mass == 1:
         raise UnitMassError(f"row {n} has total mass 1, so its log total is 0")
     exact_log_total = log_fraction(mass)

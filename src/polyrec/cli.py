@@ -286,7 +286,7 @@ def _floats(record) -> dict:
 
 
 def _cmd_pmf(args) -> int:
-    (table,) = dist._row_pmfs(_resolve(args).spec, [args.n])
+    ((_, table),) = dist._row_pmfs(_resolve(args).spec, [args.n])
     lines = ([str(k), str(p), _fmt_float(float(p))] for k, p in sorted(table.probs.items()))
     _render(args, ("k", "prob", "prob_float"), lines, lambda: _pmf_payload(table))
     return 0
@@ -299,7 +299,7 @@ def _cmd_moments(args) -> int:
     if args.ns is None and args.n is None:
         raise ParameterError("moments needs --n or --ns")
     ns = args.ns if args.ns is not None else [args.n]
-    tables = list(dist._row_pmfs(spec, ns))
+    tables = [table for _, table in dist._row_pmfs(spec, ns)]
     lines = ([str(t.n), *_moments(t).values()] for t in tables)
     header = ("n", "mean", "variance", "skewness", "excess_kurtosis")
     _render(args, header, lines, lambda: [_pmf_payload(t) for t in tables])

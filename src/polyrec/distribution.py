@@ -35,7 +35,7 @@ from .errors import (
     ZeroVarianceError,
 )
 from .families import FamilyDescriptor
-from .recurrence import RecurrenceSpec
+from .recurrence import RecurrenceSpec, TriangleRow
 
 
 def standard_normal_cdf(t: float) -> float:
@@ -192,8 +192,9 @@ def normality(table: PMFTable, d: int) -> NormalityReport:
     )
 
 
-def _row_pmfs(spec: RecurrenceSpec, ns: Sequence[int]) -> Iterator[PMFTable]:
-    """PMFs of the distinct rows ns in ascending order, from one row pass.
+def _row_pmfs(spec: RecurrenceSpec, ns: Sequence[int]) -> Iterator[tuple[TriangleRow, PMFTable]]:
+    """Each distinct row of ns with its PMF, as (row, table) in ascending
+    order from one row pass: the scan of pmf, moments, clt and asymptotics.
 
     A row below the start index has no mass: ZeroMassError, raised before
     any row is drawn.  Each table is built as its row is drawn, so a
@@ -205,7 +206,7 @@ def _row_pmfs(spec: RecurrenceSpec, ns: Sequence[int]) -> Iterator[PMFTable]:
     rows = recurrence.rows(spec, max(wanted)) if wanted else ()
     for row in rows:
         if row.n in wanted:
-            yield pmf(row.poly, row.n)
+            yield row, pmf(row.poly, row.n)
 
 
 def clt_scan(
@@ -216,7 +217,7 @@ def clt_scan(
     for n in ns:
         if n < 2:
             raise ParameterError(f"n must be >= 2, got {n}")
-    return [normality(table, d) for table in _row_pmfs(descriptor.spec, ns)]
+    return [normality(table, d) for _, table in _row_pmfs(descriptor.spec, ns)]
 
 
 class MeanIdentityReport(Record):

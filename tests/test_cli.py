@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from polyrec import asymptotics, cli, errors, families, oracle, recurrence
+from polyrec import asymptotics, cli, distribution, errors, families, oracle, recurrence
 from polyrec.algebra import ExactPolynomial
 from polyrec.cli import main
 from polyrec.errors import InvalidIndexError, ParameterError, UnsupportedShapeError
@@ -1044,6 +1044,19 @@ def drawn(monkeypatch):
     return generated, advanced
 
 
+@pytest.fixture
+def tabled(monkeypatch):
+    """The n of every `distribution.pmf` call, in order."""
+    built = []
+
+    def counting_pmf(poly, n, source=distribution.pmf):
+        built.append(n)
+        return source(poly, n)
+
+    monkeypatch.setattr(distribution, "pmf", counting_pmf)
+    return built
+
+
 @pytest.mark.parametrize(
     "argv,rows",
     [
@@ -1055,13 +1068,15 @@ def drawn(monkeypatch):
         (("clt", "--family", "stirling2", "--ns", "10,30,20"), 30),
     ],
 )
-def test_rows_are_generated_once(capsys, drawn, argv, rows):
-    # every command draws its rows from the one row source, once
+def test_rows_are_generated_once(capsys, drawn, tabled, argv, rows):
+    # every command draws its rows from the one row source, once, and
+    # builds one PMF per asked-for row, in ascending order
     generated, advanced = drawn
     code, _, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
     assert generated == [30]
     assert advanced == list(range(1, rows + 1))
+    assert tabled == {"pmf": [30], "verify": []}.get(argv[0], [10, 20, 30])
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -223,9 +223,9 @@ def test_one_row_holds_a_window_not_the_triangle():
         del polys
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        (table,) = _row_pmfs(spec, [400])
+        ((row, table),) = _row_pmfs(spec, [400])
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert table.n == 400 and table.total == generate(spec, 400)[400](1)
+    assert row.n == table.n == 400 and table.total == generate(spec, 400)[400](1)
     assert peak < retained / 4, (peak, retained)
