@@ -286,7 +286,7 @@ def _floats(record) -> dict:
 
 
 def _cmd_pmf(args) -> int:
-    ((_, table),) = dist._row_pmfs(_resolve(args).spec, [args.n])
+    (table,) = [t for _, t in dist._row_pmfs(_resolve(args).spec, [args.n])]
     lines = ([str(k), str(p), _fmt_float(float(p))] for k, p in sorted(table.probs.items()))
     _render(args, ("k", "prob", "prob_float"), lines, lambda: _pmf_payload(table))
     return 0
