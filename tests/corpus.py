@@ -65,7 +65,8 @@ EDGE_SPECS = [
 CATALOG_DEPTHS = (12, 12, 9, "5,12")
 
 # catalog instances off `listed`: the s = 1 edges of the lag families, the
-# model families at other parameters, and whitney and galton at another c
+# model families at other parameters, whitney and galton at another c, and
+# r_stirling at the start degrees 0 and 1
 EXTRA_INSTANCES = [
     "assoc_stirling(s=1)",
     "assoc_stirling(s=3)",
@@ -78,6 +79,8 @@ EXTRA_INSTANCES = [
     "dowling(m=4)",
     "whitney(m=3,c=-2)",
     "galton(m=3,c=2)",
+    "r_stirling(r=0)",
+    "r_stirling(r=1)",
 ]
 
 # spec files, written under these names in the scratch directory the lines
