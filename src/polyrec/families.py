@@ -1,7 +1,7 @@
 """Catalog of named polynomial families.
 
 Each family is one record in FAMILIES: its parameters, OEIS ids, and its
-partition model (r, m, s, w), or its own recurrence where it has no model.
+partition model (r, m, s, w), with a start degree where it starts past x^0.
 A descriptor bundles the recurrence data, the OEIS ids, and, built from the
 recurrence by `build_exponent` on first read, the closed-form exponent of
 the exponential generating function and the constants (d, alpha_d) that
@@ -31,7 +31,6 @@ from . import recurrence
 from .algebra import (
     MAX_EXPONENT,
     ONE,
-    X,
     ZERO,
     ExactPolynomial,
     Record,
@@ -195,7 +194,7 @@ class FamilyDescriptor(Record):
 def egf_series(descriptor: FamilyDescriptor, order: int) -> Iterator[ExactPolynomial]:
     """Rows predicted by the EGF: start_poly * n! * [z^n] exp(f), n = 0..order."""
     if order < 0:
-        raise InvalidIndexError(f"egf_rows needs order >= 0, got {order}")
+        raise InvalidIndexError(f"egf_series needs order >= 0, got {order}")
     series = exp_rows(descriptor.saddle.egf_coefficients(order))
     start_poly = descriptor.spec.start_poly
     yield from series if start_poly == ONE else (start_poly * t for t in series)
@@ -269,11 +268,13 @@ def _ids(table: dict, key) -> tuple[str, ...]:
     return (table[key],) if key in table else ()
 
 
-def _model_spec(r: int, m: int, s: int, w: int) -> RecurrenceSpec:
-    """The recurrence of the partition model (r, m, s, w): gamma = r + w x
-    when s = 1, else gamma = r and the binomial lag w m^(s-1) x at depth s."""
+def _model_spec(r: int, m: int, s: int, w: int, d: int = 0) -> RecurrenceSpec:
+    """The recurrence of the partition model (r, m, s, w) started at x^d in
+    row d: gamma = (r - m d) + w x when s = 1, else (d = 0, as lags need)
+    gamma = r and the binomial lag w m^(s-1) x at depth s."""
     if s == 1:
-        return RecurrenceSpec(gamma=ExactPolynomial((r, w)), m=m)
+        gamma = ExactPolynomial((r - m * d, w))
+        return RecurrenceSpec(gamma=gamma, m=m, start_index=d, start_poly=monomial(d))
     lag = LagTerm(s=s, kappa=monomial(1, w * m ** (s - 1)), binom_weight=True)
     return RecurrenceSpec(gamma=ExactPolynomial((r,)), m=m, lags=(lag,))
 
@@ -306,16 +307,15 @@ class Family(Record):
     `params` maps each parameter, in label order, to its minimum (None for
     any integer); `depths` names those that set a start degree or a lag
     depth, each at most MAX_EXPONENT as in spec text.  `listed` is the
-    instance whose ids `polyrec families` shows.  `spec`, `oeis` and `model`
-    take the parameters as keywords and give the recurrence, the OEIS ids
-    and the partition model (r, m, s, w).  A family names its spec or its
-    model; the recurrence of a model is `_model_spec(r, m, s, w)`.
+    instance whose ids `polyrec families` shows.  `model` and `oeis` take
+    the parameters as keywords and give the partition model (r, m, s, w[, d])
+    that `_model_spec` turns into the recurrence, and the OEIS ids.
     """
 
     __slots__ = ()
 
-    def __new__(cls, params, listed, spec=None, oeis=lambda **_: (), model=None, depths=()):
-        return tuple.__new__(cls, (params, listed, spec, oeis, model, depths))
+    def __new__(cls, params, listed, model, oeis=lambda **_: (), depths=()):
+        return tuple.__new__(cls, (params, listed, model, oeis, depths))
 
 
 FAMILIES: dict[str, Family] = {
@@ -347,8 +347,8 @@ FAMILIES: dict[str, Family] = {
     "r_stirling": Family(
         params={"r": 0},
         listed={"r": 2},
-        spec=lambda r: RecurrenceSpec(gamma=X, m=1, start_index=r, start_poly=monomial(r)),
         oeis=lambda r: _ids(_R_STIRLING_IDS, r),
+        model=lambda r: (r, 1, 1, 1, r),
         depths=("r",),
     ),
     "sheffer": Family(
@@ -418,6 +418,6 @@ def catalog(name: str, **params) -> FamilyDescriptor:
     return FamilyDescriptor(
         name=name,
         parameters=values,
-        spec=family.spec(**values) if family.spec else _model_spec(*family.model(**values)),
+        spec=_model_spec(*family.model(**values)),
         oeis_refs=family.oeis(**values),
     )

@@ -109,8 +109,12 @@ def test_replace_rebuilds_the_exponent():
 def test_egf_rows_order_bounds():
     descriptor = catalog("r_stirling", r=3)
     assert egf_rows(descriptor, 0) == [monomial(3)]
-    with pytest.raises(InvalidIndexError):
+    with pytest.raises(InvalidIndexError, match="egf_series needs order >= 0, got -1"):
         egf_rows(descriptor, -1)
+    # egf_series is a generator: it refuses at the first draw, not the call
+    series = families.egf_series(descriptor, -1)
+    with pytest.raises(InvalidIndexError, match="egf_series needs order >= 0, got -1"):
+        next(series)
 
 
 def _tail_split(factors, m):
@@ -305,13 +309,13 @@ def test_catalog_caps_degrees_and_depths(monkeypatch, name, params, depth):
     assert speclang.MAX_EXPONENT is algebra.MAX_EXPONENT
     descriptor = catalog(name, **params, **{depth: MAX_EXPONENT})
     assert descriptor.parameters[depth] == MAX_EXPONENT == 10_000
-    # refused before the family's recurrence is built
+    # refused before the family's model is called, so before its recurrence
     family = families.FAMILIES[name]
 
     def unbuilt(**values):
-        raise AssertionError("the recurrence was built")
+        raise AssertionError("the model was called")
 
-    monkeypatch.setitem(families.FAMILIES, name, family._replace(spec=unbuilt))
+    monkeypatch.setitem(families.FAMILIES, name, family._replace(model=unbuilt))
     with pytest.raises(ParameterError, match=f"parameter '{depth}' must be <= 10000, got 10001"):
         catalog(name, **params, **{depth: MAX_EXPONENT + 1})
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from polyrec import cli, oracle, recurrence
 from polyrec.algebra import ONE, X, ExactPolynomial, monomial
 from polyrec.errors import ParameterError, SizeGuardError
-from polyrec.families import FamilyDescriptor, catalog
+from polyrec.families import FAMILIES, FamilyDescriptor, _model_spec, catalog
 from polyrec.oracle import Check, count_partitions, verify, verify_family
 from polyrec.recurrence import LagTerm, RecurrenceSpec, generate, triangle
 
@@ -256,6 +256,17 @@ def test_the_model_is_read_off_the_spec():
     assert oracle._model(spec) == (1, Fraction(1, 2), 1, 1, 5, 2)
 
 
+@pytest.mark.parametrize("name", FAMILIES)
+def test_the_catalog_writes_what_the_oracle_reads(name):
+    # every family's recurrence is `_model_spec` of its declared model, and
+    # `_model` reads that model back, with start coefficient 1 and degree d,
+    # at `listed` and at each parameter one above it
+    family = FAMILIES[name]
+    for params in (family.listed, {k: v + 1 for k, v in family.listed.items()}):
+        r, m, s, w, *d = family.model(**params)
+        assert oracle._model(catalog(name, **params).spec) == (r, m, s, w, 1, *(d or [0]))
+
+
 # specs that have no partition model
 UNMODELLED = [
     # a unit-weight lag
@@ -313,6 +324,19 @@ def test_signed_rational_models_match_the_recurrence(spec):
     # and w count as well as the catalog's integers
     report = verify_family(FamilyDescriptor("custom", {}, spec), 25)
     assert report.ok and not report.skipped, report
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_model_spec_and_model_are_inverses(data):
+    # a signed rational model (r, m, s, w) from x^d: s = 1 takes any start
+    # degree d, s >= 2 takes d = 0 (lags need it) and w != 0 (a zero lag is
+    # no lag)
+    r, s = data.draw(_SIGNED), data.draw(st.integers(1, 4))
+    m = data.draw(st.fractions(Fraction(1, 3), 4, max_denominator=3))
+    w = data.draw(_SIGNED if s == 1 else _SIGNED.filter(bool))
+    d = data.draw(st.integers(0, 5)) if s == 1 else 0
+    assert oracle._model(_model_spec(r, m, s, w, d)) == (r, m, s, w, 1, d)
 
 
 def test_verify_family_reports_mismatch(monkeypatch):

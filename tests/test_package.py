@@ -321,8 +321,8 @@ RECORDS = [
     (
         "families",
         "Family",
-        "params listed spec oeis model depths",
-        {"spec": None, "oeis": (), "model": None, "depths": ()},
+        "params listed model oeis depths",
+        {"oeis": (), "depths": ()},
     ),
     ("families", "NonnegativityReport", "ok first_negative zero_sum_rows", {}),
     ("families", "TheoremConstants", "d alpha_d hypothesis_ok", {}),
