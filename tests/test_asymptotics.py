@@ -374,8 +374,8 @@ _CROSSING = RecurrenceSpec(
 @given(_admissible())
 @example(FamilyDescriptor(name="custom", parameters={}, spec=_CROSSING))
 def test_the_theorem_holds_on_admissible_specs(descriptor):
-    # the paper's normal law at n = start + 160, each bound about 3x the
-    # worst seen over 600 drawn specs; the log total's error falls from
+    # the paper's normal law at n = start + 160, each bound at least 3x the
+    # worst seen over 350 drawn specs; the log total's error falls from
     # start + 10 (from start + 40 it need not: see _CROSSING)
     start = descriptor.spec.start_index
     early, late = compare_scan(descriptor, [start + 10, start + 160])
