@@ -63,7 +63,6 @@ from .errors import (
 )
 from .families import (
     FamilyDescriptor,
-    NonnegativityReport,
     SaddleFunction,
     TheoremConstants,
     build_exponent,
@@ -72,7 +71,6 @@ from .families import (
     egf_rows,
     family_parameters,
     theorem_constants,
-    validate_nonnegativity,
     verify_egf_identity,
 )
 from .oracle import Check, OracleReport, count_partitions, verify, verify_family

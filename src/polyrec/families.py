@@ -24,7 +24,7 @@ a time, so no 1/p! denominators appear on the way.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from fractions import Fraction
 
 from . import recurrence
@@ -45,7 +45,7 @@ from .errors import (
     UnknownFamilyError,
     UnsupportedShapeError,
 )
-from .recurrence import LagTerm, RecurrenceSpec, TriangleRow
+from .recurrence import LagTerm, RecurrenceSpec
 
 
 class SaddleFunction(Record):
@@ -218,33 +218,6 @@ def verify_egf_identity(
         if row.poly != want:
             return (row.n, row.poly, want)
     return None
-
-
-class NonnegativityReport(Record):
-    """No entry negative; the first negative entry's (n, k) or None; the rows summing to 0."""
-
-    __slots__ = ()
-
-    def __new__(cls, ok, first_negative, zero_sum_rows):
-        return tuple.__new__(cls, (ok, first_negative, zero_sum_rows))
-
-
-def validate_nonnegativity(rows: Iterable[TriangleRow]) -> NonnegativityReport:
-    """Scan triangle rows for negative entries and zero row sums.
-
-    Zero-sum rows are legal (they occur for block-size-restricted families
-    at small n) but carry no probability mass, so they are reported for the
-    distribution layer to skip.
-    """
-    first_negative = None
-    zero_sums = []
-    for row in rows:
-        nums = row.poly.numerators
-        if first_negative is None and min(nums, default=0) < 0:
-            first_negative = (row.n, next(k for k, q in enumerate(nums) if q < 0))
-        if not sum(nums):
-            zero_sums.append(row.n)
-    return NonnegativityReport(first_negative is None, first_negative, tuple(zero_sums))
 
 
 def _require_int(params: dict, key: str, minimum: int | None, maximum: int | None) -> int:

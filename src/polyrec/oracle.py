@@ -20,9 +20,9 @@ the independent witness.
 `verify_family` compares a triangle with one walk, which yields the counts
 of every row until its budget of MAX_VISITS profiles is spent; the report
 names the last row compared.  Only `count_partitions` raises SizeGuardError.
-`verify` gathers the three checks of `polyrec verify` in one pass over the
-rows: the EGF identity, the nonnegativity scan, and this enumeration of the
-rows up to 8, which the pass keeps for it.
+`verify` makes the three checks of `polyrec verify` in one loop over the
+rows: it compares each row with the EGF series, scans the signs of the rows
+through max_n itself, and keeps the rows up to 8 for this enumeration.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from operator import mul
 from . import recurrence
 from .algebra import ZERO, Record
 from .errors import ParameterError, SizeGuardError, UnsupportedShapeError
-from .families import FamilyDescriptor, egf_series, validate_nonnegativity
+from .families import FamilyDescriptor, egf_series
 
 MAX_VISITS = 20_000
 
@@ -177,13 +177,14 @@ class Check(Record):
 def verify(descriptor: FamilyDescriptor, max_n: int) -> tuple[Check, ...]:
     """The egf_identity, enumeration and nonnegativity checks, in that order.
 
-    The EGF identity covers EGF rows 0..max_n, the enumeration rows up to
-    8 (fewer where the walk's budget ends it) and the nonnegativity scan
-    rows up to max_n, all read in one pass.  A spec with no closed-form
-    exponent skips the EGF check, and one, catalog or custom, with no
-    partition model or no row in reach skips the enumeration; a skipped
-    check passes.  A `max_n` below the start index raises InvalidIndexError
-    before any row is drawn.
+    One loop draws each row once and makes the checks inline: it compares
+    EGF rows 0..max_n with the series, keeps the rows up to 8 for the
+    enumeration (fewer where the walk's budget ends it), and scans the rows
+    up to max_n for the first negative entry and the zero-mass rows.  A spec
+    with no closed-form exponent skips the EGF check, and one, catalog or
+    custom, with no partition model or no row in reach skips the
+    enumeration; a skipped check passes.  A `max_n` below the start index
+    raises InvalidIndexError before any row is drawn.
     """
     spec = descriptor.spec
     start = spec.start_index
@@ -199,30 +200,30 @@ def verify(descriptor: FamilyDescriptor, max_n: int) -> tuple[Check, ...]:
     except UnsupportedShapeError as err:
         series, upto = iter(()), max_n
         egf = Check("egf_identity", True, f"skipped: {err}")
-    kept = []
-
-    def checked_rows():
-        nonlocal egf
-        for row in recurrence.rows(spec, max(upto, 8) if _model(spec) else upto):
-            # a spent series reads as agreeing
-            if egf.ok and (want := next(series, row.poly)) != row.poly:
-                detail = f"row {row.n}: recurrence {row.poly}, series {want}"
-                egf = Check("egf_identity", False, detail)
-            if row.n <= 8:
-                kept.append(row)
-            if row.n <= max_n:
-                yield row
-
-    scan = validate_nonnegativity(checked_rows())
+    kept, first_negative, zero_sums = [], None, []
+    for row in recurrence.rows(spec, max(upto, 8) if _model(spec) else upto):
+        # a spent series reads as agreeing
+        if egf.ok and (want := next(series, row.poly)) != row.poly:
+            detail = f"row {row.n}: recurrence {row.poly}, series {want}"
+            egf = Check("egf_identity", False, detail)
+        if row.n <= 8:
+            kept.append(row)
+        if row.n <= max_n:
+            # the sign scan; a zero-mass row is legal but carries no probability
+            nums = row.poly.numerators
+            if first_negative is None and min(nums, default=0) < 0:
+                first_negative = (row.n, next(k for k, q in enumerate(nums) if q < 0))
+            if not sum(nums):
+                zero_sums.append(row.n)
 
     report = _enumeration(descriptor, 8, kept)
     detail = f"skipped: {report.notice}" if report.skipped else str(report)
     enumeration = Check("enumeration", report.ok, detail)
 
-    if not scan.ok:
-        detail = f"negative entry at (n,k)={scan.first_negative}"
-    elif scan.zero_sum_rows:
-        detail = f"all entries >= 0; zero-mass rows {list(scan.zero_sum_rows)}"
+    if first_negative:
+        detail = f"negative entry at (n,k)={first_negative}"
+    elif zero_sums:
+        detail = f"all entries >= 0; zero-mass rows {zero_sums}"
     else:
         detail = "all entries >= 0"
-    return egf, enumeration, Check("nonnegativity", scan.ok, detail)
+    return egf, enumeration, Check("nonnegativity", first_negative is None, detail)

@@ -27,10 +27,8 @@ denominator is 1 when the data are integers, as for every catalog family);
 degree of every scaled row without drawing one, and gives each row's exact
 coefficient at its degree bound, whatever the signs: the size bound lets the
 command line print a triangle in one pass, and a nonzero top coefficient at
-the widest bound proves a CSV width.  The module also builds coefficient
-triangles from the linear entrywise recurrence
-
-    T_{n,k} = u T_{n-1,k-1} + (a + b k) T_{n-1,k},   T_{0,0} = 1.
+the widest bound proves a CSV width.  `triangle_linear` gives the rows of
+gamma = a + u x, m = b by their explicit sum, sharing no step with the engine.
 """
 
 from __future__ import annotations
@@ -267,19 +265,23 @@ def triangle(spec: RecurrenceSpec, upto: int) -> list[TriangleRow]:
 def triangle_linear(
     u: Scalar, a: Scalar, b: Scalar, upto: int
 ) -> list[TriangleRow]:
-    """Triangle computed directly from the entrywise recurrence
-    T_{n,k} = u T_{n-1,k-1} + (a + b k) T_{n-1,k}, starting from T_{0,0}=1."""
+    """The triangle of T_{n,k} = u T_{n-1,k-1} + (a + b k) T_{n-1,k}, T_{0,0} = 1,
+    not by that recurrence but by inclusion-exclusion, with each (a + b j)^n a
+    running product: T_{n,k} = u^k / (b^k k!) sum_{j<=k} (-1)^(k-j) C(k,j)
+    (a + b j)^n, or C(n,k) u^k a^(n-k) when b = 0."""
     if upto < 0:
         raise InvalidIndexError("triangle_linear needs upto >= 0")
     u, a, b = as_fraction(u), as_fraction(a), as_fraction(b)
-    rows = [TriangleRow(0, ONE)]
-    cur = [Fraction(1)]
-    for n in range(1, upto + 1):
-        nxt = [Fraction(0)] * (n + 1)
-        for k, t in enumerate(cur):
-            if t:
-                nxt[k + 1] += u * t
-                nxt[k] += (a + b * k) * t
-        cur = nxt
-        rows.append(TriangleRow(n, ExactPolynomial(cur)))
+    rows, powers = [], [Fraction(1)] * (upto + 1)
+    for n in range(upto + 1):
+        if b:
+            sums = (
+                sum((-1) ** (k - j) * math.comb(k, j) * powers[j] for j in range(k + 1))
+                for k in range(n + 1)
+            )
+            row = [(u / b) ** k / math.factorial(k) * total for k, total in enumerate(sums)]
+        else:
+            row = [math.comb(n, k) * u**k * a ** (n - k) for k in range(n + 1)]
+        rows.append(TriangleRow(n, ExactPolynomial(row)))
+        powers = [p * (a + b * j) for j, p in enumerate(powers)]
     return rows

@@ -25,7 +25,6 @@ from polyrec.families import (
     FAMILIES,
     FamilyDescriptor,
     catalog,
-    validate_nonnegativity,
     verify_egf_identity,
 )
 from polyrec.recurrence import LagTerm, RecurrenceSpec, triangle
@@ -1437,12 +1436,14 @@ def test_verify_agrees_with_the_public_checks(descriptor, max_n, sabotaged):
     detail = f"skipped: {report.notice}" if report.skipped else str(report)
     assert enumeration == oracle.Check("enumeration", report.ok, detail)
 
-    scan = validate_nonnegativity(recurrence.rows(spec, max_n))
-    assert nonnegativity.ok == scan.ok
-    if not scan.ok:
-        assert nonnegativity.detail == f"negative entry at (n,k)={scan.first_negative}"
-    elif scan.zero_sum_rows:
-        zeros = list(scan.zero_sum_rows)
+    # the sign scan, read off the rows: the first negative entry, the zero-mass rows
+    rows = list(recurrence.rows(spec, max_n))
+    negatives = [(row.n, k) for row in rows for k, c in enumerate(row.coeffs) if c < 0]
+    zeros = [row.n for row in rows if not row.row_sum()]
+    assert nonnegativity.ok == (not negatives)
+    if negatives:
+        assert nonnegativity.detail == f"negative entry at (n,k)={negatives[0]}"
+    elif zeros:
         assert nonnegativity.detail == f"all entries >= 0; zero-mass rows {zeros}"
     else:
         assert nonnegativity.detail == "all entries >= 0"

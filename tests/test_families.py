@@ -25,7 +25,6 @@ from polyrec.families import (
     egf_rows,
     family_parameters,
     theorem_constants,
-    validate_nonnegativity,
     verify_egf_identity,
 )
 from polyrec.recurrence import LagTerm, RecurrenceSpec, generate, triangle
@@ -432,18 +431,16 @@ def test_catalog_names_and_parameters():
 
 
 def test_validate_nonnegativity():
-    good = validate_nonnegativity(triangle(catalog("dowling", m=2).spec, 10))
-    assert good.ok and good.first_negative is None and good.zero_sum_rows == ()
+    # verify's third check scans the signs of the rows it draws
+    good = oracle.verify(catalog("dowling", m=2), 10)[2]
+    assert good.ok and good.detail == "all entries >= 0"
 
-    gaps = validate_nonnegativity(triangle(catalog("assoc_stirling", s=3).spec, 8))
-    assert gaps.ok
-    assert gaps.zero_sum_rows == (1, 2)
+    gaps = oracle.verify(catalog("assoc_stirling", s=3), 8)[2]
+    assert gaps.ok and gaps.detail == "all entries >= 0; zero-mass rows [1, 2]"
 
-    bad = validate_nonnegativity(
-        triangle(RecurrenceSpec(gamma=X - 3 * ONE, m=1), 4)
-    )
-    assert not bad.ok
-    assert bad.first_negative == (1, 0)
+    custom = FamilyDescriptor("custom", {}, RecurrenceSpec(gamma=X - 3 * ONE, m=1))
+    bad = oracle.verify(custom, 4)[2]
+    assert not bad.ok and bad.detail == "negative entry at (n,k)=(1, 0)"
 
 
 _RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)

@@ -24,7 +24,6 @@ PUBLIC_NAMES = [
     "InvalidIndexError",
     "LagTerm",
     "MeanIdentityReport",
-    "NonnegativityReport",
     "NonzeroConstantTermError",
     "NormalityReport",
     "ONE",
@@ -76,7 +75,6 @@ PUBLIC_NAMES = [
     "theorem_constants",
     "triangle",
     "triangle_linear",
-    "validate_nonnegativity",
     "verify",
     "verify_egf_identity",
     "verify_family",
@@ -86,7 +84,7 @@ PUBLIC_NAMES = [
 def test_public_names():
     # an independent list: a helper imported into the package (a typing
     # name, say) would show up here as an extra public name
-    assert len(PUBLIC_NAMES) == 65
+    assert len(PUBLIC_NAMES) == 63
     assert polyrec.__all__ == PUBLIC_NAMES
 
 
@@ -324,7 +322,6 @@ RECORDS = [
         "params listed model oeis depths",
         {"oeis": (), "depths": ()},
     ),
-    ("families", "NonnegativityReport", "ok first_negative zero_sum_rows", {}),
     ("families", "TheoremConstants", "d alpha_d hypothesis_ok", {}),
     ("oracle", "Check", "name ok detail", {}),
     (

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from polyrec import algebra, recurrence
 from polyrec.algebra import ONE, X, ZERO, ExactPolynomial, monomial
 from polyrec.errors import InvalidIndexError
-from polyrec.families import catalog
+from polyrec.families import FamilyDescriptor, catalog, verify_egf_identity
+from polyrec.oracle import verify_family
 from polyrec.recurrence import (
     LagTerm,
     RecurrenceSpec,
@@ -402,7 +403,7 @@ _SMALL_FRACTIONS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
     u=_SMALL_FRACTIONS,
     a=_SMALL_FRACTIONS,
     b=st.fractions(min_value=Fraction(1, 6), max_value=5, max_denominator=6),
-    upto=st.integers(0, 12),
+    upto=st.integers(0, 20),
 )
 # a constant gamma, signed: its whole pass is folded into the derivative's rate
 @example(u=Fraction(0), a=Fraction(-3), b=Fraction(2), upto=8)
@@ -410,14 +411,29 @@ _SMALL_FRACTIONS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 @example(u=Fraction(3, 2), a=Fraction(0), b=Fraction(1, 2), upto=8)
 def test_triangle_linear_is_the_spec_gamma_a_plus_u_x(u, a, b, upto):
     # T(n,k) = u T(n-1,k-1) + (a + b k) T(n-1,k) is the recurrence with
-    # gamma = a + u x and m = b, read coefficient by coefficient
+    # gamma = a + u x and m = b; four routes agree on its rows: the explicit
+    # sum, the recurrence, the EGF series and the partition walk (r, m, s, w)
+    # = (a, b, 1, u)
     spec = RecurrenceSpec(gamma=ExactPolynomial((a, u)), m=b)
     assert triangle_linear(u, a, b, upto) == triangle(spec, upto)
+    descriptor = FamilyDescriptor("custom", {}, spec)
+    assert verify_egf_identity(descriptor, upto) is None
+    report = verify_family(descriptor, upto)
+    assert report.ok and not report.skipped
 
 
 def test_triangle_linear_stirling():
     rows = triangle_linear(u=1, a=0, b=1, upto=6)
     assert rows[4].coeffs == (0, 1, 7, 6, 1)
+
+
+def test_triangle_linear_without_b_is_a_power():
+    # b = 0: T(n,k) = C(n,k) u^k a^(n-k), the coefficients of (a + u x)^n
+    for u, a in [(Fraction(5, 2), Fraction(-2, 3)), (Fraction(0), Fraction(0))]:
+        power = ONE
+        for row in triangle_linear(u, a, 0, 6):
+            assert row.poly == power
+            power = power * ExactPolynomial((a, u))
 
 
 def test_start_conventions():
